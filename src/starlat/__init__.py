@@ -24,6 +24,7 @@ from .errors import (
     DegenerateMass,
     DimensionMismatch,
     DimensionTooSmall,
+    InvariantViolation,
     NoConvergence,
     NotLatticePoint,
     SingularBasis,
@@ -43,6 +44,7 @@ from .lattice import (
     LatticePoint,
     enumerate_ball,
     enumerate_ball_arrays,
+    enumerate_hyperbolic_cross,
     golden_lattice,
     is_primitive,
     lattice_point,

@@ -40,3 +40,8 @@ class NoConvergence(StarlatError):
 class VolumeStall(StarlatError):
     """Annulus volume estimates stopped growing; the ambient set appears to
     have finite volume, so the shell construction cannot continue."""
+
+
+class InvariantViolation(StarlatError):
+    """A result broke an invariant its construction guarantees (a bug, not
+    bad input); raised instead of an assert so it survives ``python -O``."""

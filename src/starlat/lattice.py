@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     DimensionTooSmall,
     NotLatticePoint,
     SingularBasis,
@@ -274,6 +275,49 @@ def enumerate_ball_arrays(L: Lattice, R: float, cap: int = DEFAULT_POINT_CAP,
         order = np.lexsort(tuple(coeffs[:, k] for k in range(d - 1, -1, -1)))
         coeffs, coords = coeffs[order], coords[order]
     return coeffs, coords
+
+
+def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float,
+                               cap: int = DEFAULT_POINT_CAP):
+    """Planar lattice points near the axes, as arrays (coeffs, coords).
+
+    Returns a superset of the nonzero points with |x1*x2| <= s and
+    ||x|| <= R, rows deduplicated and sorted lexicographically by
+    coefficients; coords are ``coeffs @ L.basis.T`` as in
+    :func:`enumerate_ball_arrays`.  A point with |x_i| <= |x_k| and
+    2^(j-1) t < |x_k| <= 2^j t, t = sqrt(s), has |x_i| <= s/|x_k| <
+    2^(1-j) t, so the region is covered by the dyadic rectangles
+    {|x_i| <= 2^(1-j) t, |x_k| <= 2^j t}, j = 1..ceil(log2(R/t)), on each
+    axis.  A rectangle with half-widths (a, h) lies in the ellipse that is
+    the ball of radius sqrt(2) of the lattice diag(1/a, 1/h) B, enumerated
+    after Gauss reduction, so the work is O(log(R^2/s)) small enumerations
+    instead of the pi R^2/det points of the ball.  Like every enumeration
+    interval, s and R are inflated by a relative 1e-9; `cap` bounds the
+    candidates summed over all rectangles.
+    """
+    if L.dim != 2:
+        raise DimensionMismatch("hyperbolic-cross enumeration is planar")
+    if not R > 0:
+        raise ValueError("R must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
+    if R == math.inf:
+        raise BudgetExceeded("an infinite radius needs infinitely many "
+                             "rectangles")
+    t = math.sqrt(s * (1.0 + _INFLATE))
+    R_in = R * (1.0 + _INFLATE)
+    parts = []
+    total = 0
+    for j in range(1, max(1, math.ceil(math.log2(R_in / t))) + 1):
+        short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
+        for a, h in ((short, long_), (long_, short)):
+            W, U = _gauss_reduce_2d(L.basis / np.array([[a], [h]]))
+            cred = _enum_2d(W, math.sqrt(2.0), cap - total)
+            total += len(cred)
+            parts.append(cred @ U.T)
+    coeffs = np.unique(np.concatenate(parts), axis=0)
+    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
+    return coeffs, coeffs @ L.basis.T
 
 
 def enumerate_ball(L: Lattice, R: float,

@@ -15,12 +15,15 @@ from .bodies import (
     boundedness_floor,
     hyperbolic,
 )
-from .errors import UnboundedBody
+from .errors import InvariantViolation, UnboundedBody
 from .lattice import (
+    _INFLATE,
     DEFAULT_POINT_CAP,
     Lattice,
     LatticePoint,
+    _gauss_reduce_2d,
     enumerate_ball_arrays,
+    enumerate_hyperbolic_cross,
     golden_lattice,
     perturb_basis,
 )
@@ -131,6 +134,39 @@ def _nonzero_rows(coeffs: np.ndarray) -> np.ndarray:
     return np.any(coeffs != 0, axis=1)
 
 
+def _budget_candidates(f: DistanceFunction, L: Lattice, R: float,
+                       cap: int = DEFAULT_POINT_CAP):
+    """Nonzero lattice points (coeffs, coords) holding the greedy minima of
+    f at every budget <= R: the ball of radius R, filtered to the radius
+    R * (1 + 1e-9) that ball enumeration admits.
+
+    For the planar hyperbola body |x1*x2|^(1/2) fewer points suffice.  The
+    Gauss-reduced basis lies in the ball of radius r0 and has max f = sqrt(s),
+    so by monotonicity in the budget every witness at a budget b >= r0 has
+    f <= lambda-hat_2(b) <= sqrt(s): the ball of radius r0 (inflated by a
+    relative 1e-9) and the hyperbolic cross {|x1*x2| <= s, ||x|| <= R}
+    hold every witness the ball does.  The ball of radius R is used when
+    s is 0 (a basis vector on each axis, e.g. Z^2) or r0 >= R.
+    """
+    if f.label == "hyperbola" and f.params == (2,) and L.dim == 2:
+        _, U = _gauss_reduce_2d(L.basis)
+        w = U.T @ L.basis.T
+        r0 = math.sqrt(float((w * w).sum(axis=1).max())) * (1.0 + _INFLATE)
+        root_s = float(np.max(f.evaluator(w)))
+        if r0 < R and 0.0 < root_s < math.inf:
+            ball, _ = enumerate_ball_arrays(L, r0, cap, sort=False)
+            cross, _ = enumerate_hyperbolic_cross(L, root_s * root_s, R,
+                                                  cap - len(ball))
+            coeffs = np.unique(np.concatenate([ball, cross]), axis=0)
+            coords = coeffs @ L.basis.T
+            keep = _nonzero_rows(coeffs) & ((coords * coords).sum(axis=1)
+                                            <= (R * (1.0 + _INFLATE)) ** 2)
+            return coeffs[keep], coords[keep]
+    coeffs, coords = enumerate_ball_arrays(L, R, cap, sort=False)
+    nz = _nonzero_rows(coeffs)
+    return coeffs[nz], coords[nz]
+
+
 def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
                             resolution: int = 512,
                             cap: int = DEFAULT_POINT_CAP,
@@ -173,14 +209,17 @@ def minima_upper_bound(f: DistanceFunction, L: Lattice, radius_budget: float,
 
     Values are upper bounds on the true minima and are monotone
     non-increasing in the budget; a rank deficit leaves the remaining
-    values flagged infinite.
+    values flagged infinite.  For the planar hyperbola body only points
+    that can be witnesses are looked at: a threshold certified by the
+    Gauss-reduced basis and monotonicity in the budget bounds f on them,
+    and :func:`enumerate_hyperbolic_cross` lists them in O(log budget)
+    rectangles (see ``_budget_candidates``; the ball is used when the
+    threshold is 0).  The result equals the ball's.
     """
     if radius_budget <= 0:
         raise ValueError("radius_budget must be positive")
     d = L.dim
-    coeffs, coords = enumerate_ball_arrays(L, radius_budget, cap)
-    nz = _nonzero_rows(coeffs)
-    coeffs, coords = coeffs[nz], coords[nz]
+    coeffs, coords = _budget_candidates(f, L, radius_budget, cap)
     if not len(coeffs):
         return _result_from([], coeffs, coords, np.empty(0), d, exact=False)
     fvals = np.asarray(f.evaluator(coords), dtype=float)
@@ -307,11 +346,10 @@ def noncontinuity_demo(epsilon: float, radius_budget: float, seed: int,
         if lam2 < best:
             best, best_res, best_L = lam2, res, Lk
         if lam2 < 0.5:
-            for a, b in ((0, 1),):
-                wa, wb = res.witnesses[a], res.witnesses[b]
-                det = (wa.coeffs[0] * wb.coeffs[1]
-                       - wa.coeffs[1] * wb.coeffs[0])
-                assert det != 0, "witness pair must be independent"
+            wa, wb = res.witnesses
+            if wa.coeffs[0] * wb.coeffs[1] == wa.coeffs[1] * wb.coeffs[0]:
+                raise InvariantViolation(
+                    f"witness pair {wa.coeffs}, {wb.coeffs} is dependent")
             return DemoReport(found=True, attempts=tried, epsilon=epsilon,
                               radius_budget=radius_budget, seed=seed,
                               values=res.values,

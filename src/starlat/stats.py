@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .bodies import DistanceFunction, boundedness_floor, parse_body
-from .errors import UnboundedBody
+from .errors import InvariantViolation, UnboundedBody
 from .lattice import (
     DEFAULT_POINT_CAP,
     Lattice,
@@ -20,7 +20,7 @@ from .lattice import (
     primitive_mask,
 )
 from .haar import sample_unimodular_2d_arrays
-from .minima import _argmin_f_lex
+from .minima import _budget_candidates, _greedy_2d_fast
 
 
 @dataclass(frozen=True)
@@ -200,16 +200,9 @@ def _lambda2_at_budgets(coeffs: np.ndarray, fvals: np.ndarray,
     out = []
     for b in budgets:
         sel = norms2 <= b * b
-        sub_c = coeffs[sel]
         sub_f = fvals[sel]
-        if not len(sub_c):
-            out.append(math.inf)
-            continue
-        i1 = _argmin_f_lex(sub_c, sub_f, None)
-        c1 = sub_c[i1]
-        cross = sub_c[:, 0] * int(c1[1]) - sub_c[:, 1] * int(c1[0])
-        i2 = _argmin_f_lex(sub_c, sub_f, cross != 0)
-        out.append(math.inf if i2 < 0 else float(sub_f[i2]))
+        chosen = _greedy_2d_fast(coeffs[sel], sub_f) if len(sub_f) else []
+        out.append(float(sub_f[chosen[1]]) if len(chosen) == 2 else math.inf)
     return out
 
 
@@ -221,10 +214,24 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
     Per-lattice curves are monotone non-increasing by construction (nested
     search balls); the report records the fraction of lattices whose
     lambda-hat_2 falls below each threshold at each budget.
+
+    For the planar hyperbola body a lattice's candidates are only the
+    points that can be witnesses (see ``minima._budget_candidates``): by
+    that monotonicity every witness at a budget b >= r0 has f <= sqrt(s),
+    certified by the Gauss-reduced basis of norm <= r0, so a curve costs
+    the ball of radius r0 plus O(log budget) rectangles of the hyperbolic
+    cross {|x1*x2| <= s} (s and radii inflated by a relative 1e-9), and
+    budgets above the ball's point cap work.  When s is 0 (Z^2) the ball
+    of the largest budget is used, as for every other body.  Either way the
+    curves are the ball's.
     """
     budgets = sorted(float(b) for b in budgets)
     if not budgets:
         raise ValueError("need at least one budget")
+    if not all(0.0 < b < math.inf for b in budgets):
+        raise ValueError("budgets must be positive and finite")
+    if N < 1:
+        raise ValueError("need at least one lattice")
     if boundedness_floor(body).bounded:
         raise UnboundedBody("minima-decay experiment requires an unbounded "
                             "body")
@@ -232,15 +239,13 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
     rows = []
     for i in range(N):
         L = make_lattice(bases[i])
-        coeffs, coords = enumerate_ball_arrays(L, budgets[-1], cap,
-                                               sort=False)
-        nz = np.any(coeffs != 0, axis=1)
-        coeffs, coords = coeffs[nz], coords[nz]
+        coeffs, coords = _budget_candidates(body, L, budgets[-1], cap)
         fvals = np.asarray(body.evaluator(coords), dtype=float)
         norms2 = (coords * coords).sum(axis=1)
         lam2 = _lambda2_at_budgets(coeffs, fvals, norms2, budgets)
-        for a, b in zip(lam2, lam2[1:]):
-            assert b <= a + 1e-12, "lambda-hat_2 must not increase with budget"
+        if any(b > a + 1e-12 for a, b in zip(lam2, lam2[1:])):
+            raise InvariantViolation(
+                f"lambda-hat_2 increased with the budget: {lam2}")
         rows.append(tuple(lam2))
     arr = np.array(rows)
     med = tuple(float(v) for v in np.median(arr, axis=0))

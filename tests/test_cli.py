@@ -154,6 +154,22 @@ def test_theorem2_csv(capsys):
     assert meds[1] <= meds[0]
 
 
+@pytest.mark.parametrize("flags", [("--count", "0"), ("--count", "-1"),
+                                   ("--budgets", "0,10")])
+def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
+    code, out, err = run(capsys, "theorem2", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_theorem2_budget_above_the_ball_cap(capsys):
+    code, out, _ = run(capsys, "theorem2", "--budgets", "10,1000,100000",
+                       "--count", "3", "--csv")
+    assert code == 0
+    meds = [float(r.split(",")[1]) for r in out.strip().splitlines()[1:]]
+    assert len(meds) == 3 and meds[2] <= meds[1] <= meds[0]
+
+
 def test_out_file_writing(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "minima", "--basis", "1,0;0,1", "--body",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import starlat as sl
 from starlat.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     DimensionTooSmall,
     NotLatticePoint,
     SingularBasis,
@@ -178,3 +179,38 @@ def test_perturb_negative_magnitude_rejected():
     L = sl.make_lattice([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         sl.perturb_basis(L, -0.1, seed=0)
+
+
+def test_hyperbolic_cross_covers_the_region(rng):
+    # every nonzero ball point with |x1*x2| <= s is returned, rows are
+    # unique, lex-sorted and carry the ball path's coordinates
+    for _ in range(20):
+        B = rng.uniform(-2, 2, (2, 2))
+        try:
+            L = sl.make_lattice(B)
+        except SingularBasis:
+            continue
+        for s, R in ((0.05, 30.0), (1.0, 60.0), (40.0, 20.0)):
+            coeffs, coords = sl.enumerate_hyperbolic_cross(L, s, R)
+            bc, bx = sl.enumerate_ball_arrays(L, R)
+            want = {tuple(c) for c, x in zip(bc.tolist(), bx)
+                    if any(c) and abs(x[0] * x[1]) <= s}
+            assert want <= set(map(tuple, coeffs.tolist()))
+            assert np.all(np.any(coeffs != 0, axis=1))
+            order = np.lexsort((coeffs[:, 1], coeffs[:, 0]))
+            assert np.array_equal(order, np.arange(len(coeffs)))
+            assert len(np.unique(coeffs, axis=0)) == len(coeffs)
+            assert np.array_equal(coords, coeffs @ L.basis.T)
+
+
+def test_hyperbolic_cross_rejects_bad_input():
+    L = sl.golden_lattice()
+    for s, R in ((1.0, 0.0), (1.0, -3.0), (0.0, 10.0), (math.inf, 10.0)):
+        with pytest.raises(ValueError):
+            sl.enumerate_hyperbolic_cross(L, s, R)
+    with pytest.raises(BudgetExceeded):
+        sl.enumerate_hyperbolic_cross(L, 1.0, math.inf)
+    with pytest.raises(BudgetExceeded):
+        sl.enumerate_hyperbolic_cross(L, 1.0, 1e3, cap=5)
+    with pytest.raises(DimensionMismatch):
+        sl.enumerate_hyperbolic_cross(sl.make_lattice(np.eye(3)), 1.0, 5.0)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starlat as sl
-from starlat.errors import SingularBasis, UnboundedBody
+from starlat import minima
+from starlat.errors import InvariantViolation, SingularBasis, UnboundedBody
 
-from conftest import rank_threshold_minima, tuple_minima
+from conftest import ball_candidates, rank_threshold_minima, tuple_minima
 
 
 EUCLID = sl.pnorm_ball(2, 2)
@@ -240,3 +241,45 @@ def test_noncontinuity_finds_small_lambda2():
 def test_noncontinuity_rejects_negative_epsilon():
     with pytest.raises(ValueError):
         sl.noncontinuity_demo(-0.1, 10.0, seed=0)
+
+
+def _hyperbola_cases():
+    gold = sl.golden_lattice()
+    z2 = sl.make_lattice([[1, 0], [0, 1]])
+    cases = [(gold, b) for b in (2.0, 50.0, 300.0)]
+    cases += [(sl.perturb_basis(gold, 1e-3, seed=k), 50.0) for k in range(30)]
+    bases = sl.sample_unimodular_2d_arrays(30, seed=1111)[3]
+    cases += [(sl.make_lattice(B), b) for B in bases
+              for b in (2.0, 50.0, 400.0)]
+    # near-axis lattices (tiny positive s) and Z^2 (s = 0, ball fallback)
+    cases += [(sl.perturb_basis(z2, 1e-6, seed=k), b)
+              for k in (3, 4) for b in (50.0, 300.0)]
+    cases += [(z2, 2.0), (z2, 50.0)]
+    return cases
+
+
+def test_upper_bound_hyperbola_cross_matches_ball(monkeypatch):
+    f = sl.hyperbolic(2)
+    for L, budget in _hyperbola_cases():
+        fast = sl.minima_upper_bound(f, L, budget)
+        with monkeypatch.context() as m:
+            m.setattr(minima, "_budget_candidates", ball_candidates)
+            ball = sl.minima_upper_bound(f, L, budget)
+        assert fast == ball, (L.basis.tolist(), budget)
+
+
+def test_upper_bound_hyperbola_beyond_the_ball_cap():
+    # every nonzero golden-lattice point has |x1*x2| >= 1, so the values
+    # stay (1, 1) at a budget whose ball would hold ~3e10 points; the unit
+    # points there have |x2| ~ 1e-5 computed with absolute error ~1e-11
+    res = sl.minima_upper_bound(sl.hyperbolic(2), sl.golden_lattice(), 1e5)
+    assert res.values == pytest.approx((1.0, 1.0), abs=1e-6)
+
+
+def test_noncontinuity_dependent_witnesses_raise(monkeypatch):
+    p1 = sl.LatticePoint(coords=(1.0, 0.1), coeffs=(1, 0))
+    p2 = sl.LatticePoint(coords=(-2.0, -0.2), coeffs=(-2, 0))
+    monkeypatch.setattr(minima, "minima_upper_bound", lambda f, L, b:
+                        minima.MinimaResult((0.1, 0.2), (p1, p2), False))
+    with pytest.raises(InvariantViolation):
+        sl.noncontinuity_demo(0.01, 10.0, seed=0, attempts=1)

@@ -5,7 +5,10 @@ import pytest
 from scipy.special import zeta
 
 import starlat as sl
-from starlat.errors import UnboundedBody
+from starlat import stats
+from starlat.errors import BudgetExceeded, InvariantViolation, UnboundedBody
+
+from conftest import ball_candidates
 
 
 Z2 = sl.make_lattice([[1, 0], [0, 1]])
@@ -119,3 +122,45 @@ def test_theorem2_monotone_and_decaying():
     # the 1.0-threshold fraction should be clearly positive at budget 80
     idx = report.thresholds.index(1.0)
     assert report.fraction_below[idx][-1] > 0.5
+
+
+def _theorem2_ball(monkeypatch, budgets, N, seed):
+    """theorem2_experiment with every lattice's candidates taken from the
+    whole ball of the largest budget, the path the hyperbola cross replaces."""
+    with monkeypatch.context() as m:
+        m.setattr(stats, "_budget_candidates", ball_candidates)
+        return sl.theorem2_experiment(sl.hyperbolic(2), budgets, N, seed)
+
+
+@pytest.mark.parametrize("budgets,N", [((10.0, 100.0, 300.0), 40),
+                                       ((10.0, 100.0, 1000.0), 4)])
+def test_theorem2_hyperbola_cross_matches_ball(monkeypatch, budgets, N):
+    # the ball reference at budget 1000 costs about a second per lattice,
+    # so the 40-lattice sweep stops at 300
+    fast = sl.theorem2_experiment(sl.hyperbolic(2), budgets, N, seed=1111)
+    assert fast == _theorem2_ball(monkeypatch, budgets, N, 1111)
+
+
+def test_theorem2_beyond_the_ball_cap(monkeypatch):
+    budgets = (10.0, 1000.0, 1e5)
+    with pytest.raises(BudgetExceeded):
+        _theorem2_ball(monkeypatch, budgets, 2, 7)
+    report = sl.theorem2_experiment(sl.hyperbolic(2), budgets, N=2, seed=7)
+    for row in report.lambda2:
+        assert all(0 < v < math.inf for v in row)
+        assert all(b <= a for a, b in zip(row, row[1:]))
+
+
+@pytest.mark.parametrize("budgets,N", [([5.0, 20.0], 0), ([5.0, 20.0], -1),
+                                       ([0.0, 20.0], 3), ([-5.0], 3),
+                                       ([math.inf], 3)])
+def test_theorem2_rejects_bad_sizes(budgets, N):
+    with pytest.raises(ValueError):
+        sl.theorem2_experiment(sl.hyperbolic(2), budgets, N, seed=0)
+
+
+def test_theorem2_monotonicity_violation_raises(monkeypatch):
+    monkeypatch.setattr(stats, "_lambda2_at_budgets",
+                        lambda coeffs, f, n2, budgets: [0.1, 0.5])
+    with pytest.raises(InvariantViolation):
+        sl.theorem2_experiment(sl.hyperbolic(2), [5.0, 20.0], N=1, seed=0)
