@@ -8,8 +8,6 @@ logarithmic factor).
 
 import math
 
-from scipy.special import zeta
-
 import starlat as sl
 
 
@@ -19,7 +17,7 @@ def main():
     N = 5000
     rep = sl.rogers_moment_report(regions, N=N, seed=99, keep_counts=False)
 
-    z2 = float(zeta(2))
+    z2 = math.pi**2 / 6
     print(f"{N} Haar lattices per row; centering constant 1/zeta(2) = "
           f"{1 / z2:.5f}")
     print(f"{'area':>6} {'mean':>8} {'V/zeta(2)':>10} {'m2':>8} "

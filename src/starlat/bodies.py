@@ -102,6 +102,28 @@ def linear_image(f: DistanceFunction, A) -> DistanceFunction:
                             label=f"image:{f.label}")
 
 
+def _spec_options(spec: str, keys: tuple[str, ...]) -> list[str]:
+    """Values of the options `keys` of a spec "head:k1=v1:k2=v2...", in the
+    order of `keys`; each is required.  A token starts an option only when
+    it reads `key=` with `key` in `keys`; other tokens continue the value
+    before them, colon included, so a nested body spec keeps its colons
+    ("sublevel:body=scale:c=2:ball:p=2:t=1")."""
+    opts: dict[str, str] = {}
+    key = None
+    for tok in spec.split(":")[1:]:
+        k, eq, v = tok.partition("=")
+        if eq and k in keys:
+            key, opts[k] = k, v
+        elif key is None:
+            raise ValueError(f"unexpected {tok!r} in spec {spec!r}")
+        else:
+            opts[key] += ":" + tok
+    missing = [k for k in keys if k not in opts]
+    if missing:
+        raise ValueError(f"spec {spec!r} is missing the option {missing[0]}=")
+    return [opts[k] for k in keys]
+
+
 def parse_body(spec: str, dim: int = 2) -> DistanceFunction:
     """Parse body spec strings: "ball:p=2", "box", "hyperbola",
     "scale:c=2:ball:p=2"."""
@@ -115,8 +137,8 @@ def parse_body(spec: str, dim: int = 2) -> DistanceFunction:
         return box(dim)
     if spec in ("hyperbola", "hyperbolic"):
         return hyperbolic(dim)
-    if spec.startswith("ball:p="):
-        ptok = spec[len("ball:p="):]
+    if spec.partition(":")[0] == "ball":
+        (ptok,) = _spec_options(spec, ("p",))
         p = math.inf if ptok in ("inf", "oo") else float(ptok)
         return pnorm_ball(dim, p)
     raise ValueError(f"unknown body spec {spec!r}")
@@ -160,12 +182,12 @@ def sphere_samples(dim: int, resolution: int) -> np.ndarray:
     return pts
 
 
-def _refine_min_2d(f: DistanceFunction, theta: float, half_width: float,
+def _refine_min_2d(func, theta: float, half_width: float,
                    iters: int = 80) -> float:
-    """Golden-section search for min f(cos t, sin t) on a bracket."""
+    """Golden-section search for min func(cos t, sin t) on a bracket."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = theta - half_width, theta + half_width
-    val = lambda t: float(f.evaluator(np.array([math.cos(t), math.sin(t)])))
+    val = lambda t: float(func(np.array([math.cos(t), math.sin(t)])))
     c = b - gr * (b - a)
     d_ = a + gr * (b - a)
     fc, fd = val(c), val(d_)
@@ -181,21 +203,23 @@ def _refine_min_2d(f: DistanceFunction, theta: float, half_width: float,
     return min(fc, fd)
 
 
-def _refine_extremum_nd(func, best_dir: np.ndarray, spread: float,
-                        minimize: bool, rounds: int = 30,
-                        per_round: int = 64) -> float:
+def _refine_min(func, S: np.ndarray, i: int, resolution: int) -> float:
+    """Local minimum of func (points -> values) on the unit sphere near the
+    sample point S[i]: golden-section search on the angle in the plane,
+    30 rounds of 64 shrinking random perturbations in higher dimension."""
+    if S.shape[1] == 2:
+        return _refine_min_2d(func, math.atan2(S[i, 1], S[i, 0]),
+                              2.0 * math.pi / resolution)
     rng = np.random.default_rng(0)
+    best_dir, spread = S[i], 0.2
     best_val = float(func(best_dir))
-    for _ in range(rounds):
-        cand = best_dir + spread * rng.standard_normal((per_round,
-                                                        best_dir.size))
+    for _ in range(30):
+        cand = best_dir + spread * rng.standard_normal((64, best_dir.size))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         vals = func(cand)
-        idx = int(np.argmin(vals) if minimize else np.argmax(vals))
-        v = float(vals[idx])
-        if (v < best_val) if minimize else (v > best_val):
-            best_val = v
-            best_dir = cand[idx]
+        idx = int(np.argmin(vals))
+        if float(vals[idx]) < best_val:
+            best_val, best_dir = float(vals[idx]), cand[idx]
         spread *= 0.7
     return best_val
 
@@ -211,14 +235,7 @@ def boundedness_floor(f: DistanceFunction, resolution: int = 1024,
     S = sphere_samples(f.dim, resolution)
     vals = np.asarray(f.evaluator(S), dtype=float)
     i = int(np.argmin(vals))
-    if f.dim == 2:
-        theta = math.atan2(S[i, 1], S[i, 0])
-        floor = min(float(vals[i]),
-                    _refine_min_2d(f, theta, 2.0 * math.pi / resolution))
-    else:
-        floor = _refine_extremum_nd(f.evaluator, S[i].copy(), 0.2,
-                                    minimize=True)
-        floor = min(floor, float(vals[i]))
+    floor = min(float(vals[i]), _refine_min(f.evaluator, S, i, resolution))
     return BoundednessCertificate(floor=floor, bounded=floor > threshold)
 
 
@@ -233,23 +250,6 @@ def body_distance(f: DistanceFunction, g: DistanceFunction,
     S = sphere_samples(f.dim, resolution)
     diff = np.abs(np.asarray(f.evaluator(S)) - np.asarray(g.evaluator(S)))
     i = int(np.argmax(diff))
-    best = float(diff[i])
-    if f.dim == 2:
-        h = DistanceFunction(
-            dim=2,
-            evaluator=lambda x: np.abs(np.asarray(f.evaluator(x))
-                                       - np.asarray(g.evaluator(x))),
-            label="|f-g|")
-        theta = math.atan2(S[i, 1], S[i, 0])
-        gr = _refine_min_2d(
-            DistanceFunction(dim=2,
-                             evaluator=lambda x: -h.evaluator(x),
-                             label="neg"),
-            theta, 2.0 * math.pi / resolution)
-        best = max(best, -gr)
-    else:
-        neg = lambda x: -np.abs(np.asarray(f.evaluator(x))
-                                - np.asarray(g.evaluator(x)))
-        best = max(best, -_refine_extremum_nd(neg, S[i].copy(), 0.2,
-                                              minimize=True))
-    return best
+    neg = lambda x: -np.abs(np.asarray(f.evaluator(x))
+                            - np.asarray(g.evaluator(x)))
+    return max(float(diff[i]), -_refine_min(neg, S, i, resolution))

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bodies import boundedness_floor, hyperbolic, parse_body
+from .bodies import _spec_options, parse_body
 from .errors import BudgetExceeded, StarlatError
 from .haar import sample_unimodular_2d_arrays, sample_unimodular_2d
 from .lattice import golden_lattice, make_lattice, parse_basis, perturb_basis
@@ -164,12 +164,9 @@ def _cmd_rogers(args):
 def _parse_witness_body(spec: str):
     if spec == "plane":
         return plane_body()
-    if spec.startswith("sublevel:"):
-        opts = {}
-        for tok in spec.split(":")[1:]:
-            k, _, v = tok.partition("=")
-            opts[k] = v
-        return sublevel_body(parse_body(opts["body"]), float(opts["t"]))
+    if spec.partition(":")[0] == "sublevel":
+        inner, t = _spec_options(spec, ("body", "t"))
+        return sublevel_body(parse_body(inner), float(t))
     f = parse_body(spec)
     return sublevel_body(f, 1.0)
 

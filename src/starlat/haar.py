@@ -35,6 +35,8 @@ def _uniforms(count: int, seed: int) -> np.ndarray:
 def sample_unimodular_2d_arrays(count: int, seed: int):
     """Vectorized sampler. Returns (x, y, rotation, bases) with bases of
     shape (count, 2, 2); every basis has determinant 1."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     u = _uniforms(count, seed)
     phi = (u[:, 0] - 0.5) * (math.pi / 3.0)   # uniform on [-pi/6, pi/6]
     x = np.sin(phi)

@@ -83,12 +83,12 @@ def make_lattice(columns) -> Lattice:
 
 def parse_basis(spec: str) -> np.ndarray:
     """Parse a basis spec like "1,0;0.5,0.866" (semicolons separate columns)."""
-    cols = []
-    for part in spec.split(";"):
-        cols.append([float(tok) for tok in part.split(",")])
-    arr = np.array(cols, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"malformed basis spec {spec!r}")
+    cols = [part.split(",") for part in spec.split(";")]
+    if len({len(c) for c in cols}) != 1 or any(not tok.strip()
+                                              for c in cols for tok in c):
+        raise ValueError(f"malformed basis spec {spec!r}: columns need the "
+                         "same number of nonempty entries")
+    arr = np.array([[float(tok) for tok in c] for c in cols])
     return arr.T  # each parsed row is one column
 
 
@@ -143,6 +143,30 @@ def random_unimodular(d: int, seed: int, steps: int = 12) -> np.ndarray:
             continue
         U[:, j] += int(rng.integers(-2, 3)) * U[:, i]
     return U
+
+
+def _unit_ball_volume(d: int) -> float:
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
+# B_2j / (2j)! for j = 1..5
+_EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
+
+
+def _zeta(d: int) -> float:
+    """Riemann zeta at an integer d >= 1: inf at the pole d = 1, pi^2/6 for
+    d = 2, else the terms k < 16 plus the Euler-Maclaurin tail from 16 with
+    five Bernoulli terms (the first term left out is 2e-17 of zeta(3), less
+    for larger d)."""
+    if d == 1:
+        return math.inf
+    if d == 2:
+        return math.pi ** 2 / 6
+    terms = [k ** -d for k in range(1, 16)]
+    terms += [16 ** (1 - d) / (d - 1), 16 ** -d / 2]
+    terms += [b * math.prod(range(d, d + 2 * j + 1)) * 16 ** (-d - 2 * j - 1)
+              for j, b in enumerate(_EULER_MACLAURIN)]
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +284,7 @@ def enumerate_ball_arrays(L: Lattice, R: float, cap: int = DEFAULT_POINT_CAP,
     if R <= 0:
         raise ValueError("R must be positive")
     d = L.dim
-    vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * R**d
+    vol = _unit_ball_volume(d) * R**d
     if vol / L.det > cap:
         raise BudgetExceeded(
             f"predicted point count {vol / L.det:.3g} exceeds cap {cap}")

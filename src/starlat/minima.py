@@ -36,61 +36,12 @@ class MinimaResult:
     exact: bool
 
 
-def _int_rank(rows: list[tuple[int, ...]]) -> int:
-    """Exact rank of a list of integer vectors (fraction-free elimination)."""
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0),
-                   None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col] != 0:
-                a, b = pr[col], mat[i][col]
-                mat[i] = [a * x - b * y for x, y in zip(mat[i], pr)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _lex_order(coeffs: np.ndarray, fvals: np.ndarray) -> np.ndarray:
-    d = coeffs.shape[1]
-    keys = tuple(coeffs[:, k] for k in range(d - 1, -1, -1)) + (fvals,)
-    return np.lexsort(keys)
-
-
-def _greedy_scan(coeffs: np.ndarray, fvals: np.ndarray, d: int) -> list[int]:
-    """Scan points by (f, lex-coeffs); keep each point that raises the rank.
-
-    Borderline independence is decided by exact integer elimination on the
-    coefficient vectors, so the result carries no floating-point rank risk.
-    """
-    order = _lex_order(coeffs, fvals)
-    chosen: list[int] = []
-    chosen_coeffs: list[tuple[int, ...]] = []
-    for idx in order:
-        c = tuple(int(v) for v in coeffs[idx])
-        if chosen_coeffs and _int_rank(chosen_coeffs + [c]) == len(chosen_coeffs):
-            continue
-        chosen.append(int(idx))
-        chosen_coeffs.append(c)
-        if len(chosen) == d:
-            break
-    return chosen
-
-
 def _argmin_f_lex(coeffs: np.ndarray, fvals: np.ndarray,
-                  mask: Optional[np.ndarray]) -> int:
-    f = fvals if mask is None else np.where(mask, fvals, np.inf)
-    fmin = f.min()
+                  mask: np.ndarray) -> int:
+    """Row with the smallest f among `mask`, ties broken by lex-smallest
+    coefficients; -1 when no masked row has a finite f."""
+    f = np.where(mask, fvals, np.inf)
+    fmin = f.min(initial=np.inf)
     if not np.isfinite(fmin):
         return -1
     tie = np.flatnonzero(f == fmin)
@@ -102,15 +53,36 @@ def _argmin_f_lex(coeffs: np.ndarray, fvals: np.ndarray,
     return int(tie[o[0]])
 
 
-def _greedy_2d_fast(coeffs: np.ndarray, fvals: np.ndarray) -> list[int]:
-    """d=2 vectorized equivalent of the greedy scan (argmin + cross test)."""
-    i1 = _argmin_f_lex(coeffs, fvals, None)
-    if i1 < 0:
-        return []
-    c1 = coeffs[i1]
-    cross = coeffs[:, 0] * int(c1[1]) - coeffs[:, 1] * int(c1[0])
-    i2 = _argmin_f_lex(coeffs, fvals, cross != 0)
-    return [i1] if i2 < 0 else [i1, i2]
+def _greedy_minima(coeffs: np.ndarray, fvals: np.ndarray,
+                   d: int) -> list[int]:
+    """Indices of the greedy successive-minima witnesses among the rows.
+
+    Each step picks, by :func:`_argmin_f_lex`, a row of least finite f among
+    the nonzero rows still independent of the rows picked before, then
+    eliminates every row against it at once (fraction-free, with Bareiss's
+    exact division), so a row is dependent exactly when it has become zero.
+    Entries stay below 2 (d max|c|^2)^(d-1) by Hadamard's inequality: the
+    rows are int64 while that is below 2^63 and Python ints (dtype=object)
+    past it, so no input loses exactness.
+    """
+    m = int(np.abs(coeffs).max(initial=0))
+    M = coeffs.astype(np.int64 if 2 * (d * m * m) ** (d - 1) < 2**63
+                      else object)
+    live = np.any(coeffs != 0, axis=1)
+    chosen: list[int] = []
+    prev = 1
+    while True:
+        i = _argmin_f_lex(coeffs, fvals, live)
+        if i < 0:
+            return chosen
+        chosen.append(i)
+        if len(chosen) == d:
+            return chosen
+        row = M[i]
+        col = int(np.flatnonzero(row)[0])
+        M = (row[col] * M - M[:, col:col + 1] * row) // prev
+        prev = row[col]
+        live &= np.any(M != 0, axis=1)
 
 
 def _result_from(chosen: Sequence[int], coeffs: np.ndarray,
@@ -130,15 +102,12 @@ def _result_from(chosen: Sequence[int], coeffs: np.ndarray,
                         exact=exact)
 
 
-def _nonzero_rows(coeffs: np.ndarray) -> np.ndarray:
-    return np.any(coeffs != 0, axis=1)
-
-
 def _budget_candidates(f: DistanceFunction, L: Lattice, R: float,
                        cap: int = DEFAULT_POINT_CAP):
-    """Nonzero lattice points (coeffs, coords) holding the greedy minima of
-    f at every budget <= R: the ball of radius R, filtered to the radius
-    R * (1 + 1e-9) that ball enumeration admits.
+    """Lattice points (coeffs, coords) holding the greedy minima of f at
+    every budget <= R: the ball of radius R, filtered to the radius
+    R * (1 + 1e-9) that ball enumeration admits.  The origin may be among
+    them; :func:`_greedy_minima` never picks it.
 
     For the planar hyperbola body |x1*x2|^(1/2) fewer points suffice.  The
     Gauss-reduced basis lies in the ball of radius r0 and has max f = sqrt(s),
@@ -159,12 +128,10 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, R: float,
                                                   cap - len(ball))
             coeffs = np.unique(np.concatenate([ball, cross]), axis=0)
             coords = coeffs @ L.basis.T
-            keep = _nonzero_rows(coeffs) & ((coords * coords).sum(axis=1)
-                                            <= (R * (1.0 + _INFLATE)) ** 2)
+            keep = ((coords * coords).sum(axis=1)
+                    <= (R * (1.0 + _INFLATE)) ** 2)
             return coeffs[keep], coords[keep]
-    coeffs, coords = enumerate_ball_arrays(L, R, cap, sort=False)
-    nz = _nonzero_rows(coeffs)
-    return coeffs[nz], coords[nz]
+    return enumerate_ball_arrays(L, R, cap, sort=False)
 
 
 def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
@@ -187,19 +154,16 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
     R = max(L.det ** (1.0 / d) / alpha, 1e-9)
     while True:
         coeffs, coords = enumerate_ball_arrays(L, R, cap)
-        nz = _nonzero_rows(coeffs)
-        coeffs_nz, coords_nz = coeffs[nz], coords[nz]
-        if len(coeffs_nz):
-            fvals = np.asarray(f.evaluator(coords_nz), dtype=float)
-            chosen = _greedy_scan(coeffs_nz, fvals, d)
-            if len(chosen) == d:
-                lam_d = float(fvals[chosen[-1]])
-                # 1.001 safety factor absorbs the floor-estimate slack
-                if lam_d * 1.001 <= alpha * R:
-                    return _result_from(chosen, coeffs_nz, coords_nz, fvals,
-                                        d, exact=True)
-                R = max(2.0 * R, lam_d * 1.001 / alpha)
-                continue
+        fvals = np.asarray(f.evaluator(coords), dtype=float)
+        chosen = _greedy_minima(coeffs, fvals, d)
+        if len(chosen) == d:
+            lam_d = float(fvals[chosen[-1]])
+            # 1.001 safety factor absorbs the floor-estimate slack
+            if lam_d * 1.001 <= alpha * R:
+                return _result_from(chosen, coeffs, coords, fvals, d,
+                                    exact=True)
+            R = max(2.0 * R, lam_d * 1.001 / alpha)
+            continue
         R *= 2.0
 
 
@@ -220,14 +184,9 @@ def minima_upper_bound(f: DistanceFunction, L: Lattice, radius_budget: float,
         raise ValueError("radius_budget must be positive")
     d = L.dim
     coeffs, coords = _budget_candidates(f, L, radius_budget, cap)
-    if not len(coeffs):
-        return _result_from([], coeffs, coords, np.empty(0), d, exact=False)
     fvals = np.asarray(f.evaluator(coords), dtype=float)
-    if d == 2 and len(coeffs) > 20000:
-        chosen = _greedy_2d_fast(coeffs, fvals)
-    else:
-        chosen = _greedy_scan(coeffs, fvals, d)
-    return _result_from(chosen, coeffs, coords, fvals, d, exact=False)
+    return _result_from(_greedy_minima(coeffs, fvals, d), coeffs, coords,
+                        fvals, d, exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DegenerateMass, NoConvergence, VolumeStall
 from .haar import sample_unimodular_2d_arrays
@@ -23,6 +22,8 @@ from .lattice import (
     DEFAULT_POINT_CAP,
     Lattice,
     LatticePoint,
+    _unit_ball_volume,
+    _zeta,
     enumerate_ball_arrays,
     make_lattice,
     primitive_mask,
@@ -172,23 +173,12 @@ def two_line_equipartition(points, tol: float, weights=None,
 def quadrant_of(partition: Partition2D, x) -> int:
     """Quadrant index in {1,2,3,4} by rotated-sign signature; exact zeros
     count positive.  1 = (+,+), 2 = (-,+), 3 = (-,-), 4 = (+,-)."""
-    p = np.asarray(x, dtype=float)
-    ct, st = math.cos(partition.angle), math.sin(partition.angle)
-    dx = p[0] - partition.center[0]
-    dy = p[1] - partition.center[1]
-    u = dx * ct + dy * st
-    v = -dx * st + dy * ct
-    return _signature_to_quadrant(u >= 0.0, v >= 0.0)
+    return int(_quadrants_of_rows(partition,
+                                  np.asarray(x, dtype=float)[None])[0])
 
 
-def _signature_to_quadrant(pu, pv):
-    if pu and pv:
-        return 1
-    if not pu and pv:
-        return 2
-    if not pu and not pv:
-        return 3
-    return 4
+# quadrant index by 2 * (u >= 0) + (v >= 0)
+_QUADRANT_BY_SIGNS = np.array([3, 2, 4, 1], dtype=np.int64)
 
 
 def _quadrants_of_rows(partition: Partition2D, pts: np.ndarray) -> np.ndarray:
@@ -197,14 +187,7 @@ def _quadrants_of_rows(partition: Partition2D, pts: np.ndarray) -> np.ndarray:
     dy = pts[:, 1] - partition.center[1]
     u = dx * ct + dy * st
     v = -dx * st + dy * ct
-    pu = u >= 0.0
-    pv = v >= 0.0
-    q = np.empty(len(pts), dtype=np.int64)
-    q[pu & pv] = 1
-    q[~pu & pv] = 2
-    q[~pu & ~pv] = 3
-    q[pu & ~pv] = 4
-    return q
+    return _QUADRANT_BY_SIGNS[2 * (u >= 0.0) + (v >= 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +239,6 @@ def transversal_check(partition: Partition2D, lines: int, seed: int,
 # shells
 
 
-def _unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
 def _annulus_samples(rng: np.random.Generator, d: int, r_in: float,
                      r_out: float, count: int) -> np.ndarray:
     dirs = rng.standard_normal((count, d))
@@ -288,7 +267,7 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
     The n-th outer radius is the (bisected) smallest radius whose annulus
     volume estimate minus two standard errors exceeds 2^d * zeta(d) * n.
     """
-    zd = float(zeta(d))
+    zd = _zeta(d)
     shells: list[Shell] = []
     rho_prev = 0.0
     for n in range(1, n_max + 1):

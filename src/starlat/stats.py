@@ -8,19 +8,20 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import zeta
 
-from .bodies import DistanceFunction, boundedness_floor, parse_body
+from .bodies import DistanceFunction, _spec_options, boundedness_floor, \
+    parse_body
 from .errors import InvariantViolation, UnboundedBody
 from .lattice import (
     DEFAULT_POINT_CAP,
     Lattice,
+    _zeta,
     enumerate_ball_arrays,
     make_lattice,
     primitive_mask,
 )
 from .haar import sample_unimodular_2d_arrays
-from .minima import _budget_candidates, _greedy_2d_fast
+from .minima import _budget_candidates, _greedy_minima
 
 
 @dataclass(frozen=True)
@@ -84,28 +85,16 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float,
 def parse_region(spec: str, dim: int = 2) -> Region:
     """Parse "disk:r=2.5", "annulus:r0=1:r1=2", "box:a=2",
     "sublevel:body=hyperbola:t=1:clip=10"."""
-    head, _, rest = spec.partition(":")
-    opts: dict[str, str] = {}
-    if rest:
-        # a "body=" value may itself contain colons (nested body spec); only
-        # t= and clip= end it
-        pending = None
-        for tok in rest.split(":"):
-            k, eq, v = tok.partition("=")
-            if pending is not None and (not eq or k not in ("t", "clip")):
-                opts[pending] += ":" + tok
-                continue
-            opts[k] = v
-            pending = k if k == "body" else None
+    head = spec.partition(":")[0]
     if head == "disk":
-        return disk_region(float(opts["r"]))
+        return disk_region(*map(float, _spec_options(spec, ("r",))))
     if head == "annulus":
-        return annulus_region(float(opts["r0"]), float(opts["r1"]))
+        return annulus_region(*map(float, _spec_options(spec, ("r0", "r1"))))
     if head == "box":
-        return box_region(float(opts["a"]))
+        return box_region(*map(float, _spec_options(spec, ("a",))))
     if head == "sublevel":
-        body = parse_body(opts["body"], dim)
-        return sublevel_region(body, float(opts["t"]), float(opts["clip"]))
+        body, t, clip = _spec_options(spec, ("body", "t", "clip"))
+        return sublevel_region(parse_body(body, dim), float(t), float(clip))
     raise ValueError(f"unknown region spec {spec!r}")
 
 
@@ -158,7 +147,7 @@ def rogers_moment_report(regions: list[Region], N: int,
     if N < 10**3:
         raise ValueError("need at least 1000 samples")
     _, _, _, bases = sample_unimodular_2d_arrays(N, seed)
-    z2 = float(zeta(2))
+    z2 = _zeta(2)
     entries = []
     for region in regions:
         counts = _primitive_counts(region, bases)
@@ -201,7 +190,7 @@ def _lambda2_at_budgets(coeffs: np.ndarray, fvals: np.ndarray,
     for b in budgets:
         sel = norms2 <= b * b
         sub_f = fvals[sel]
-        chosen = _greedy_2d_fast(coeffs[sel], sub_f) if len(sub_f) else []
+        chosen = _greedy_minima(coeffs[sel], sub_f, 2)
         out.append(float(sub_f[chosen[1]]) if len(chosen) == 2 else math.inf)
     return out
 

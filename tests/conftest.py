@@ -3,6 +3,7 @@ internals they check."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,37 @@ def ball_candidates(f, L, R, cap=10**8):
     coeffs, coords = enumerate_ball_arrays(L, R, cap, sort=False)
     nz = np.any(coeffs != 0, axis=1)
     return coeffs[nz], coords[nz]
+
+
+def exact_rank(rows):
+    """Rank of integer row vectors by Gaussian elimination over Fraction."""
+    M = [[Fraction(int(v)) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(rank, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for i in range(rank + 1, len(M)):
+            q = M[i][col] / M[rank][col]
+            M[i] = [a - q * b for a, b in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
+def reference_greedy(coeffs, fvals, d):
+    """Greedy successive-minima selection by its definition: scan the rows
+    in (f, coefficient tuple) order and keep a row whenever the rank of the
+    kept integer rows rises, until d rows are kept."""
+    rows = [tuple(int(v) for v in c) for c in coeffs]
+    order = sorted(range(len(rows)), key=lambda i: (float(fvals[i]), rows[i]))
+    kept = []
+    for i in order:
+        if exact_rank([rows[j] for j in kept] + [rows[i]]) > len(kept):
+            kept.append(i)
+            if len(kept) == d:
+                break
+    return kept
 
 
 @pytest.fixture

@@ -122,6 +122,8 @@ def test_parse_body_specs():
     assert sl.evaluate(sl.parse_body("ball:p=inf"), (0.5, -2)) == 2.0
     with pytest.raises(ValueError):
         sl.parse_body("donut")
+    with pytest.raises(ValueError, match="missing the option p="):
+        sl.parse_body("ball")
 
 
 def test_linear_image_evaluator():

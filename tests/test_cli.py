@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import starlat as sl
 from starlat.cli import run_cli
 
 
@@ -160,6 +162,53 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
     code, out, err = run(capsys, "theorem2", *flags)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("minima", "--basis", "1,0;1", "--body", "ball:p=2"),
+     "malformed basis spec '1,0;1'"),
+    (("minima", "--basis", "1,0;;0,1", "--body", "ball:p=2"),
+     "malformed basis spec"),
+    (("sample", "--count", "-1"), "count must be nonnegative"),
+    (("count", "--basis", "1,0;0,1", "--region", "disk"),
+     "spec 'disk' is missing the option r="),
+    (("witness", "--body", "sublevel:body=hyperbola"),
+     "spec 'sublevel:body=hyperbola' is missing the option t="),
+])
+def test_bad_input_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_sample_count_zero_prints_nothing(capsys):
+    assert run(capsys, "sample", "--count", "0") == (0, "", "")
+
+
+@pytest.mark.parametrize("inner,t", [("ball:p=2", 3.0),
+                                     ("scale:c=2:hyperbola", 2.0)])
+def test_witness_nested_sublevel_body(capsys, inner, t):
+    code, out, err = run(capsys, "witness", "--body",
+                         f"sublevel:body={inner}:t={t:g}", "--basis",
+                         "1,0;0,1", "--shells", "2", "--samples", "3000",
+                         "--mc-points", "20000", "--seed", "4", "--json")
+    assert code == 0, err
+    got = json.loads(out)["result"]["shells"]
+    body = sl.sublevel_body(sl.parse_body(inner), t)
+    shells = sl.build_shells(body, 2, 2, 20000, 4)
+    parts = sl.build_partitions(shells, sl.PipelineConfig(
+        body=body, mc_points=20000, partition_points=3000), 4)
+    report = sl.extract_witnesses(sl.make_lattice(np.eye(2)), shells, parts)
+    assert [(r["rho_in"], r["rho_out"], r["est_volume"], r["stderr"])
+            for r in got] == [(s.inner, s.outer, s.est_volume, s.stderr)
+                              for s in shells]
+    assert [r["quadrant_masses"] for r in got] == [list(p.masses)
+                                                   for p in parts]
+    assert [r["tuple"]["coeffs"] for r in got if "tuple" in r] == [
+        [list(p.coeffs) for p in w.points] for w in report.tuples]
+    assert [r["failure"]["empty_quadrants"] for r in got
+            if "failure" in r] == [list(q) for _, q in report.failures]
 
 
 def test_theorem2_budget_above_the_ball_cap(capsys):

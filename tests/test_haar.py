@@ -36,6 +36,12 @@ def test_sample_prefix_consistency():
     assert np.array_equal(small, big[:10])
 
 
+def test_sample_count_bounds():
+    assert sl.sample_unimodular_2d_arrays(0, seed=1)[3].shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sl.sample_unimodular_2d_arrays(-1, seed=1)
+
+
 def test_single_sample_wrapper():
     s = sl.sample_unimodular_2d(seed=123)
     assert isinstance(s, sl.HaarSample2D)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from starlat.errors import (
     NotLatticePoint,
     SingularBasis,
 )
+
+from starlat.lattice import _zeta
 
 from conftest import grid_enumerate
 
@@ -48,6 +52,22 @@ def test_parse_basis():
     B = sl.parse_basis("1,0;0.5,0.866")
     assert B[:, 0].tolist() == [1.0, 0.0]
     assert B[:, 1].tolist() == [0.5, 0.866]
+    for bad in ("1,0;1", "1,0;", "1,,0;0,1", ""):
+        with pytest.raises(ValueError, match="malformed basis spec"):
+            sl.parse_basis(bad)
+
+
+def test_zeta_matches_scipy():
+    from scipy.special import zeta
+    for d in (1, 2):
+        assert _zeta(d) == float(zeta(d))
+    for d in range(3, 41):
+        assert _zeta(d) == pytest.approx(float(zeta(d)), rel=1e-15, abs=0)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, starlat; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_enumerate_ball_z2_small():

@@ -9,7 +9,12 @@ import starlat as sl
 from starlat import minima
 from starlat.errors import InvariantViolation, SingularBasis, UnboundedBody
 
-from conftest import ball_candidates, rank_threshold_minima, tuple_minima
+from conftest import (
+    ball_candidates,
+    rank_threshold_minima,
+    reference_greedy,
+    tuple_minima,
+)
 
 
 EUCLID = sl.pnorm_ball(2, 2)
@@ -283,3 +288,64 @@ def test_noncontinuity_dependent_witnesses_raise(monkeypatch):
                         minima.MinimaResult((0.1, 0.2), (p1, p2), False))
     with pytest.raises(InvariantViolation):
         sl.noncontinuity_demo(0.01, 10.0, seed=0, attempts=1)
+
+
+def _greedy_cases():
+    """Ball point sets (coeffs, fvals, d), origin included: Z^d (heavy f
+    ties), random unimodular and uniform bases, four bodies, three radii."""
+    rng = np.random.default_rng(2360)
+    for d in (2, 3):
+        bodies = [sl.pnorm_ball(d, 1), sl.pnorm_ball(d, 2),
+                  sl.pnorm_ball(d, math.inf), sl.hyperbolic(d)]
+        bases = [np.eye(d)]
+        bases += [sl.random_unimodular(d, seed=k) for k in range(4)]
+        bases += [rng.uniform(-1.5, 1.5, (d, d)) for _ in range(4)]
+        for B in bases:
+            try:
+                L = sl.make_lattice(B)
+            except SingularBasis:
+                continue
+            for r in (1.2, 2.5, 4.0):
+                coeffs, coords = sl.enumerate_ball_arrays(
+                    L, r * L.det ** (1.0 / d))
+                for f in bodies:
+                    yield coeffs, f.evaluator(coords), d
+
+
+def test_greedy_kernel_matches_reference_scan():
+    n = 0
+    for coeffs, fvals, d in _greedy_cases():
+        assert minima._greedy_minima(coeffs, fvals, d) == \
+            reference_greedy(coeffs, fvals, d), (coeffs.tolist(), d)
+        n += 1
+    assert n >= 200
+
+
+def test_greedy_kernel_large_planar_sets_and_empty_input():
+    # more than 20000 rows, with heavy ties (Z^2, hyperbola) and without
+    haar = sl.sample_unimodular_2d(seed=77).lattice
+    for L, f in ((sl.make_lattice(np.eye(2)), sl.hyperbolic(2)),
+                 (haar, sl.hyperbolic(2)), (haar, sl.pnorm_ball(2, 1))):
+        coeffs, coords = sl.enumerate_ball_arrays(L, 81.0, sort=False)
+        assert len(coeffs) > 20000
+        fvals = f.evaluator(coords)
+        assert minima._greedy_minima(coeffs, fvals, 2) == \
+            reference_greedy(coeffs, fvals, 2)
+    assert minima._greedy_minima(np.empty((0, 2), dtype=np.int64),
+                                 np.empty(0), 2) == []
+
+
+def test_greedy_kernel_exact_beyond_int64():
+    # eliminating b against a forms 2^32 * 2^32, which wraps to 0 in int64
+    # and would make b look dependent on a
+    a = np.array([2**32, 0, 0], dtype=object)
+    b = np.array([0, 2**32, 0], dtype=object)
+    c = np.array([7, 0, 2**32 + 1], dtype=object)
+    rows = [a, 2 * a, a + 2 * b, b, 3 * a - 5 * b, c + a + b, c]
+    perm = np.random.default_rng(3).permutation(len(rows))
+    coeffs = np.array([rows[k] for k in perm], dtype=np.int64)
+    fvals = perm.astype(float)           # row k of `rows` has f = k
+    want = [int(np.flatnonzero(perm == k)[0]) for k in (0, 2, 5)]
+    assert np.abs(coeffs).max() >= 10**6
+    assert minima._greedy_minima(coeffs, fvals, 3) == want
+    assert reference_greedy(coeffs, fvals, 3) == want

@@ -50,8 +50,15 @@ def test_region_parsing_round_trip():
     r = sl.parse_region("box:a=3")
     assert r.area == 9.0 and r.bounding_radius == pytest.approx(
         1.5 * math.sqrt(2))
+    spec = "sublevel:body=scale:c=2:ball:p=2:t=1:clip=3"
+    assert sl.parse_region(spec).spec == spec
     with pytest.raises(ValueError):
         sl.parse_region("blob:r=1")
+    for bad, key in (("disk", "r="), ("annulus:r0=1", "r1="),
+                     ("sublevel:body=hyperbola:t=1", "clip=")):
+        with pytest.raises(ValueError, match=f"{bad!r} is missing the "
+                           f"option {key}"):
+            sl.parse_region(bad)
     with pytest.raises(ValueError):
         sl.annulus_region(2.0, 1.0)
 
