@@ -128,10 +128,12 @@ def parse_body(spec: str, dim: int = 2) -> DistanceFunction:
     """Parse body spec strings: "ball:p=2", "box", "hyperbola",
     "scale:c=2:ball:p=2"."""
     if spec.startswith("scale:"):
-        rest = spec[len("scale:"):]
-        copt, inner = rest.split(":", 1)
+        copt, _, inner = spec[len("scale:"):].partition(":")
         if not copt.startswith("c="):
             raise ValueError(f"malformed scale spec {spec!r}")
+        if not inner:
+            raise ValueError(f"spec {spec!r} is missing the inner body "
+                             "(scale:c=<factor>:<body>)")
         return scale_body(parse_body(inner, dim), float(copt[2:]))
     if spec == "box":
         return box(dim)

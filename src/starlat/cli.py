@@ -219,6 +219,10 @@ def _parse_slack(spec):
 def _cmd_probe(args):
     with open(args.config) as fh:
         cfg = json.load(fh)
+    for key in ("body", "basis"):
+        if not isinstance(cfg, dict) or key not in cfg:
+            raise ValueError(f"probe config {args.config!r} is missing the "
+                             f"required key {key!r}")
     dim = int(cfg.get("dim", 2))
     f = parse_body(cfg["body"], dim)
     if cfg.get("basis") == "golden":

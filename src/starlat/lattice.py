@@ -1,8 +1,9 @@
 """Lattices in low dimension: construction, ball enumeration, primitivity.
 
 A lattice is stored by the user-supplied basis (no silent reduction); all
-enumeration goes through an orthogonalization-based coefficient-interval
-search, never an unbounded grid scan.
+enumeration goes through one Fincke-Pohst coefficient-interval search,
+vectorized level by level in every dimension, never an unbounded grid
+scan.
 """
 
 from __future__ import annotations
@@ -205,71 +206,52 @@ def _size_reduce(B: np.ndarray):
     return W, U
 
 
-def _reduced_basis(B: np.ndarray):
-    if B.shape[0] == 2:
-        return _gauss_reduce_2d(B)
-    return _size_reduce(B)
+def _enum(W: np.ndarray, R: float, cap: int) -> np.ndarray:
+    """All integer x with ||W x|| <= R, level by level (Fincke-Pohst).
 
-
-def _enum_2d(W: np.ndarray, R: float, cap: int) -> np.ndarray:
-    """All integer (m, n) with ||W @ (m, n)|| <= R (vectorized)."""
-    G = W.T @ W
-    q22 = G[1, 1]
-    q11p = G[0, 0] - G[0, 1] ** 2 / q22
-    R2 = (R * (1.0 + _INFLATE)) ** 2
-    mmax = int(math.floor(math.sqrt(R2 / q11p) * (1.0 + _INFLATE)))
-    m = np.arange(-mmax, mmax + 1, dtype=np.int64)
-    rem = np.maximum(R2 - q11p * (m * m), 0.0)
-    w = np.sqrt(rem / q22) * (1.0 + _INFLATE)
-    cen = (-G[0, 1] / q22) * m
-    lo = np.ceil(cen - w).astype(np.int64)
-    hi = np.floor(cen + w).astype(np.int64)
-    cnt = np.maximum(hi - lo + 1, 0)
-    total = int(cnt.sum())
-    if total > cap:
-        raise BudgetExceeded(f"{total} candidates exceed cap {cap}")
-    off = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-    row = np.repeat(np.arange(len(m)), cnt)
-    n = lo[row] + (np.arange(total) - off[row])
-    cred = np.stack([m[row], n], axis=1)
-    xy = cred @ W.T
-    keep = (xy * xy).sum(axis=1) <= R2
-    return cred[keep]
-
-
-def _enum_generic(W: np.ndarray, R: float, cap: int) -> np.ndarray:
-    """Fincke-Pohst style recursive enumeration for d >= 3."""
+    Gram-Schmidt on the columns w_i of W (modified, so it stays accurate on
+    skewed bases) gives ||W x||^2 = sum_i B_i (x_i + sum_{j>i} mu_ij x_j)^2
+    with B_i = ||w_i*||^2.  The search starts from the interval of x_{d-1}
+    and extends every node (x_{i+1}, ..., x_{d-1}) of a level by all x_i
+    within its remaining radius, one numpy step per level (np.repeat +
+    cumsum offsets).  Every interval is inflated by 1e-9 and the exact
+    test ||W x||^2 <= R^2 ends the search.  Raises BudgetExceeded as soon
+    as a level holds more than `cap` nodes.
+    """
     d = W.shape[0]
-    G = W.T @ W
-    T = np.linalg.cholesky(G).T  # upper triangular, ||W x||^2 = ||T x||^2
+    V = W.T.tolist()
+    B = [0.0] * d
+    mu = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        B[i] = sum([a * a for a in V[i]])
+        for j in range(i + 1, d):
+            m = mu[i][j] = sum([a * b for a, b in zip(V[i], V[j])]) / B[i]
+            V[j] = [b - m * a for a, b in zip(V[i], V[j])]
     R2 = (R * (1.0 + _INFLATE)) ** 2
-    out: list[list[int]] = []
-    xs = [0] * d
-
-    def rec(i: int, rem: float):
-        c = sum(T[i, j] * xs[j] for j in range(i + 1, d))
-        bound = math.sqrt(max(rem, 0.0)) * (1.0 + _INFLATE)
-        lo = math.ceil((-bound - c) / T[i, i])
-        hi = math.floor((bound - c) / T[i, i])
-        for xi in range(lo, hi + 1):
-            val = T[i, i] * xi + c
-            rem2 = rem - val * val
-            if rem2 < -1e-12 * R2:
-                continue
-            xs[i] = xi
-            if i == 0:
-                if len(out) >= cap:
-                    raise BudgetExceeded(f"enumeration exceeded cap {cap}")
-                out.append(list(xs))
-            else:
-                rec(i - 1, rem2)
-        xs[i] = 0
-
-    rec(d - 1, R2)
-    cred = np.array(out, dtype=np.int64).reshape(-1, d)
-    xy = cred @ W.T
-    keep = (xy * xy).sum(axis=1) <= R2
-    return cred[keep]
+    top = int(math.sqrt(R2 / B[-1]) * (1.0 + _INFLATE))
+    if 2 * top + 1 > cap:
+        raise BudgetExceeded(f"{2 * top + 1} candidates exceed cap {cap}")
+    x = np.arange(-top, top + 1, dtype=np.int64)
+    X = x[:, None]  # row = one node (x_{i+1}, ..., x_{d-1})
+    rem = R2 - B[-1] * (x * x)
+    for i in range(d - 2, -1, -1):
+        cen = mu[i][i + 1] * X[:, 0]
+        for k in range(1, d - 1 - i):
+            cen += mu[i][i + 1 + k] * X[:, k]
+        w = np.sqrt(np.maximum(rem, 0.0) / B[i]) * (1.0 + _INFLATE)
+        lo = np.ceil(-cen - w).astype(np.int64)
+        cnt = np.maximum(np.floor(w - cen).astype(np.int64) - lo + 1, 0)
+        end = np.cumsum(cnt)
+        total = int(end[-1])
+        if total > cap:
+            raise BudgetExceeded(f"{total} candidates exceed cap {cap}")
+        X = np.column_stack((np.arange(total) + np.repeat(lo + cnt - end, cnt),
+                             np.repeat(X, cnt, axis=0)))
+        if i:
+            rem = np.repeat(rem, cnt) \
+                - B[i] * (X[:, 0] + np.repeat(cen, cnt)) ** 2
+    xy = X @ W.T
+    return X[(xy * xy).sum(axis=1) <= R2]
 
 
 def enumerate_ball_arrays(L: Lattice, R: float, cap: int = DEFAULT_POINT_CAP,
@@ -288,11 +270,8 @@ def enumerate_ball_arrays(L: Lattice, R: float, cap: int = DEFAULT_POINT_CAP,
     if vol / L.det > cap:
         raise BudgetExceeded(
             f"predicted point count {vol / L.det:.3g} exceeds cap {cap}")
-    W, U = _reduced_basis(L.basis)
-    if d == 2:
-        cred = _enum_2d(W, R, cap)
-    else:
-        cred = _enum_generic(W, R, cap)
+    W, U = (_gauss_reduce_2d if d == 2 else _size_reduce)(L.basis)
+    cred = _enum(W, R, cap)
     coeffs = cred @ U.T  # x = W c = B (U c)
     coords = coeffs @ L.basis.T
     if sort:
@@ -336,7 +315,7 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float,
         short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
         for a, h in ((short, long_), (long_, short)):
             W, U = _gauss_reduce_2d(L.basis / np.array([[a], [h]]))
-            cred = _enum_2d(W, math.sqrt(2.0), cap - total)
+            cred = _enum(W, math.sqrt(2.0), cap - total)
             total += len(cred)
             parts.append(cred @ U.T)
     coeffs = np.unique(np.concatenate(parts), axis=0)
@@ -356,6 +335,7 @@ def enumerate_ball(L: Lattice, R: float,
 
 
 def primitive_mask(coeffs: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows whose integer coefficients are coprime (and nonzero)."""
+    """Boolean mask of rows whose integer coefficients are coprime; the
+    zero row is not (its gcd is 0)."""
     g = np.gcd.reduce(np.abs(coeffs), axis=1)
     return g == 1

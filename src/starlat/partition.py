@@ -16,7 +16,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateMass, NoConvergence, VolumeStall
+from .errors import (
+    DegenerateMass,
+    InvariantViolation,
+    NoConvergence,
+    VolumeStall,
+)
 from .haar import sample_unimodular_2d_arrays
 from .lattice import (
     DEFAULT_POINT_CAP,
@@ -356,8 +361,7 @@ def _shell_primitive_points(L: Lattice, shell: Shell, budget: float,
     R = min(shell.outer, budget)
     coeffs, coords = enumerate_ball_arrays(L, R, cap)
     nrm2 = (coords * coords).sum(axis=1)
-    keep = (nrm2 > shell.inner**2) & np.any(coeffs != 0, axis=1)
-    keep &= shell.body(coords)
+    keep = (nrm2 > shell.inner**2) & shell.body(coords)
     coeffs, coords = coeffs[keep], coords[keep]
     prim = primitive_mask(coeffs)
     return coeffs[prim], coords[prim]
@@ -394,30 +398,25 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
         if empty:
             failures.append((shell.index, tuple(empty)))
             continue
-        pair = None
-        quads = list(reps)
-        for ia in range(len(quads)):
-            for ib in range(ia + 1, len(quads)):
-                A, B = reps[quads[ia]], reps[quads[ib]]
-                det = int(coeffs[A, 0]) * int(coeffs[B, 1]) \
-                    - int(coeffs[A, 1]) * int(coeffs[B, 0])
-                if det != 0:
-                    pair = (quads[ia], quads[ib], A, B)
-                    break
-            if pair:
+        # the representatives are distinct primitive rows, so at most one
+        # of quadrants 2-4 holds the negative of quadrant 1's, and the
+        # first of the others is independent of it
+        A = reps[1]
+        for qb in (2, 3, 4):
+            B = reps[qb]
+            if int(coeffs[A, 0]) * int(coeffs[B, 1]) \
+                    != int(coeffs[A, 1]) * int(coeffs[B, 0]):
                 break
-        if pair is None:
-            # all four representatives collinear with the origin; treat as a
-            # failure event (cannot happen when they sit in open quadrants)
-            failures.append((shell.index, ()))
-            continue
-        qa, qb, A, B = pair
+        else:
+            raise InvariantViolation(
+                f"shell {shell.index}: quadrant representatives "
+                f"{coeffs[list(reps.values())].tolist()} are collinear")
         pa = LatticePoint(coords=tuple(map(float, coords[A])),
                           coeffs=tuple(map(int, coeffs[A])))
         pb = LatticePoint(coords=tuple(map(float, coords[B])),
                           coeffs=tuple(map(int, coeffs[B])))
         tuples.append(WitnessTuple(shell_index=shell.index,
-                                   points=(pa, pb), quadrants=(qa, qb)))
+                                   points=(pa, pb), quadrants=(1, qb)))
     return WitnessReport(tuples=tuple(tuples), failures=tuple(failures))
 
 

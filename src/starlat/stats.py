@@ -102,8 +102,7 @@ def count_primitive(L: Lattice, region: Region,
                     cap: int = DEFAULT_POINT_CAP) -> int:
     """Exact number of primitive points of L in the region."""
     coeffs, coords = enumerate_ball_arrays(L, region.bounding_radius, cap)
-    nz = np.any(coeffs != 0, axis=1)
-    mask = nz & np.asarray(region.contains(coords), dtype=bool)
+    mask = np.asarray(region.contains(coords), dtype=bool)
     return int(np.count_nonzero(primitive_mask(coeffs[mask])))
 
 

@@ -174,9 +174,21 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
      "spec 'disk' is missing the option r="),
     (("witness", "--body", "sublevel:body=hyperbola"),
      "spec 'sublevel:body=hyperbola' is missing the option t="),
+    (("minima", "--basis", "1,0;0,1", "--body", "scale:c=2"),
+     "spec 'scale:c=2' is missing the inner body"),
+    (("probe", "--config", {"basis": "1,0;0,1"}),
+     "is missing the required key 'body'"),
+    (("probe", "--config", {"body": "ball:p=2"}),
+     "is missing the required key 'basis'"),
 ])
-def test_bad_input_is_one_error_line(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
+    # a dict stands for a probe config file holding it
+    cfg = tmp_path / "probe.json"
+    for a in argv:
+        if isinstance(a, dict):
+            cfg.write_text(json.dumps(a))
+    code, out, err = run(capsys, *(str(cfg) if isinstance(a, dict) else a
+                                   for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

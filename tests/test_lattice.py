@@ -92,7 +92,7 @@ def test_enumerate_ball_budget():
 
 
 def test_enumerate_matches_grid_oracle_random(rng):
-    for d in (2, 3):
+    for d in (2, 3, 4):
         for _ in range(25):
             B = rng.uniform(-3, 3, (d, d))
             try:
@@ -101,9 +101,54 @@ def test_enumerate_matches_grid_oracle_random(rng):
                 continue
             if L.det / 3**d < 0.05:
                 continue
-            R = rng.uniform(0.5, 3.0)
+            R = rng.uniform(0.5, 3.0 if d < 4 else 2.0)
             got = [p.coeffs for p in sl.enumerate_ball(L, R)]
             assert got == grid_enumerate(B, R)
+    # diag(1/a, 1/h) B, whose sqrt(2)-ball covers the rectangle
+    # {|x1| <= a, |x2| <= h} of the hyperbolic cross, at aspect >= 1e3
+    for _ in range(6):
+        B = rng.uniform(-2, 2, (2, 2))
+        B /= math.sqrt(abs(np.linalg.det(B)))
+        for a, h in ((0.01, 30.0), (40.0, 0.004)):
+            S = B / np.array([[a], [h]])
+            got = [p.coeffs for p in sl.enumerate_ball(sl.make_lattice(S),
+                                                       math.sqrt(2.0))]
+            assert got == grid_enumerate(S, math.sqrt(2.0))
+    # bases U of Z^3 with entries up to ~600 that one pass of size reduction
+    # leaves badly conditioned, at radii that put points exactly on the
+    # sphere; the grid runs on Z^3 and the exact inverse of U maps its
+    # points to coefficients
+    for seed, steps in ((3, 30), (3, 50), (3, 60), (4, 40), (5, 30),
+                        (5, 40), (5, 50)):
+        U = sl.random_unimodular(3, seed, steps)
+        Uinv = np.rint(np.linalg.inv(U)).astype(np.int64)
+        assert np.array_equal(U @ Uinv, np.eye(3, dtype=np.int64))
+        L = sl.make_lattice(U)
+        for R in (1.0, 1.5, 2.0):
+            want = sorted(tuple(Uinv @ np.array(x))
+                          for x in grid_enumerate(np.eye(3), R))
+            assert [p.coeffs for p in sl.enumerate_ball(L, R)] == want
+
+
+def test_enumerate_node_budget():
+    # one pass of size reduction leaves this basis of Z^3 skewed: the
+    # search's top level holds hundreds of nodes for the 33 points of the
+    # ball of radius 2, so a cap of 100 is exceeded inside the search
+    L = sl.make_lattice(sl.random_unimodular(3, 3, 40))
+    assert len(sl.enumerate_ball(L, 2.0)) == 33
+    with pytest.raises(BudgetExceeded):
+        sl.enumerate_ball(L, 2.0, cap=100)
+
+
+def test_primitive_mask():
+    # the zero row has gcd 0, so it is rejected without a separate filter
+    rows = np.array([[0, 0], [2, 4], [0, 3], [-6, 9], [1, 0], [-3, 5],
+                     [0, -1]])
+    assert sl.primitive_mask(rows).tolist() == [False, False, False, False,
+                                                True, True, True]
+    assert sl.primitive_mask(np.array([[0, 0, 0], [2, 0, 4],
+                                       [2, 3, 4]])).tolist() == [
+        False, False, True]
 
 
 def test_enumerate_negation_closure_and_radius(rng):

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import zeta
 
 import starlat as sl
-from starlat.errors import DegenerateMass, VolumeStall
+from starlat import partition
+from starlat.errors import DegenerateMass, InvariantViolation, VolumeStall
 
 
 def test_equipartition_symmetric_grid():
@@ -157,6 +158,22 @@ def test_extract_witnesses_budget_truncation():
     rep = sl.extract_witnesses(L, shells, parts, budget=shells[0].inner + 0.1)
     # a budget below the second shell forces a failure event there
     assert any(f[0] == 2 for f in rep.failures)
+
+
+def test_extract_witnesses_collinear_representatives_raise(monkeypatch):
+    # distinct primitive rows in four quadrants cannot be collinear; force
+    # it to check that the pipeline stops instead of recording a failure
+    rows = np.array([[1, 0], [-1, 0], [3, 0], [-3, 0]])
+    monkeypatch.setattr(partition, "_shell_primitive_points",
+                        lambda L, shell, budget, cap: (rows, rows * 1.0))
+    monkeypatch.setattr(partition, "_quadrants_of_rows",
+                        lambda part, coords: np.array([1, 2, 3, 4]))
+    L = sl.make_lattice([[1, 0], [0, 1]])
+    shells = sl.build_shells(sl.plane_body(), 2, 1, mc_points=2 * 10**4,
+                             seed=4)
+    parts = sl.build_partitions(shells, sl.PipelineConfig(), seed=4)
+    with pytest.raises(InvariantViolation):
+        sl.extract_witnesses(L, shells, parts)
 
 
 def test_part_miss_rate_runs_and_bounds():
