@@ -146,6 +146,9 @@ def _cmd_rogers(args):
     regions = []
     if args.areas:
         for a in args.areas.split(","):
+            if not 0.0 < float(a) < math.inf:
+                raise ValueError(f"--areas needs positive finite areas, "
+                                 f"got {a!r}")
             regions.append(disk_region(math.sqrt(float(a) / math.pi)))
     for spec in args.region or []:
         regions.append(parse_region(spec))

@@ -3,7 +3,8 @@
 A lattice is stored by the user-supplied basis (no silent reduction); all
 enumeration goes through one Fincke-Pohst coefficient-interval search,
 vectorized level by level in every dimension, never an unbounded grid
-scan.
+scan.  Reduction and search run on stacks of bases (a lattice is a stack of
+one); Monte Carlo statistics enumerate Haar stacks in chunks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .errors import (
 )
 
 DEFAULT_POINT_CAP = 10**8
+
+_CHUNK_NODES = 2**14  # level nodes per chunk of a planar stack
 
 # relative inflation applied to every enumeration interval so that floating
 # point rounding can never drop a boundary point
@@ -57,12 +60,22 @@ class LatticePoint:
         return all(c == 0 for c in self.coeffs)
 
 
-def _abs_det(B: np.ndarray) -> float:
-    if B.shape[0] == 2:
+def _admitted_det(B: np.ndarray):
+    """|det| of each basis of a stack (..., d, d); SingularBasis unless all
+    entries are finite and |det| / (longest column)^d > 1e-12 for each."""
+    if not np.all(np.isfinite(B)):
+        raise SingularBasis("basis entries must be finite")
+    scale = np.linalg.norm(B, axis=-2).max(axis=-1)
+    if B.shape[-1] == 2:
         # direct formula keeps cancellation error at machine scale even for
         # skewed unimodular bases
-        return abs(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])
-    return abs(np.linalg.det(B))
+        det = np.abs(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0])
+    else:
+        det = np.abs(np.linalg.det(B))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not np.all(det / scale ** B.shape[-1] > _SCALED_DET_TOL):
+            raise SingularBasis("basis columns are numerically dependent")
+    return det
 
 
 def make_lattice(columns) -> Lattice:
@@ -73,13 +86,7 @@ def make_lattice(columns) -> Lattice:
     d = B.shape[0]
     if d < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {d}")
-    if not np.all(np.isfinite(B)):
-        raise SingularBasis("basis entries must be finite")
-    scale = float(np.max(np.linalg.norm(B, axis=0)))
-    det = _abs_det(B)
-    if scale == 0.0 or det / scale**d <= _SCALED_DET_TOL:
-        raise SingularBasis("basis columns are numerically dependent")
-    return Lattice(dim=d, basis=B, det=det)
+    return Lattice(dim=d, basis=B, det=float(_admitted_det(B)))
 
 
 def parse_basis(spec: str) -> np.ndarray:
@@ -174,19 +181,35 @@ def _zeta(d: int) -> float:
 # enumeration
 
 
+def _check_budget(R: float, d: int, det: float, cap: int) -> None:
+    """Reject R <= 0 (or NaN) and a predicted point count vol(R)/det > cap,
+    det being the smallest covolume."""
+    if not R > 0:
+        raise ValueError("R must be positive")
+    pred = _unit_ball_volume(d) * R**d / det
+    if pred > cap:
+        raise BudgetExceeded(f"predicted point count {pred:.3g} exceeds cap "
+                             f"{cap}")
+
+
 def _gauss_reduce_2d(B: np.ndarray):
-    """Lagrange/Gauss reduction. Returns (W, U) with W = B @ U, det U = +-1."""
-    W = B.astype(float).copy()
-    U = np.eye(2, dtype=np.int64)
+    """Lagrange/Gauss reduction of a stack (N, 2, 2): (W, U), W = B @ U.
+    Each step puts the shorter column first and subtracts round(mu) times
+    it, mu = <w0, w1> / <w0, w0> by BLAS dots (as ``w @ w`` on one basis);
+    a basis with mu = 0 is a fixed point, so the loop ends once all are."""
+    W = np.array(B, dtype=float)
+    U = np.zeros(W.shape, dtype=np.int64)
+    U[:, 0, 0] = U[:, 1, 1] = 1
     for _ in range(256):
-        if W[:, 1] @ W[:, 1] < W[:, 0] @ W[:, 0]:
-            W = W[:, ::-1].copy()
-            U = U[:, ::-1].copy()
-        mu = round(float((W[:, 0] @ W[:, 1]) / (W[:, 0] @ W[:, 0])))
-        if mu == 0:
+        G = np.vecdot(W.mT[:, :, None], W.mT[:, None])  # Gram matrices
+        swap = G[:, 1, 1] < G[:, 0, 0]
+        if swap.any():
+            W[swap], U[swap] = W[swap, :, ::-1], U[swap, :, ::-1]
+        mu = np.rint(G[:, 0, 1] / np.minimum(G[:, 0, 0], G[:, 1, 1]))
+        if not mu.any():
             break
-        W[:, 1] -= mu * W[:, 0]
-        U[:, 1] -= mu * U[:, 0]
+        W[:, :, 1] -= mu[:, None] * W[:, :, 0]
+        U[:, :, 1] -= mu.astype(np.int64)[:, None] * U[:, :, 0]
     return W, U
 
 
@@ -206,52 +229,90 @@ def _size_reduce(B: np.ndarray):
     return W, U
 
 
-def _enum(W: np.ndarray, R: float, cap: int) -> np.ndarray:
-    """All integer x with ||W x|| <= R, level by level (Fincke-Pohst).
+def _enum(W: np.ndarray, R: float, cap: int):
+    """(idx, X): every integer x with ||W x|| <= R for each basis of a stack
+    (N, d, d), row k of X belonging to basis idx[k], grouped by basis.
 
-    Gram-Schmidt on the columns w_i of W (modified, so it stays accurate on
-    skewed bases) gives ||W x||^2 = sum_i B_i (x_i + sum_{j>i} mu_ij x_j)^2
-    with B_i = ||w_i*||^2.  The search starts from the interval of x_{d-1}
-    and extends every node (x_{i+1}, ..., x_{d-1}) of a level by all x_i
-    within its remaining radius, one numpy step per level (np.repeat +
-    cumsum offsets).  Every interval is inflated by 1e-9 and the exact
-    test ||W x||^2 <= R^2 ends the search.  Raises BudgetExceeded as soon
-    as a level holds more than `cap` nodes.
+    Modified Gram-Schmidt (accurate on skewed bases) gives ||W x||^2 =
+    sum_i B_i (x_i + sum_{j>i} mu_ij x_j)^2.  Level by level from x_{d-1}
+    (Fincke-Pohst), one numpy step extends every node of the stack by all
+    x_i in its remaining radius: nodes gather B_i, mu_ij by basis index,
+    np.repeat + cumsum offsets expand them.  Intervals are inflated by
+    1e-9, the exact test ||W x||^2 <= R^2 ends the search, and a level
+    with more than `cap` nodes of one basis raises BudgetExceeded.
     """
-    d = W.shape[0]
-    V = W.T.tolist()
-    B = [0.0] * d
-    mu = [[0.0] * d for _ in range(d)]
+    N, d = W.shape[:2]
+    V = W.mT.copy()  # V[:, i] is column i
+    B, mu = [], []
     for i in range(d):
-        B[i] = sum([a * a for a in V[i]])
-        for j in range(i + 1, d):
-            m = mu[i][j] = sum([a * b for a, b in zip(V[i], V[j])]) / B[i]
-            V[j] = [b - m * a for a, b in zip(V[i], V[j])]
+        g = np.vecdot(V[:, i, None], V[:, i:])  # <w_i*, v_j>, j >= i
+        B.append(g[:, 0])
+        if i < d - 1:
+            mu.append(g[:, 1:] / g[:, :1])
+            V[:, i + 1:] -= mu[i][:, :, None] * V[:, i, None]
+
+    def node(a):
+        # per-node values of a per-basis array; a stack of one broadcasts,
+        # so it carries no per-node index
+        return a if N == 1 else a[idx]
+
     R2 = (R * (1.0 + _INFLATE)) ** 2
-    top = int(math.sqrt(R2 / B[-1]) * (1.0 + _INFLATE))
-    if 2 * top + 1 > cap:
-        raise BudgetExceeded(f"{2 * top + 1} candidates exceed cap {cap}")
-    x = np.arange(-top, top + 1, dtype=np.int64)
-    X = x[:, None]  # row = one node (x_{i+1}, ..., x_{d-1})
-    rem = R2 - B[-1] * (x * x)
-    for i in range(d - 2, -1, -1):
-        cen = mu[i][i + 1] * X[:, 0]
-        for k in range(1, d - 1 - i):
-            cen += mu[i][i + 1 + k] * X[:, k]
-        w = np.sqrt(np.maximum(rem, 0.0) / B[i]) * (1.0 + _INFLATE)
-        lo = np.ceil(-cen - w).astype(np.int64)
-        cnt = np.maximum(np.floor(w - cen).astype(np.int64) - lo + 1, 0)
-        end = np.cumsum(cnt)
+    top = (np.sqrt(R2 / B[-1]) * (1.0 + _INFLATE)).astype(np.int64)
+    lo, cnt = -top, 2 * top + 1  # x_{d-1} in [-top, top]
+    idx = np.arange(N)
+    cols = []  # node coordinates x_{d-1}, ..., x_{i+1}
+    for i in range(d - 1, -1, -1):
+        if cols:
+            m = node(mu[i])
+            cen = m[:, 0] * cols[-1]
+            for k in range(1, d - 1 - i):
+                cen += m[:, k] * cols[-1 - k]
+            w = np.sqrt(np.maximum(rem, 0.0) / node(B[i])) * (1.0 + _INFLATE)
+            lo = np.ceil(-cen - w).astype(np.int64)
+            cnt = np.floor(w - cen).astype(np.int64) - lo + 1
+        end = cnt.cumsum()
         total = int(end[-1])
         if total > cap:
-            raise BudgetExceeded(f"{total} candidates exceed cap {cap}")
-        X = np.column_stack((np.arange(total) + np.repeat(lo + cnt - end, cnt),
-                             np.repeat(X, cnt, axis=0)))
-        if i:
-            rem = np.repeat(rem, cnt) \
-                - B[i] * (X[:, 0] + np.repeat(cen, cnt)) ** 2
-    xy = X @ W.T
-    return X[(xy * xy).sum(axis=1) <= R2]
+            worst = total if N == 1 else int(np.bincount(idx, cnt).max())
+            if worst > cap:
+                raise BudgetExceeded(f"{worst} candidates exceed cap {cap}")
+        x = np.arange(total) + (lo + cnt - end).repeat(cnt)
+        cols = [c.repeat(cnt) for c in cols]
+        idx = idx.repeat(cnt) if N > 1 else idx
+        if i == d - 1:
+            rem = R2 - node(B[i]) * (x * x)
+        elif i:
+            y = x + cen.repeat(cnt)
+            rem = rem.repeat(cnt) - node(B[i]) * (y * y)
+        cols.append(x)
+    X = np.array(cols[::-1]).T
+    # BLAS dots either way, so both are bit-equal to X @ W.T of one basis
+    xy = X @ W[0].T if N == 1 else np.vecdot(W[idx], X[:, None, :])
+    keep = (xy * xy).sum(axis=1) <= R2
+    X = X[keep]
+    return (idx[keep] if N > 1 else np.zeros(len(X), np.int64)), X
+
+
+def _planar_points(bases, R: float, cap: int = DEFAULT_POINT_CAP):
+    """Chunks (idx, coeffs, coords) of the points of norm <= R of each basis
+    of a planar stack (N, 2, 2), admitted and capped as by make_lattice and
+    enumerate_ball_arrays; coords are B c by the dots of ``coeffs @ B.T``.
+    A chunk takes consecutive bases up to about _CHUNK_NODES level nodes,
+    (2 R l / det + 1)(2 R / l + 1) for a reduced basis of shortest vector
+    l, so memory does not grow with N."""
+    B = np.asarray(bases, dtype=float)
+    det = _admitted_det(B)
+    _check_budget(R, 2, det.min(initial=math.inf), cap)
+    W, U = _gauss_reduce_2d(B)
+    short = np.sqrt(np.vecdot(W[:, :, 0], W[:, :, 0]))
+    nodes = (2 * R * short / det + 1) * (2 * R / short + 1)
+    window = (np.cumsum(nodes) - nodes) // _CHUNK_NODES
+    starts = np.flatnonzero(np.diff(window, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], len(B)]):
+        idx, X = _enum(W[lo:hi], R, cap)
+        u = U[lo:hi][idx]
+        coeffs = u[:, :, 0] * X[:, :1] + u[:, :, 1] * X[:, 1:]  # U x
+        yield idx + lo, coeffs, np.vecdot(B[lo:hi][idx], coeffs[:, None, :])
 
 
 def enumerate_ball_arrays(L: Lattice, R: float, cap: int = DEFAULT_POINT_CAP,
@@ -261,21 +322,16 @@ def enumerate_ball_arrays(L: Lattice, R: float, cap: int = DEFAULT_POINT_CAP,
     Returns (coeffs, coords): integer coefficients w.r.t. the stored basis
     and real coordinates, rows sorted lexicographically by coefficients
     (callers that do order-independent reductions may pass sort=False).
-    The origin row is included.
+    The origin row is included.  The kernels run on a stack of one.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
     d = L.dim
-    vol = _unit_ball_volume(d) * R**d
-    if vol / L.det > cap:
-        raise BudgetExceeded(
-            f"predicted point count {vol / L.det:.3g} exceeds cap {cap}")
-    W, U = (_gauss_reduce_2d if d == 2 else _size_reduce)(L.basis)
-    cred = _enum(W, R, cap)
-    coeffs = cred @ U.T  # x = W c = B (U c)
+    _check_budget(R, d, L.det, cap)
+    W, U = _gauss_reduce_2d(L.basis[None]) if d == 2 \
+        else (M[None] for M in _size_reduce(L.basis))
+    coeffs = _enum(W, R, cap)[1] @ U[0].T  # x = W c = B (U c)
     coords = coeffs @ L.basis.T
     if sort:
-        order = np.lexsort(tuple(coeffs[:, k] for k in range(d - 1, -1, -1)))
+        order = np.lexsort(coeffs.T[::-1])
         coeffs, coords = coeffs[order], coords[order]
     return coeffs, coords
 
@@ -292,11 +348,10 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float,
     2^(1-j) t, so the region is covered by the dyadic rectangles
     {|x_i| <= 2^(1-j) t, |x_k| <= 2^j t}, j = 1..ceil(log2(R/t)), on each
     axis.  A rectangle with half-widths (a, h) lies in the ellipse that is
-    the ball of radius sqrt(2) of the lattice diag(1/a, 1/h) B, enumerated
-    after Gauss reduction, so the work is O(log(R^2/s)) small enumerations
-    instead of the pi R^2/det points of the ball.  Like every enumeration
-    interval, s and R are inflated by a relative 1e-9; `cap` bounds the
-    candidates summed over all rectangles.
+    the ball of radius sqrt(2) of the lattice diag(1/a, 1/h) B; the stack of
+    these O(log(R^2/s)) bases is enumerated in place of the pi R^2/det points
+    of the ball.  Like every enumeration interval, s and R are inflated by a
+    relative 1e-9; `cap` bounds the candidates summed over all rectangles.
     """
     if L.dim != 2:
         raise DimensionMismatch("hyperbolic-cross enumeration is planar")
@@ -309,16 +364,15 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float,
                              "rectangles")
     t = math.sqrt(s * (1.0 + _INFLATE))
     R_in = R * (1.0 + _INFLATE)
-    parts = []
-    total = 0
+    sides = []
     for j in range(1, max(1, math.ceil(math.log2(R_in / t))) + 1):
         short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
-        for a, h in ((short, long_), (long_, short)):
-            W, U = _gauss_reduce_2d(L.basis / np.array([[a], [h]]))
-            cred = _enum(W, math.sqrt(2.0), cap - total)
-            total += len(cred)
-            parts.append(cred @ U.T)
-    coeffs = np.unique(np.concatenate(parts), axis=0)
+        sides += [(short, long_), (long_, short)]
+    W, U = _gauss_reduce_2d(L.basis / np.array(sides)[:, :, None])
+    idx, X = _enum(W, math.sqrt(2.0), cap)
+    if len(X) > cap:
+        raise BudgetExceeded(f"{len(X)} candidates exceed cap {cap}")
+    coeffs = np.unique(np.vecdot(U[idx], X[:, None, :]), axis=0)
     coeffs = coeffs[np.any(coeffs != 0, axis=1)]
     return coeffs, coeffs @ L.basis.T
 
@@ -337,5 +391,4 @@ def enumerate_ball(L: Lattice, R: float,
 def primitive_mask(coeffs: np.ndarray) -> np.ndarray:
     """Boolean mask of rows whose integer coefficients are coprime; the
     zero row is not (its gcd is 0)."""
-    g = np.gcd.reduce(np.abs(coeffs), axis=1)
-    return g == 1
+    return reduce(np.gcd, coeffs.T) == 1

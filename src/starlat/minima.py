@@ -118,8 +118,8 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, R: float,
     s is 0 (a basis vector on each axis, e.g. Z^2) or r0 >= R.
     """
     if f.label == "hyperbola" and f.params == (2,) and L.dim == 2:
-        _, U = _gauss_reduce_2d(L.basis)
-        w = U.T @ L.basis.T
+        _, U = _gauss_reduce_2d(L.basis[None])
+        w = U[0].T @ L.basis.T
         r0 = math.sqrt(float((w * w).sum(axis=1).max())) * (1.0 + _INFLATE)
         root_s = float(np.max(f.evaluator(w)))
         if r0 < R and 0.0 < root_s < math.inf:

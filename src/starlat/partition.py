@@ -27,10 +27,10 @@ from .lattice import (
     DEFAULT_POINT_CAP,
     Lattice,
     LatticePoint,
+    _planar_points,
     _unit_ball_volume,
     _zeta,
     enumerate_ball_arrays,
-    make_lattice,
     primitive_mask,
 )
 
@@ -356,15 +356,20 @@ def _lex_min_row(rows: np.ndarray) -> int:
     return int(o[0])
 
 
+def _in_shell(shell: Shell, coeffs: np.ndarray, coords: np.ndarray):
+    """Mask of the shell's primitive points among the points of the ball of
+    radius min(shell.outer, budget), which bounds them from outside."""
+    nrm2 = (coords * coords).sum(axis=1)
+    return (nrm2 > shell.inner**2) & shell.body(coords) \
+        & primitive_mask(coeffs)
+
+
 def _shell_primitive_points(L: Lattice, shell: Shell, budget: float,
                             cap: int):
-    R = min(shell.outer, budget)
-    coeffs, coords = enumerate_ball_arrays(L, R, cap)
-    nrm2 = (coords * coords).sum(axis=1)
-    keep = (nrm2 > shell.inner**2) & shell.body(coords)
-    coeffs, coords = coeffs[keep], coords[keep]
-    prim = primitive_mask(coeffs)
-    return coeffs[prim], coords[prim]
+    coeffs, coords = enumerate_ball_arrays(L, min(shell.outer, budget), cap,
+                                           sort=False)
+    keep = _in_shell(shell, coeffs, coords)
+    return coeffs[keep], coords[keep]
 
 
 def extract_witnesses(L: Lattice, shells: list[Shell],
@@ -455,17 +460,17 @@ def part_miss_rate(n: int, samples: int, config: PipelineConfig,
     shell = shells[-1]
     part = build_partitions([shell], config, seed)[0]
     _, _, _, bases = sample_unimodular_2d_arrays(samples, seed)
-    misses = 0
-    for i in range(samples):
-        L = make_lattice(bases[i])
-        coeffs, coords = _shell_primitive_points(L, shell, config.budget,
-                                                 DEFAULT_POINT_CAP)
-        if not len(coeffs):
-            misses += 1
-            continue
-        q = _quadrants_of_rows(part, coords)
-        if len(np.unique(q)) < 4:
-            misses += 1
+    # primitive points per (lattice, quadrant), the lattices enumerated
+    # together in chunks
+    occupancy = np.zeros(4 * samples, dtype=np.int64)
+    for idx, coeffs, coords in _planar_points(
+            bases, min(shell.outer, config.budget), DEFAULT_POINT_CAP):
+        keep = _in_shell(shell, coeffs, coords)
+        q = _quadrants_of_rows(part, coords[keep])
+        occupancy += np.bincount(4 * idx[keep] + q - 1,
+                                 minlength=4 * samples)
+    misses = int(np.count_nonzero((occupancy.reshape(samples, 4) == 0)
+                                  .any(axis=1)))
     p = misses / samples
     z = 1.959963984540054
     denom = 1.0 + z * z / samples

@@ -1,5 +1,6 @@
 """Primitive-point counting over bounded regions and the Monte Carlo
-mean-value / minima-decay experiments over Haar-random planar lattices."""
+mean-value / minima-decay experiments over Haar-random planar lattices;
+mean-value counts enumerate a whole Haar stack, a chunk per numpy pass."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .errors import InvariantViolation, UnboundedBody
 from .lattice import (
     DEFAULT_POINT_CAP,
     Lattice,
+    _planar_points,
     _zeta,
     enumerate_ball_arrays,
     make_lattice,
@@ -37,16 +39,26 @@ class Region:
     contains: Callable[[np.ndarray], np.ndarray]   # (N, d) -> bool mask
 
 
+def _sized(spec: str, **sizes: float) -> str:
+    """The spec, once every named size of it is positive and finite."""
+    for name, v in sizes.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"region spec {spec!r} needs a positive finite "
+                             f"{name}")
+    return spec
+
+
 def disk_region(r: float) -> Region:
-    return Region(kind="disk", spec=f"disk:r={r:g}", area=math.pi * r * r,
-                  area_stderr=0.0, bounding_radius=r,
+    return Region(kind="disk", spec=_sized(f"disk:r={r:g}", r=r),
+                  area=math.pi * r * r, area_stderr=0.0, bounding_radius=r,
                   contains=lambda p: (p * p).sum(axis=-1) <= r * r)
 
 
 def annulus_region(r0: float, r1: float) -> Region:
+    spec = _sized(f"annulus:r0={r0:g}:r1={r1:g}", r1=r1)
     if not 0 <= r0 < r1:
-        raise ValueError("need 0 <= r0 < r1")
-    return Region(kind="annulus", spec=f"annulus:r0={r0:g}:r1={r1:g}",
+        raise ValueError(f"region spec {spec!r} needs 0 <= r0 < r1")
+    return Region(kind="annulus", spec=spec,
                   area=math.pi * (r1 * r1 - r0 * r0), area_stderr=0.0,
                   bounding_radius=r1,
                   contains=lambda p, a=r0 * r0, b=r1 * r1:
@@ -56,7 +68,7 @@ def annulus_region(r0: float, r1: float) -> Region:
 
 def box_region(a: float) -> Region:
     h = a / 2.0
-    return Region(kind="box", spec=f"box:a={a:g}", area=a * a,
+    return Region(kind="box", spec=_sized(f"box:a={a:g}", a=a), area=a * a,
                   area_stderr=0.0, bounding_radius=h * math.sqrt(2.0),
                   contains=lambda p: np.abs(p).max(axis=-1) <= h)
 
@@ -64,6 +76,8 @@ def box_region(a: float) -> Region:
 def sublevel_region(f: DistanceFunction, t: float, clip: float,
                     mc_points: int = 10**6) -> Region:
     """{x : f(x) <= t} clipped to the disk of radius `clip` (finite area)."""
+    spec = _sized(f"sublevel:body={f.label}:t={t:g}:clip={clip:g}", t=t,
+                  clip=clip)
     rng = np.random.default_rng(np.random.SeedSequence(987654321))
     u = rng.random((mc_points, 2))
     radii = clip * np.sqrt(u[:, 0])
@@ -74,9 +88,7 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float,
     disk_area = math.pi * clip * clip
     contains = lambda pts_: (np.asarray(f.evaluator(pts_)) <= t) \
         & ((pts_ * pts_).sum(axis=-1) <= clip * clip)
-    return Region(kind="sublevel",
-                  spec=f"sublevel:body={f.label}:t={t:g}:clip={clip:g}",
-                  area=p * disk_area,
+    return Region(kind="sublevel", spec=spec, area=p * disk_area,
                   area_stderr=disk_area
                   * math.sqrt(max(p * (1 - p), 0.0) / mc_points),
                   bounding_radius=clip, contains=contains)
@@ -101,7 +113,8 @@ def parse_region(spec: str, dim: int = 2) -> Region:
 def count_primitive(L: Lattice, region: Region,
                     cap: int = DEFAULT_POINT_CAP) -> int:
     """Exact number of primitive points of L in the region."""
-    coeffs, coords = enumerate_ball_arrays(L, region.bounding_radius, cap)
+    coeffs, coords = enumerate_ball_arrays(L, region.bounding_radius, cap,
+                                           sort=False)
     mask = np.asarray(region.contains(coords), dtype=bool)
     return int(np.count_nonzero(primitive_mask(coeffs[mask])))
 
@@ -133,16 +146,21 @@ class MomentReport:
 
 def _primitive_counts(region: Region, bases: np.ndarray,
                       cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
-    counts = np.empty(len(bases), dtype=np.int64)
-    for i in range(len(bases)):
-        counts[i] = count_primitive(make_lattice(bases[i]), region, cap)
+    """:func:`count_primitive` for each lattice of a planar stack (N, 2, 2)."""
+    counts = np.zeros(len(bases), dtype=np.int64)
+    for idx, coeffs, coords in _planar_points(bases, region.bounding_radius,
+                                              cap):
+        keep = np.asarray(region.contains(coords), dtype=bool) \
+            & primitive_mask(coeffs)
+        counts += np.bincount(idx[keep], minlength=len(bases))
     return counts
 
 
 def rogers_moment_report(regions: list[Region], N: int,
                          seed: int, keep_counts: bool = True) -> MomentReport:
     """Sample N Haar lattices per region; report the mean primitive count and
-    the second moment about the analytic centering V(A)/zeta(2)."""
+    the second moment about the analytic centering V(A)/zeta(2), counting
+    the N lattices as one stack."""
     if N < 10**3:
         raise ValueError("need at least 1000 samples")
     _, _, _, bases = sample_unimodular_2d_arrays(N, seed)
@@ -161,7 +179,7 @@ def rogers_moment_report(regions: list[Region], N: int,
             spec=region.spec, area=V, mean=mean, mean_stderr=se,
             center=center, second_moment=m2, ratio_volume=m2 / V,
             ratio_schmidt=m2 / (V * logv),
-            counts=tuple(int(c) for c in counts)
+            counts=tuple(counts.tolist())
             if keep_counts and N <= 10**6 else None))
     return MomentReport(dim=2, samples=N, seed=seed, entries=tuple(entries))
 

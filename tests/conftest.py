@@ -82,6 +82,63 @@ def ball_candidates(f, L, R, cap=10**8):
     return coeffs[nz], coords[nz]
 
 
+def grid_primitive_count(basis, contains, R):
+    """Primitive points of a planar lattice inside a region of bounding
+    radius R, by the coefficient-grid oracle and a gcd test."""
+    pts = [c for c in grid_enumerate(basis, R) if math.gcd(*c) == 1]
+    if not pts:
+        return 0
+    coords = np.array(pts, dtype=float) @ np.asarray(basis, dtype=float).T
+    return int(np.count_nonzero(contains(coords)))
+
+
+def loop_primitive_counts(region, bases):
+    """Primitive counts of a stack of planar bases by the per-lattice loop
+    that batched counting replaced: one count_primitive call per lattice."""
+    from starlat import count_primitive, make_lattice
+    return np.array([count_primitive(make_lattice(B), region)
+                     for B in bases], dtype=np.int64)
+
+
+def loop_miss_count(n, samples, config, seed):
+    """part_miss_rate's misses by the per-lattice loop it replaced: shell n's
+    primitive points of one lattice at a time, a miss when they do not
+    reach all four quadrants."""
+    from starlat import (enumerate_ball_arrays, make_lattice, partition,
+                         sample_unimodular_2d_arrays)
+    shell = partition.build_shells(config.body, 2, n, config.mc_points,
+                                   seed)[-1]
+    part = partition.build_partitions([shell], config, seed)[0]
+    misses = 0
+    for B in sample_unimodular_2d_arrays(samples, seed)[3]:
+        coeffs, coords = enumerate_ball_arrays(
+            make_lattice(B), min(shell.outer, config.budget))
+        keep = (np.gcd(coeffs[:, 0], coeffs[:, 1]) == 1) \
+            & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
+            & shell.body(coords)
+        q = partition._quadrants_of_rows(part, coords[keep])
+        misses += len(np.unique(q)) < 4
+    return misses
+
+
+def cross_by_rectangles(L, s, R):
+    """enumerate_hyperbolic_cross by its per-rectangle loop: the ball of
+    radius sqrt(2) of each rectangle lattice diag(1/a, 1/h) B, one lattice
+    at a time, united, without the origin."""
+    from starlat import enumerate_ball_arrays, make_lattice
+    t = math.sqrt(s * (1 + 1e-9))
+    R_in = R * (1 + 1e-9)
+    parts = []
+    for j in range(1, max(1, math.ceil(math.log2(R_in / t))) + 1):
+        short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
+        for a, h in ((short, long_), (long_, short)):
+            rect = make_lattice(L.basis / np.array([[a], [h]]))
+            parts.append(enumerate_ball_arrays(rect, math.sqrt(2.0))[0])
+    coeffs = np.unique(np.concatenate(parts), axis=0)
+    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
+    return coeffs, coeffs @ L.basis.T
+
+
 def exact_rank(rows):
     """Rank of integer row vectors by Gaussian elimination over Fraction."""
     M = [[Fraction(int(v)) for v in r] for r in rows]

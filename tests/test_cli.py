@@ -180,6 +180,26 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
      "is missing the required key 'body'"),
     (("probe", "--config", {"body": "ball:p=2"}),
      "is missing the required key 'basis'"),
+    (("rogers", "--areas", "-5", "--count", "1000"),
+     "--areas needs positive finite areas, got '-5'"),
+    (("rogers", "--areas", "10,nan", "--count", "1000"),
+     "--areas needs positive finite areas, got 'nan'"),
+    (("count", "--basis", "1,0;0,1", "--region", "disk:r=nan"),
+     "region spec 'disk:r=nan' needs a positive finite r"),
+    (("count", "--basis", "1,0;0,1", "--region", "box:a=-2"),
+     "region spec 'box:a=-2' needs a positive finite a"),
+    (("rogers", "--region", "annulus:r0=1:r1=inf", "--count", "1000"),
+     "region spec 'annulus:r0=1:r1=inf' needs a positive finite r1"),
+    (("count", "--basis", "1,0;0,1", "--region", "annulus:r0=-1:r1=2"),
+     "region spec 'annulus:r0=-1:r1=2' needs 0 <= r0 < r1"),
+    (("count", "--basis", "1,0;0,1", "--region",
+      "sublevel:body=hyperbola:t=0:clip=3"),
+     "region spec 'sublevel:body=hyperbola:t=0:clip=3' needs a positive "
+     "finite t"),
+    (("rogers", "--region", "sublevel:body=hyperbola:t=1:clip=nan",
+      "--count", "1000"),
+     "region spec 'sublevel:body=hyperbola:t=1:clip=nan' needs a positive "
+     "finite clip"),
 ])
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
     # a dict stands for a probe config file holding it

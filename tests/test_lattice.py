@@ -18,7 +18,7 @@ from starlat.errors import (
 
 from starlat.lattice import _zeta
 
-from conftest import grid_enumerate
+from conftest import cross_by_rectangles, grid_enumerate
 
 
 def test_make_lattice_identity():
@@ -138,6 +138,15 @@ def test_enumerate_node_budget():
     assert len(sl.enumerate_ball(L, 2.0)) == 33
     with pytest.raises(BudgetExceeded):
         sl.enumerate_ball(L, 2.0, cap=100)
+
+
+def test_enumerate_node_budget_below_the_top_level():
+    # 2,663 top-level nodes of this skewed basis of Z^3 expand into 99,063
+    # middle-level nodes for the 179 points of the ball of radius 3.47
+    L = sl.make_lattice(sl.random_unimodular(3, 5, 40))
+    assert len(sl.enumerate_ball_arrays(L, 3.47)[0]) == 179
+    with pytest.raises(BudgetExceeded, match="99063 candidates exceed cap"):
+        sl.enumerate_ball_arrays(L, 3.47, cap=50000)
 
 
 def test_primitive_mask():
@@ -266,6 +275,21 @@ def test_hyperbolic_cross_covers_the_region(rng):
             assert np.array_equal(order, np.arange(len(coeffs)))
             assert len(np.unique(coeffs, axis=0)) == len(coeffs)
             assert np.array_equal(coords, coeffs @ L.basis.T)
+
+
+def test_hyperbolic_cross_matches_per_rectangle_loop(rng):
+    # the rectangles enumerated as one stack give the points, bit for bit,
+    # of enumerating each rectangle lattice on its own
+    for k in range(30):
+        B = sl.sample_unimodular_2d_arrays(1, 300 + k)[3][0]
+        if k % 3 == 0:
+            B = B @ sl.random_unimodular(2, k, 10).astype(float)
+        L = sl.make_lattice(B)
+        for s, R in ((0.05, 30.0), (1.0, 300.0), (0.3, 2000.0)):
+            coeffs, coords = sl.enumerate_hyperbolic_cross(L, s, R)
+            want_c, want_x = cross_by_rectangles(L, s, R)
+            assert coeffs.tobytes() == want_c.tobytes()
+            assert coords.tobytes() == want_x.tobytes()
 
 
 def test_hyperbolic_cross_rejects_bad_input():

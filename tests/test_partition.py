@@ -8,6 +8,8 @@ import starlat as sl
 from starlat import partition
 from starlat.errors import DegenerateMass, InvariantViolation, VolumeStall
 
+from conftest import loop_miss_count
+
 
 def test_equipartition_symmetric_grid():
     xs = np.linspace(-1, 1, 21)
@@ -182,6 +184,18 @@ def test_part_miss_rate_runs_and_bounds():
     assert rep.samples == 150
     assert 0.0 <= rep.ci_low <= rep.rate <= rep.ci_high <= 1.0
     assert rep.misses == round(rep.rate * rep.samples)
+
+
+@pytest.mark.parametrize("n,budget", [(1, math.inf), (3, math.inf),
+                                      (3, 2.5)])
+def test_part_miss_rate_matches_per_lattice_loop(n, budget):
+    config = sl.PipelineConfig(mc_points=2 * 10**4, budget=budget)
+    rep = sl.part_miss_rate(n, samples=400, config=config, seed=13)
+    assert rep.misses == loop_miss_count(n, 400, config, 13)
+    body = sl.sublevel_body(sl.hyperbolic(2), 2.0)
+    config = sl.PipelineConfig(body=body, mc_points=2 * 10**4, budget=budget)
+    rep = sl.part_miss_rate(n, samples=200, config=config, seed=14)
+    assert rep.misses == loop_miss_count(n, 200, config, 14)
 
 
 def test_part_miss_rate_rejects_few_samples():

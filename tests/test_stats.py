@@ -8,7 +8,8 @@ import starlat as sl
 from starlat import stats
 from starlat.errors import BudgetExceeded, InvariantViolation, UnboundedBody
 
-from conftest import ball_candidates
+from conftest import (ball_candidates, grid_primitive_count,
+                      loop_primitive_counts)
 
 
 Z2 = sl.make_lattice([[1, 0], [0, 1]])
@@ -101,6 +102,71 @@ def test_rogers_schmidt_ratio_reported():
         entry.second_moment / entry.area, rel=1e-12)
     assert entry.ratio_schmidt == pytest.approx(
         entry.second_moment / (entry.area * math.log2(entry.area)), rel=1e-12)
+
+
+def _stack(kind, n, seed):
+    """Planar bases: Haar, Haar skewed by an integer unimodular matrix, or
+    small integer bases, whose points lie on region boundaries."""
+    bases = sl.sample_unimodular_2d_arrays(n, seed)[3]
+    if kind == "skewed":
+        return bases @ sl.random_unimodular(2, seed, 12).astype(float)
+    if kind == "integer":
+        B = np.random.default_rng(seed).integers(-3, 4, (n, 2, 2))
+        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+        return B[det != 0].astype(float)
+    return bases
+
+
+REGION_SPECS = ("disk:r=5", "disk:r=1.7841241161527712", "box:a=3",
+                "annulus:r0=1:r1=2.5", "sublevel:body=hyperbola:t=1:clip=3")
+
+
+@pytest.mark.parametrize("kind", ["haar", "skewed", "integer"])
+@pytest.mark.parametrize("spec", REGION_SPECS)
+def test_batched_counts_match_per_lattice_loop(kind, spec):
+    region = sl.parse_region(spec)
+    bases = _stack(kind, 200, 31 + len(spec))
+    counts = stats._primitive_counts(region, bases)
+    assert np.array_equal(counts, loop_primitive_counts(region, bases))
+    for i in range(0, len(bases), 25):
+        assert counts[i] == grid_primitive_count(
+            bases[i], region.contains, region.bounding_radius)
+
+
+def test_batched_counts_span_several_chunks():
+    region = sl.disk_region(math.sqrt(40.0 / math.pi))
+    bases = _stack("haar", 3000, 5)
+    chunks = list(sl.lattice._planar_points(bases, region.bounding_radius))
+    assert len(chunks) > 3
+    idx = np.concatenate([c[0] for c in chunks])
+    assert np.all(np.diff(idx) >= 0) and set(idx.tolist()) == set(range(3000))
+    assert np.array_equal(stats._primitive_counts(region, bases),
+                          loop_primitive_counts(region, bases))
+
+
+@pytest.mark.parametrize("bad,error", [
+    (np.diag([1e-3, 1e-3]), BudgetExceeded),
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), sl.SingularBasis),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), sl.SingularBasis),
+])
+def test_one_bad_lattice_in_a_stack_raises(bad, error):
+    bases = _stack("haar", 300, 8)
+    bases[117] = bad
+    with pytest.raises(error):
+        stats._primitive_counts(sl.disk_region(2.0), bases, cap=10**4)
+
+
+def test_level_cap_is_per_lattice_in_a_stack():
+    # the Haar stack holds far more than `cap` level nodes in total but a
+    # few per lattice; a lattice with 201 points on a line (predicted: pi)
+    # exceeds the cap inside the search
+    region = sl.disk_region(1.0)
+    bases = _stack("haar", 300, 9)
+    assert np.array_equal(stats._primitive_counts(region, bases, cap=100),
+                          loop_primitive_counts(region, bases))
+    bases[150] = np.diag([0.01, 100.0])
+    with pytest.raises(BudgetExceeded, match="201 candidates exceed cap 100"):
+        stats._primitive_counts(region, bases, cap=100)
 
 
 def test_rogers_rejects_small_sample():
