@@ -38,8 +38,8 @@ class NoConvergence(StarlatError):
 
 
 class VolumeStall(StarlatError):
-    """Annulus volume estimates stopped growing; the ambient set appears to
-    have finite volume, so the shell construction cannot continue."""
+    """Annulus volume estimates stalled within Monte Carlo noise short of the
+    shell threshold: the set has finite volume or the sample is too small."""
 
 
 class InvariantViolation(StarlatError):

@@ -60,9 +60,11 @@ class LatticePoint:
         return all(c == 0 for c in self.coeffs)
 
 
+@np.errstate(all="ignore")
 def _admitted_det(B: np.ndarray):
     """|det| of each basis of a stack (..., d, d); SingularBasis unless all
-    entries are finite and |det| / (longest column)^d > 1e-12 for each."""
+    entries are finite and |det| / (longest column)^d > 1e-12 for each.  A
+    ratio 0/0 or inf/inf of a nonzero basis means |det| under- or overflows."""
     if not np.all(np.isfinite(B)):
         raise SingularBasis("basis entries must be finite")
     scale = np.linalg.norm(B, axis=-2).max(axis=-1)
@@ -72,9 +74,12 @@ def _admitted_det(B: np.ndarray):
         det = np.abs(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0])
     else:
         det = np.abs(np.linalg.det(B))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not np.all(det / scale ** B.shape[-1] > _SCALED_DET_TOL):
-            raise SingularBasis("basis columns are numerically dependent")
+    ratio = det / scale ** B.shape[-1]
+    lost = np.isnan(ratio) & np.any(B != 0, axis=(-2, -1))
+    if not np.all((ratio > _SCALED_DET_TOL) | lost):
+        raise SingularBasis("basis columns are numerically dependent")
+    if lost.any():
+        raise SingularBasis("det(B) is not representable in float64")
     return det
 
 

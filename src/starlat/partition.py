@@ -98,6 +98,10 @@ class RateReport:
 # two-line equipartition
 
 
+# quadrant index by 2 * (u >= 0) + (v >= 0); exact zeros count positive
+_QUADRANT_BY_SIGNS = np.array([3, 2, 4, 1], dtype=np.int64)
+
+
 def _median_cut(vals: np.ndarray, weights: np.ndarray) -> float:
     """Cut position so the mass strictly below it is as close to half as the
     atoms allow; between atoms whenever possible."""
@@ -119,14 +123,9 @@ def _masses_at(pts: np.ndarray, w: np.ndarray, theta: float):
     vv = -pts[:, 0] * st + pts[:, 1] * ct
     cx = _median_cut(uu, w)
     cy = _median_cut(vv, w)
-    pu = (uu - cx) >= 0.0   # exact zeros count positive (tie rule)
-    pv = (vv - cy) >= 0.0
-    m1 = float(w[pu & pv].sum())
-    m2 = float(w[~pu & pv].sum())
-    m3 = float(w[~pu & ~pv].sum())
-    m4 = float(w[pu & ~pv].sum())
+    q = _QUADRANT_BY_SIGNS[2 * ((uu - cx) >= 0.0) + ((vv - cy) >= 0.0)]
     center = (float(cx * ct - cy * st), float(cx * st + cy * ct))
-    return center, (m1, m2, m3, m4)
+    return center, tuple(float(w[q == i].sum()) for i in (1, 2, 3, 4))
 
 
 def two_line_equipartition(points, tol: float, weights=None,
@@ -180,10 +179,6 @@ def quadrant_of(partition: Partition2D, x) -> int:
     count positive.  1 = (+,+), 2 = (-,+), 3 = (-,-), 4 = (+,-)."""
     return int(_quadrants_of_rows(partition,
                                   np.asarray(x, dtype=float)[None])[0])
-
-
-# quadrant index by 2 * (u >= 0) + (v >= 0)
-_QUADRANT_BY_SIGNS = np.array([3, 2, 4, 1], dtype=np.int64)
 
 
 def _quadrants_of_rows(partition: Partition2D, pts: np.ndarray) -> np.ndarray:
@@ -299,8 +294,10 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
             if len(history) >= 5 and (history[-1] - history[-5]
                                       <= max(4.0 * se, 1e-9)):
                 raise VolumeStall(
-                    f"annulus volume stopped growing near {est:.4g} "
-                    f"(< threshold {thresh:.4g}); V(B) appears finite")
+                    f"annulus volume estimate {est:.4g} (standard error "
+                    f"{se:.3g}) stalled within Monte Carlo noise without "
+                    f"clearing threshold {thresh:.4g} by two standard errors;"
+                    f" either V(B) is finite or mc_points is too small")
             doublings += 1
             if doublings > 60:
                 raise VolumeStall("doubling exhausted without reaching "
@@ -351,25 +348,25 @@ def sample_shell_points(shell: Shell, count: int, seed: int,
 # witness extraction
 
 
-def _lex_min_row(rows: np.ndarray) -> int:
-    o = np.lexsort(tuple(rows[:, k] for k in range(rows.shape[1] - 1, -1, -1)))
-    return int(o[0])
-
-
-def _in_shell(shell: Shell, coeffs: np.ndarray, coords: np.ndarray):
-    """Mask of the shell's primitive points among the points of the ball of
-    radius min(shell.outer, budget), which bounds them from outside."""
+def _classify_rows(shells: list[Shell], partitions: list[Partition2D],
+                   coeffs: np.ndarray, coords: np.ndarray):
+    """(k, q) of each enumerated row: k indexes the shell with inner_k <
+    ||x|| <= outer_k, q is the row's quadrant in partitions[k], and q = 0
+    when the row lies in no shell, outside that shell's body or is not
+    primitive.  Shells out of order or overlapping raise ValueError."""
+    edges = np.array([(s.inner, s.outer) for s in shells]).ravel()
+    if not np.all(np.diff(edges) >= 0.0):
+        raise ValueError("shells must be ordered and disjoint")
+    inner2, outer2 = edges[0::2] ** 2, edges[1::2] ** 2
     nrm2 = (coords * coords).sum(axis=1)
-    return (nrm2 > shell.inner**2) & shell.body(coords) \
-        & primitive_mask(coeffs)
-
-
-def _shell_primitive_points(L: Lattice, shell: Shell, budget: float,
-                            cap: int):
-    coeffs, coords = enumerate_ball_arrays(L, min(shell.outer, budget), cap,
-                                           sort=False)
-    keep = _in_shell(shell, coeffs, coords)
-    return coeffs[keep], coords[keep]
+    k = np.searchsorted(inner2, nrm2) - 1
+    ok = (k >= 0) & (nrm2 <= outer2[k]) & primitive_mask(coeffs)
+    q = np.zeros(len(coords), dtype=np.int64)
+    for i, (shell, part) in enumerate(zip(shells, partitions, strict=True)):
+        rows = np.flatnonzero(ok & (k == i))
+        rows = rows[shell.body(coords[rows])]
+        q[rows] = _quadrants_of_rows(part, coords[rows])
+    return k, q
 
 
 def extract_witnesses(L: Lattice, shells: list[Shell],
@@ -379,49 +376,46 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
     """Per shell: find one primitive lattice point per partition quadrant and
     select two linearly independent representatives.
 
-    A shell with an unpopulated quadrant is recorded as a failure event (the
-    lattice plays the role of a member of the exceptional set for that n).
-    Tuples from distinct shells are disjoint because the shells are.
+    A point x belongs to the shell with inner < ||x|| <= outer, so tuples of
+    distinct shells are disjoint; shells out of order or overlapping raise
+    ValueError.  One ball of radius min(outermost outer, budget), in lex
+    order of coefficients, serves every shell: the first row of each (shell,
+    quadrant) is its representative.  A shell with an unpopulated quadrant
+    is a failure event: the lattice is in the exceptional set for that n.
     """
+    if not shells:
+        return WitnessReport(tuples=(), failures=())
+    coeffs, coords = enumerate_ball_arrays(L, min(shells[-1].outer, budget),
+                                           cap)
+    k, q = _classify_rows(shells, partitions, coeffs, coords)
+    rows = np.flatnonzero(q)
+    keys, first = np.unique(4 * k[rows] + q[rows] - 1, return_index=True)
+    reps = np.full(4 * len(shells), -1)
+    reps[keys] = rows[first]
     tuples: list[WitnessTuple] = []
     failures: list[tuple[int, tuple[int, ...]]] = []
-    for shell, part in zip(shells, partitions):
-        coeffs, coords = _shell_primitive_points(L, shell, budget, cap)
-        if not len(coeffs):
-            failures.append((shell.index, (1, 2, 3, 4)))
-            continue
-        q = _quadrants_of_rows(part, coords)
-        reps = {}
-        empty = []
-        for qi in (1, 2, 3, 4):
-            rows = np.flatnonzero(q == qi)
-            if not len(rows):
-                empty.append(qi)
-                continue
-            pick = rows[_lex_min_row(coeffs[rows])]
-            reps[qi] = pick
+    for shell, rep in zip(shells, reps.reshape(-1, 4).tolist()):
+        empty = tuple(qi for qi, r in zip((1, 2, 3, 4), rep) if r < 0)
         if empty:
-            failures.append((shell.index, tuple(empty)))
+            failures.append((shell.index, empty))
             continue
         # the representatives are distinct primitive rows, so at most one
         # of quadrants 2-4 holds the negative of quadrant 1's, and the
         # first of the others is independent of it
-        A = reps[1]
-        for qb in (2, 3, 4):
-            B = reps[qb]
+        A = rep[0]
+        for qb, B in zip((2, 3, 4), rep[1:]):
             if int(coeffs[A, 0]) * int(coeffs[B, 1]) \
                     != int(coeffs[A, 1]) * int(coeffs[B, 0]):
                 break
         else:
             raise InvariantViolation(
                 f"shell {shell.index}: quadrant representatives "
-                f"{coeffs[list(reps.values())].tolist()} are collinear")
-        pa = LatticePoint(coords=tuple(map(float, coords[A])),
-                          coeffs=tuple(map(int, coeffs[A])))
-        pb = LatticePoint(coords=tuple(map(float, coords[B])),
-                          coeffs=tuple(map(int, coeffs[B])))
-        tuples.append(WitnessTuple(shell_index=shell.index,
-                                   points=(pa, pb), quadrants=(1, qb)))
+                f"{coeffs[rep].tolist()} are collinear")
+        points = tuple(LatticePoint(coords=tuple(map(float, coords[r])),
+                                    coeffs=tuple(map(int, coeffs[r])))
+                       for r in (A, B))
+        tuples.append(WitnessTuple(shell_index=shell.index, points=points,
+                                   quadrants=(1, qb)))
     return WitnessReport(tuples=tuple(tuples), failures=tuple(failures))
 
 
@@ -465,9 +459,9 @@ def part_miss_rate(n: int, samples: int, config: PipelineConfig,
     occupancy = np.zeros(4 * samples, dtype=np.int64)
     for idx, coeffs, coords in _planar_points(
             bases, min(shell.outer, config.budget), DEFAULT_POINT_CAP):
-        keep = _in_shell(shell, coeffs, coords)
-        q = _quadrants_of_rows(part, coords[keep])
-        occupancy += np.bincount(4 * idx[keep] + q - 1,
+        q = _classify_rows([shell], [part], coeffs, coords)[1]
+        hit = q > 0
+        occupancy += np.bincount(4 * idx[hit] + q[hit] - 1,
                                  minlength=4 * samples)
     misses = int(np.count_nonzero((occupancy.reshape(samples, 4) == 0)
                                   .any(axis=1)))

@@ -121,6 +121,42 @@ def loop_miss_count(n, samples, config, seed):
     return misses
 
 
+def loop_witnesses(L, shells, partitions, budget=math.inf):
+    """extract_witnesses by the per-shell loop it replaced: one ball per
+    shell of radius min(outer, budget), its primitive points above the
+    inner radius and inside the body, the lex-least point per quadrant,
+    then quadrant 1's point with the first of quadrants 2-4 independent
+    of it."""
+    from starlat import (LatticePoint, WitnessReport, WitnessTuple,
+                         enumerate_ball_arrays, partition)
+    tuples, failures = [], []
+    for shell, part in zip(shells, partitions):
+        coeffs, coords = enumerate_ball_arrays(L, min(shell.outer, budget),
+                                               sort=False)
+        keep = (np.gcd(coeffs[:, 0], coeffs[:, 1]) == 1) \
+            & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
+            & shell.body(coords)
+        coeffs, coords = coeffs[keep], coords[keep]
+        q = partition._quadrants_of_rows(part, coords)
+        reps = {qi: min(np.flatnonzero(q == qi),
+                        key=lambda r: tuple(coeffs[r].tolist()))
+                for qi in (1, 2, 3, 4) if np.any(q == qi)}
+        if len(reps) < 4:
+            failures.append((shell.index, tuple(qi for qi in (1, 2, 3, 4)
+                                                if qi not in reps)))
+            continue
+        a = reps[1]
+        qb = next(qb for qb in (2, 3, 4)
+                  if coeffs[a, 0] * coeffs[reps[qb], 1]
+                  != coeffs[a, 1] * coeffs[reps[qb], 0])
+        pts = tuple(LatticePoint(coords=tuple(map(float, coords[r])),
+                                 coeffs=tuple(map(int, coeffs[r])))
+                    for r in (a, reps[qb]))
+        tuples.append(WitnessTuple(shell_index=shell.index, points=pts,
+                                   quadrants=(1, qb)))
+    return WitnessReport(tuples=tuple(tuples), failures=tuple(failures))
+
+
 def cross_by_rectangles(L, s, R):
     """enumerate_hyperbolic_cross by its per-rectangle loop: the ball of
     radius sqrt(2) of each rectangle lattice diag(1/a, 1/h) B, one lattice

@@ -200,7 +200,12 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
       "--count", "1000"),
      "region spec 'sublevel:body=hyperbola:t=1:clip=nan' needs a positive "
      "finite clip"),
+    (("minima", "--basis", "1e200,0;0,1e200", "--body", "ball:p=2"),
+     "det(B) is not representable in float64"),
+    (("minima", "--basis", "1e-200,0;0,1e-200", "--body", "ball:p=2"),
+     "det(B) is not representable in float64"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
     # a dict stands for a probe config file holding it
     cfg = tmp_path / "probe.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import starlat as sl
 from starlat import partition
 from starlat.errors import DegenerateMass, InvariantViolation, VolumeStall
 
-from conftest import loop_miss_count
+from conftest import loop_miss_count, loop_witnesses
 
 
 def test_equipartition_symmetric_grid():
@@ -114,6 +115,18 @@ def test_build_shells_finite_body_stalls():
         sl.build_shells(disk, 2, 1, mc_points=2 * 10**4, seed=1)
 
 
+def test_volume_stall_names_estimate_noise_and_threshold():
+    # {|x1 x2| <= 1} has infinite area, but its estimate at seed 5 stalls
+    # within Monte Carlo noise just above the threshold
+    body = sl.sublevel_body(sl.hyperbolic(2), 1.0)
+    with pytest.raises(VolumeStall, match=(
+            r"^annulus volume estimate 19\.84 \(standard error 5\.98\) "
+            r"stalled within Monte Carlo noise without clearing threshold "
+            r"19\.74 by two standard errors; either V\(B\) is finite or "
+            r"mc_points is too small$")):
+        sl.build_shells(body, 2, 3, mc_points=10**5, seed=5)
+
+
 def test_build_shells_hyperbolic_sublevel():
     body = sl.sublevel_body(sl.hyperbolic(2), 4.0)
     shells = sl.build_shells(body, 2, 2, mc_points=5 * 10**4, seed=2)
@@ -165,9 +178,10 @@ def test_extract_witnesses_budget_truncation():
 def test_extract_witnesses_collinear_representatives_raise(monkeypatch):
     # distinct primitive rows in four quadrants cannot be collinear; force
     # it to check that the pipeline stops instead of recording a failure
-    rows = np.array([[1, 0], [-1, 0], [3, 0], [-3, 0]])
-    monkeypatch.setattr(partition, "_shell_primitive_points",
-                        lambda L, shell, budget, cap: (rows, rows * 1.0))
+    # (a repeated primitive row, inside the first shell, stands in for it)
+    rows = np.array([[1, 0], [-1, 0], [1, 0], [-1, 0]])
+    monkeypatch.setattr(partition, "enumerate_ball_arrays",
+                        lambda L, R, cap: (rows, rows * 1.0))
     monkeypatch.setattr(partition, "_quadrants_of_rows",
                         lambda part, coords: np.array([1, 2, 3, 4]))
     L = sl.make_lattice([[1, 0], [0, 1]])
@@ -176,6 +190,50 @@ def test_extract_witnesses_collinear_representatives_raise(monkeypatch):
     parts = sl.build_partitions(shells, sl.PipelineConfig(), seed=4)
     with pytest.raises(InvariantViolation):
         sl.extract_witnesses(L, shells, parts)
+
+
+@pytest.mark.parametrize("t,n,seed", [(None, 10, 0), (2.0, 5, 1),
+                                      (1.0, 2, 2)])
+def test_extract_witnesses_match_per_shell_loop(t, n, seed):
+    body = sl.plane_body() if t is None \
+        else sl.sublevel_body(sl.hyperbolic(2), t)
+    config = sl.PipelineConfig(body=body, mc_points=2 * 10**4,
+                               partition_points=3000)
+    shells = sl.build_shells(body, 2, n, config.mc_points, seed)
+    parts = sl.build_partitions(shells, config, seed)
+    mid = 0.5 * (shells[n // 2].inner + shells[n // 2].outer)
+    bases = [np.eye(2), *sl.sample_unimodular_2d_arrays(60, seed)[3]]
+    tuples = failures = 0
+    for B in bases:
+        L = sl.make_lattice(B)
+        for budget in (math.inf, mid):
+            rep = sl.extract_witnesses(L, shells, parts, budget)
+            assert rep == loop_witnesses(L, shells, parts, budget)
+            tuples, failures = (tuples + len(rep.tuples),
+                                failures + len(rep.failures))
+    assert tuples and failures
+
+
+def test_extract_witnesses_shell_rule():
+    # the points of norm 1 lie beyond the first shell's outer radius but
+    # inside the 1e-9 inflation of its enumeration radius: they belong to
+    # the second shell only, and to no shell when the second starts at 1.2
+    L = sl.make_lattice(np.eye(2))
+    r = 1.0 - 1e-12
+    shells = [sl.Shell(1, 0.0, r, sl.plane_body(), 1.0, 0.0),
+              sl.Shell(2, r, 2.0, sl.plane_body(), 1.0, 0.0)]
+    part = sl.Partition2D(center=(0.0, 0.0), angle=math.pi / 4,
+                          masses=(1.0, 1.0, 1.0, 1.0))
+    rep = sl.extract_witnesses(L, shells, [part, part])
+    assert rep.failures == ((1, (1, 2, 3, 4)),)
+    assert [t.shell_index for t in rep.tuples] == [2]
+    gap = [shells[0], replace(shells[1], inner=1.2)]
+    rep = sl.extract_witnesses(L, gap, [part, part])
+    assert rep.failures[0] == (1, (1, 2, 3, 4))
+    assert sl.extract_witnesses(L, [], []) == sl.WitnessReport((), ())
+    for bad in (shells[::-1], [shells[0], replace(shells[1], inner=0.5)]):
+        with pytest.raises(ValueError, match="ordered and disjoint"):
+            sl.extract_witnesses(L, bad, [part, part])
 
 
 def test_part_miss_rate_runs_and_bounds():
