@@ -3,13 +3,14 @@
 A star body S = {x : f(x) <= 1} is represented by its distance function f
 (nonnegative, continuous, positively homogeneous of degree 1).  Evaluators
 are numpy-vectorized: they accept arrays of shape (..., d) and return
-values of shape (...).
+values of shape (...).  Catalog bodies carry a closed-form sphere floor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,7 @@ class DistanceFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str
     params: tuple = ()
+    floor: float | None = None  # lower bound of f on the sphere; None: unknown
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float))
@@ -32,7 +34,7 @@ class DistanceFunction:
 
 @dataclass(frozen=True)
 class BoundednessCertificate:
-    floor: float  # estimated min of f on the unit sphere (upper estimate)
+    floor: float  # f.floor, or a sampled estimate of min f on the sphere
     bounded: bool
 
 
@@ -44,62 +46,79 @@ def evaluate(f: DistanceFunction, x) -> float:
     return float(f.evaluator(x))
 
 
+def _floor_times(floor: float | None, factor: float) -> float | None:
+    """floor * factor lowered by a relative 1e-9, far more than the error of
+    the pow, sqrt, division or SVD behind a factor; None stays None."""
+    return None if floor is None else floor * factor * (1.0 - 1e-9)
+
+
+def _check_factor(kind: str, c: float) -> None:
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"{kind} factor must be finite and > 0, got c={c:g}")
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
 
 def pnorm_ball(dim: int = 2, p: float = 2) -> DistanceFunction:
-    """Unit ball of the p-norm, p in {1, 2, inf}."""
-    if p == math.inf:
-        ev = lambda x: np.abs(x).max(axis=-1)
-        label = "ball:p=inf"
-    else:
-        ev = lambda x: np.linalg.norm(x, ord=p, axis=-1)
-        label = f"ball:p={p:g}"
-    return DistanceFunction(dim=dim, evaluator=ev, label=label, params=(p,))
+    """Unit ball of the p-norm (a quasi-norm for p < 1), 0 < p <= inf.  Its
+    floor is 1 for p <= 2 (attained on the axes) and d^(1/p - 1/2) for p > 2
+    (on the diagonals, by Hoelder's inequality)."""
+    if not p > 0:
+        raise ValueError(f"ball needs p > 0, got p={p:g}")
+    ev = lambda x: np.linalg.norm(x, ord=p, axis=-1)
+    return DistanceFunction(dim=dim, evaluator=ev, label=f"ball:p={p:g}",
+                            params=(p,), floor=1.0 if p <= 2 else
+                            _floor_times(1.0, dim ** (1.0 / p - 0.5)))
 
 
 def box(dim: int = 2) -> DistanceFunction:
     """Sup-norm cube, alias of the p=inf ball."""
-    f = pnorm_ball(dim, math.inf)
-    return DistanceFunction(dim=dim, evaluator=f.evaluator, label="box")
+    return dataclasses.replace(pnorm_ball(dim, math.inf), label="box",
+                               params=())
 
 
 def hyperbolic(dim: int = 2) -> DistanceFunction:
     """f(x) = |x_1 ... x_d|^(1/d): degree-1 homogeneous, vanishes on the axes."""
     ev = lambda x: np.abs(np.prod(x, axis=-1)) ** (1.0 / dim)
     return DistanceFunction(dim=dim, evaluator=ev, label="hyperbola",
-                            params=(dim,))
+                            params=(dim,), floor=0.0)
 
 
 def scale_body(f: DistanceFunction, c: float) -> DistanceFunction:
-    """The body c*S, i.e. distance function f/c."""
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
+    """The body c*S, i.e. distance function f/c; finite c > 0."""
+    _check_factor("scale", c)
     base = f.evaluator
     ev = lambda x: base(x) / c
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"scale:c={c:g}:{f.label}",
-                            params=(c,) + f.params)
+                            params=(c,) + f.params,
+                            floor=_floor_times(f.floor, 1.0 / c))
 
 
 def inflate_body(f: DistanceFunction, c: float) -> DistanceFunction:
-    """Distance function c*f (the body S/c)."""
+    """Distance function c*f (the body S/c); finite c > 0."""
+    _check_factor("inflate", c)
     base = f.evaluator
     ev = lambda x: c * base(x)
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"inflate:c={c:g}:{f.label}",
-                            params=(c,) + f.params)
+                            params=(c,) + f.params,
+                            floor=_floor_times(f.floor, c))
 
 
 def linear_image(f: DistanceFunction, A) -> DistanceFunction:
-    """The body A*S, i.e. distance function x -> f(A^-1 x)."""
+    """The body A*S, i.e. distance function x -> f(A^-1 x).  Its floor is
+    f's over the largest singular value of A: ||A^-1 x|| >= ||x|| / s_max."""
     A = np.asarray(A, dtype=float)
     Ainv = np.linalg.inv(A)
     base = f.evaluator
     ev = lambda x: base(x @ Ainv.T)
     return DistanceFunction(dim=f.dim, evaluator=ev,
-                            label=f"image:{f.label}")
+                            label=f"image:{f.label}",
+                            floor=_floor_times(
+                                f.floor, 1.0 / float(np.linalg.norm(A, 2))))
 
 
 def _spec_options(spec: str, keys: tuple[str, ...]) -> list[str]:
@@ -205,39 +224,43 @@ def _refine_min_2d(func, theta: float, half_width: float,
     return min(fc, fd)
 
 
-def _refine_min(func, S: np.ndarray, i: int, resolution: int) -> float:
-    """Local minimum of func (points -> values) on the unit sphere near the
-    sample point S[i]: golden-section search on the angle in the plane,
-    30 rounds of 64 shrinking random perturbations in higher dimension."""
-    if S.shape[1] == 2:
-        return _refine_min_2d(func, math.atan2(S[i, 1], S[i, 0]),
-                              2.0 * math.pi / resolution)
+def _sphere_min(func, dim: int, resolution: int) -> float:
+    """Least value of func (points -> values) over the sphere sample, refined
+    near the sample point attaining it: golden-section search on the angle
+    in the plane, 30 rounds of 64 shrinking random perturbations in higher
+    dimension."""
+    S = sphere_samples(dim, resolution)
+    vals = np.asarray(func(S), dtype=float)
+    i = int(np.argmin(vals))
+    if dim == 2:
+        return min(float(vals[i]), _refine_min_2d(
+            func, math.atan2(S[i, 1], S[i, 0]), 2.0 * math.pi / resolution))
     rng = np.random.default_rng(0)
     best_dir, spread = S[i], 0.2
     best_val = float(func(best_dir))
     for _ in range(30):
         cand = best_dir + spread * rng.standard_normal((64, best_dir.size))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = func(cand)
-        idx = int(np.argmin(vals))
-        if float(vals[idx]) < best_val:
-            best_val, best_dir = float(vals[idx]), cand[idx]
+        vals_c = func(cand)
+        idx = int(np.argmin(vals_c))
+        if float(vals_c[idx]) < best_val:
+            best_val, best_dir = float(vals_c[idx]), cand[idx]
         spread *= 0.7
-    return best_val
+    return min(float(vals[i]), best_val)
 
 
 def boundedness_floor(f: DistanceFunction, resolution: int = 1024,
                       threshold: float = DEFAULT_BOUNDED_TOL
                       ) -> BoundednessCertificate:
-    """Estimated minimum of f on the unit sphere with local refinement.
-
-    The floor is an upper estimate of the true minimum; the body is reported
-    bounded when the floor exceeds the threshold.
-    """
-    S = sphere_samples(f.dim, resolution)
-    vals = np.asarray(f.evaluator(S), dtype=float)
-    i = int(np.argmin(vals))
-    floor = min(float(vals[i]), _refine_min(f.evaluator, S, i, resolution))
+    """Floor of f on the unit sphere; the body is bounded when it exceeds
+    the threshold.  The floor is the closed form ``f.floor`` when the body
+    has one, as every catalog body does.  Otherwise it is the refined
+    minimum over the sphere sample of this resolution: an estimate from
+    above of the true minimum, which certifies nothing."""
+    if resolution < 64:
+        raise ValueError("resolution must be at least 64")
+    floor = f.floor if f.floor is not None \
+        else _sphere_min(f.evaluator, f.dim, resolution)
     return BoundednessCertificate(floor=floor, bounded=floor > threshold)
 
 
@@ -249,9 +272,6 @@ def body_distance(f: DistanceFunction, g: DistanceFunction,
     """
     if f.dim != g.dim:
         raise DimensionMismatch(f"{f.dim} != {g.dim}")
-    S = sphere_samples(f.dim, resolution)
-    diff = np.abs(np.asarray(f.evaluator(S)) - np.asarray(g.evaluator(S)))
-    i = int(np.argmax(diff))
     neg = lambda x: -np.abs(np.asarray(f.evaluator(x))
                             - np.asarray(g.evaluator(x)))
-    return max(float(diff[i]), -_refine_min(neg, S, i, resolution))
+    return -_sphere_min(neg, f.dim, resolution)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bodies import _spec_options, parse_body
+from .bodies import _spec_options, inflate_body, parse_body
 from .errors import BudgetExceeded, StarlatError
 from .haar import sample_unimodular_2d_arrays, sample_unimodular_2d
 from .lattice import golden_lattice, make_lattice, parse_basis, perturb_basis
@@ -240,8 +240,6 @@ def _cmd_probe(args):
     lat_seq_kind = cfg.get("lattice_seq", "fixed")
     scale = float(cfg.get("perturb_scale", 1.0))
 
-    from .bodies import inflate_body
-
     if body_seq_kind == "inflate":
         f_seq = lambda n: inflate_body(f, 1.0 + 1.0 / n)
     elif body_seq_kind == "fixed":
@@ -285,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, handler):
+        sp.set_defaults(handler=handler)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--csv", action="store_true")
@@ -296,23 +295,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--basis", required=True)
     sp.add_argument("--body", required=True)
     sp.add_argument("--budget", type=float, default=None)
-    common(sp)
+    common(sp, _cmd_minima)
 
     sp = sub.add_parser("sample", help="Haar-random unimodular planar "
                         "lattices")
     sp.add_argument("--count", type=int, default=1)
-    common(sp)
+    common(sp, _cmd_sample)
 
     sp = sub.add_parser("count", help="primitive points in a region")
     sp.add_argument("--basis", required=True)
     sp.add_argument("--region", required=True)
-    common(sp)
+    common(sp, _cmd_count)
 
     sp = sub.add_parser("rogers", help="mean-value moment report")
     sp.add_argument("--areas", default=None)
     sp.add_argument("--region", action="append", default=None)
     sp.add_argument("--count", type=int, default=10**4)
-    common(sp)
+    common(sp, _cmd_rogers)
 
     sp = sub.add_parser("witness", help="shell + equipartition witness "
                         "pipeline")
@@ -321,39 +320,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shells", type=int, default=3)
     sp.add_argument("--samples", type=int, default=10**4)
     sp.add_argument("--mc-points", type=int, default=10**5)
-    common(sp)
+    common(sp, _cmd_witness)
 
     sp = sub.add_parser("probe", help="semicontinuity probe from a config "
                         "file")
     sp.add_argument("--config", required=True)
-    common(sp)
+    common(sp, _cmd_probe)
 
     sp = sub.add_parser("theorem2", help="budgeted minima decay over Haar "
                         "lattices")
     sp.add_argument("--body", default="hyperbola")
     sp.add_argument("--budgets", default="10,100,1000")
     sp.add_argument("--count", type=int, default=100)
-    common(sp)
+    common(sp, _cmd_theorem2)
 
     return p
-
-
-_HANDLERS = {
-    "minima": _cmd_minima,
-    "sample": _cmd_sample,
-    "count": _cmd_count,
-    "rogers": _cmd_rogers,
-    "witness": _cmd_witness,
-    "probe": _cmd_probe,
-    "theorem2": _cmd_theorem2,
-}
 
 
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result, plain, rows = _HANDLERS[args.command](args)
+        result, plain, rows = args.handler(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -363,7 +351,7 @@ def run_cli(argv=None) -> int:
     if args.json:
         env = _envelope(args.command,
                         {k: v for k, v in vars(args).items()
-                         if k not in ("json", "csv", "out")},
+                         if k not in ("json", "csv", "out", "handler")},
                         result)
         text = json.dumps(env, sort_keys=True, indent=2) + "\n"
     elif args.csv:

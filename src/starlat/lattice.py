@@ -59,26 +59,40 @@ class LatticePoint:
     def is_origin(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    @classmethod
+    def of(cls, coeffs, coords) -> LatticePoint:
+        return cls(coords=tuple(map(float, coords)),
+                   coeffs=tuple(map(int, coeffs)))
+
+
+def _abs_det(B: np.ndarray) -> np.ndarray:
+    if B.shape[-1] == 2:
+        # direct formula keeps cancellation error at machine scale even for
+        # skewed unimodular bases
+        return np.abs(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0])
+    return np.abs(np.linalg.det(B))
+
 
 @np.errstate(all="ignore")
 def _admitted_det(B: np.ndarray):
     """|det| of each basis of a stack (..., d, d); SingularBasis unless all
-    entries are finite and |det| / (longest column)^d > 1e-12 for each.  A
-    ratio 0/0 or inf/inf of a nonzero basis means |det| under- or overflows."""
+    entries are finite and |det| / (longest column)^d > 1e-12 for each.
+    Where (longest column)^d is no normal float, the ratio is judged on the
+    basis scaled exactly by a power of two to largest entry in [1/2, 1)."""
     if not np.all(np.isfinite(B)):
         raise SingularBasis("basis entries must be finite")
-    scale = np.linalg.norm(B, axis=-2).max(axis=-1)
-    if B.shape[-1] == 2:
-        # direct formula keeps cancellation error at machine scale even for
-        # skewed unimodular bases
-        det = np.abs(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0])
-    else:
-        det = np.abs(np.linalg.det(B))
-    ratio = det / scale ** B.shape[-1]
-    lost = np.isnan(ratio) & np.any(B != 0, axis=(-2, -1))
-    if not np.all((ratio > _SCALED_DET_TOL) | lost):
+    d = B.shape[-1]
+    det = _abs_det(B)
+    vol = np.linalg.norm(B, axis=-2).max(axis=-1) ** d
+    ratio = np.asarray(det / vol)
+    odd = ~((vol >= 2.0 ** -1022) & (vol < math.inf))  # normal floats
+    if odd.any():
+        _, e = np.frexp(np.abs(B[odd]).max(axis=(-2, -1)))
+        Bs = np.ldexp(B[odd], -e[:, None, None])
+        ratio[odd] = _abs_det(Bs) / np.linalg.norm(Bs, axis=-2).max(-1) ** d
+    if not np.all(ratio > _SCALED_DET_TOL):
         raise SingularBasis("basis columns are numerically dependent")
-    if lost.any():
+    if not np.all((det > 0) & (det < math.inf)):
         raise SingularBasis("det(B) is not representable in float64")
     return det
 
@@ -107,9 +121,7 @@ def parse_basis(spec: str) -> np.ndarray:
 
 def lattice_point(L: Lattice, coeffs) -> LatticePoint:
     c = np.asarray(coeffs, dtype=np.int64)
-    x = L.basis @ c
-    return LatticePoint(coords=tuple(float(v) for v in x),
-                        coeffs=tuple(int(v) for v in c))
+    return LatticePoint.of(c, L.basis @ c)
 
 
 def golden_lattice() -> Lattice:
@@ -385,12 +397,8 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float,
 def enumerate_ball(L: Lattice, R: float,
                    cap: int = DEFAULT_POINT_CAP) -> list[LatticePoint]:
     """Object wrapper around :func:`enumerate_ball_arrays`."""
-    coeffs, coords = enumerate_ball_arrays(L, R, cap)
-    return [
-        LatticePoint(coords=tuple(float(v) for v in x),
-                     coeffs=tuple(int(v) for v in c))
-        for c, x in zip(coeffs, coords)
-    ]
+    return [LatticePoint.of(c, x)
+            for c, x in zip(*enumerate_ball_arrays(L, R, cap))]
 
 
 def primitive_mask(coeffs: np.ndarray) -> np.ndarray:

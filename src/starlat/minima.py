@@ -4,7 +4,7 @@ bounds for unbounded ones, and the semicontinuity probe harness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -92,9 +92,7 @@ def _result_from(chosen: Sequence[int], coeffs: np.ndarray,
     witnesses: list[Optional[LatticePoint]] = []
     for idx in chosen:
         values.append(float(fvals[idx]))
-        witnesses.append(LatticePoint(
-            coords=tuple(float(v) for v in coords[idx]),
-            coeffs=tuple(int(v) for v in coeffs[idx])))
+        witnesses.append(LatticePoint.of(coeffs[idx], coords[idx]))
     while len(values) < d:
         values.append(math.inf)
         witnesses.append(None)
@@ -142,9 +140,13 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
     """Exact successive minima of a bounded star body.
 
     Iterative-deepening ball enumeration: the radius doubles until d
-    independent points are found and the radius provably covers the
-    f-sublevel set at the attained lambda_d (f >= floor * ||x||).
+    independent points are found and the radius covers the f-sublevel set
+    at the attained lambda_d, by f >= floor * ||x||.  The floor is
+    ``cert.floor``, else the closed form ``f.floor`` of a catalog body, else
+    the sampled estimate of :func:`boundedness_floor`, which lies above the
+    true floor: then the result is not certified and has ``exact=False``.
     """
+    exact = cert is not None or f.floor is not None
     if cert is None:
         cert = boundedness_floor(f, resolution)
     if not cert.bounded:
@@ -158,10 +160,9 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
         chosen = _greedy_minima(coeffs, fvals, d)
         if len(chosen) == d:
             lam_d = float(fvals[chosen[-1]])
-            # 1.001 safety factor absorbs the floor-estimate slack
+            # 1.001 safety factor absorbs the evaluator's rounding
             if lam_d * 1.001 <= alpha * R:
-                return _result_from(chosen, coeffs, coords, fvals, d,
-                                    exact=True)
+                return _result_from(chosen, coeffs, coords, fvals, d, exact)
             R = max(2.0 * R, lam_d * 1.001 / alpha)
             continue
         R *= 2.0
@@ -222,28 +223,23 @@ def semicontinuity_probe(f_seq: Callable[[int], DistanceFunction],
                          budget: float = 50.0,
                          resolution: int = 512) -> ProbeReport:
     """Evaluate lambda_i along converging schedules and flag the
-    upper-semicontinuity and (bounded case) convergence inequalities."""
-    ref_cert = boundedness_floor(f, resolution)
-    if ref_cert.bounded:
-        ref = successive_minima_exact(f, L, resolution=resolution,
-                                      cert=ref_cert)
-    else:
-        ref = minima_upper_bound(f, L, budget)
+    upper-semicontinuity and (bounded case) convergence inequalities; an
+    entry converges only when it and the reference are exact minima."""
+
+    def minima(fn: DistanceFunction, Ln: Lattice) -> MinimaResult:
+        if boundedness_floor(fn, resolution).bounded:
+            return successive_minima_exact(fn, Ln, resolution=resolution)
+        return minima_upper_bound(fn, Ln, budget)
+
+    ref = minima(f, L)
     entries = []
     for n in range(1, n_max + 1):
         eps = float(slack(n))
         try:
-            fn = f_seq(n)
-            Ln = L_seq(n)
-            cert_n = boundedness_floor(fn, resolution)
-            if cert_n.bounded:
-                res = successive_minima_exact(fn, Ln, resolution=resolution,
-                                              cert=cert_n)
-            else:
-                res = minima_upper_bound(fn, Ln, budget)
+            res = minima(f_seq(n), L_seq(n))
             upper = all(v <= r + eps
                         for v, r in zip(res.values, ref.values))
-            conv = (ref_cert.bounded and res.exact and
+            conv = (ref.exact and res.exact and
                     all(abs(v - r) <= eps
                         for v, r in zip(res.values, ref.values)))
             entries.append(ProbeEntry(n=n, values=res.values, exact=res.exact,
@@ -309,12 +305,8 @@ def noncontinuity_demo(epsilon: float, radius_budget: float, seed: int,
             if wa.coeffs[0] * wb.coeffs[1] == wa.coeffs[1] * wb.coeffs[0]:
                 raise InvariantViolation(
                     f"witness pair {wa.coeffs}, {wb.coeffs} is dependent")
-            return DemoReport(found=True, attempts=tried, epsilon=epsilon,
-                              radius_budget=radius_budget, seed=seed,
-                              values=res.values,
-                              basis=tuple(map(tuple, Lk.basis.tolist())),
-                              witnesses=res.witnesses, best_lambda2=best)
-    return DemoReport(found=False, attempts=tried, epsilon=epsilon,
+            break  # this lattice is also the best one seen
+    return DemoReport(found=best < 0.5, attempts=tried, epsilon=epsilon,
                       radius_budget=radius_budget, seed=seed,
                       values=best_res.values if best_res else (),
                       basis=tuple(map(tuple, best_L.basis.tolist())),

@@ -10,6 +10,7 @@ linearly independent witness pairs, one tuple per shell.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,9 +38,14 @@ from .lattice import (
 BodyPredicate = Callable[[np.ndarray], np.ndarray]  # (N, d) -> bool mask
 
 
+def _whole_plane(pts: np.ndarray) -> np.ndarray:
+    return np.ones(len(pts), dtype=bool)
+
+
 def plane_body() -> BodyPredicate:
-    """Membership predicate of the entire plane."""
-    return lambda pts: np.ones(len(pts), dtype=bool)
+    """Membership predicate of the entire plane; its shells (also through a
+    wrapper that sets ``__wrapped__``) get their volume without draws."""
+    return _whole_plane
 
 
 def sublevel_body(f, t: float) -> BodyPredicate:
@@ -117,14 +123,18 @@ def _median_cut(vals: np.ndarray, weights: np.ndarray) -> float:
     return float(v[i])
 
 
-def _masses_at(pts: np.ndarray, w: np.ndarray, theta: float):
+def _turned(theta: float, x, y):
+    """Coordinates of (x, y) along the axes turned by theta."""
     ct, st = math.cos(theta), math.sin(theta)
-    uu = pts[:, 0] * ct + pts[:, 1] * st
-    vv = -pts[:, 0] * st + pts[:, 1] * ct
+    return x * ct + y * st, -x * st + y * ct
+
+
+def _masses_at(pts: np.ndarray, w: np.ndarray, theta: float):
+    uu, vv = _turned(theta, pts[:, 0], pts[:, 1])
     cx = _median_cut(uu, w)
     cy = _median_cut(vv, w)
     q = _QUADRANT_BY_SIGNS[2 * ((uu - cx) >= 0.0) + ((vv - cy) >= 0.0)]
-    center = (float(cx * ct - cy * st), float(cx * st + cy * ct))
+    center = tuple(map(float, _turned(-theta, cx, cy)))
     return center, tuple(float(w[q == i].sum()) for i in (1, 2, 3, 4))
 
 
@@ -148,21 +158,16 @@ def two_line_equipartition(points, tol: float, weights=None,
     if float(w.max()) > total / 2.0:
         raise DegenerateMass("one atom carries more than half the mass")
     quarter = total / 4.0
-
-    def build(theta, center, masses):
-        return Partition2D(center=center, angle=theta % (math.pi / 2.0),
-                           masses=masses)
-
     center0, m0 = _masses_at(pts, w, 0.0)
     if max(abs(m - quarter) for m in m0) <= tol:
-        return build(0.0, center0, m0)
+        return Partition2D(center=center0, angle=0.0, masses=m0)
     g0 = m0[0] - m0[1]
     lo, hi = 0.0, math.pi / 2.0
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         center, m = _masses_at(pts, w, mid)
         if max(abs(v - quarter) for v in m) <= tol:
-            return build(mid, center, m)
+            return Partition2D(center=center, angle=mid, masses=m)
         g = m[0] - m[1]
         if (g > 0) == (g0 > 0):
             lo = mid
@@ -182,11 +187,8 @@ def quadrant_of(partition: Partition2D, x) -> int:
 
 
 def _quadrants_of_rows(partition: Partition2D, pts: np.ndarray) -> np.ndarray:
-    ct, st = math.cos(partition.angle), math.sin(partition.angle)
-    dx = pts[:, 0] - partition.center[0]
-    dy = pts[:, 1] - partition.center[1]
-    u = dx * ct + dy * st
-    v = -dx * st + dy * ct
+    u, v = _turned(partition.angle, pts[:, 0] - partition.center[0],
+                   pts[:, 1] - partition.center[1])
     return _QUADRANT_BY_SIGNS[2 * (u >= 0.0) + (v >= 0.0)]
 
 
@@ -207,14 +209,9 @@ def transversal_check(partition: Partition2D, lines: int, seed: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ang = rng.uniform(0.0, math.pi, lines)
     P = np.array(partition.center) + rng.uniform(-spread, spread, (lines, 2))
-    ct, st = math.cos(partition.angle), math.sin(partition.angle)
-    dx = P[:, 0] - partition.center[0]
-    dy = P[:, 1] - partition.center[1]
-    a = dx * ct + dy * st
-    c = -dx * st + dy * ct
-    ux, uy = np.cos(ang), np.sin(ang)
-    b = ux * ct + uy * st
-    d = -ux * st + uy * ct
+    a, c = _turned(partition.angle, P[:, 0] - partition.center[0],
+                   P[:, 1] - partition.center[1])
+    b, d = _turned(partition.angle, np.cos(ang), np.sin(ang))
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = np.where(b != 0.0, -a / b, np.nan)
         t2 = np.where(d != 0.0, -c / d, np.nan)
@@ -251,10 +248,12 @@ def _annulus_samples(rng: np.random.Generator, d: int, r_in: float,
 def _estimate_annulus_volume(body: BodyPredicate, d: int, r_in: float,
                              r_out: float, mc_points: int,
                              ss: np.random.SeedSequence):
+    shell_vol = _unit_ball_volume(d) * (r_out**d - r_in**d)
+    if inspect.unwrap(body) is _whole_plane:
+        return shell_vol, 0.0  # what a draw gives: a mean of exactly 1
     rng = np.random.default_rng(ss)
     pts = _annulus_samples(rng, d, r_in, r_out, mc_points)
     p = float(np.mean(body(pts)))
-    shell_vol = _unit_ball_volume(d) * (r_out**d - r_in**d)
     est = p * shell_vol
     se = shell_vol * math.sqrt(max(p * (1.0 - p), 0.0) / mc_points)
     return est, se
@@ -411,9 +410,7 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
             raise InvariantViolation(
                 f"shell {shell.index}: quadrant representatives "
                 f"{coeffs[rep].tolist()} are collinear")
-        points = tuple(LatticePoint(coords=tuple(map(float, coords[r])),
-                                    coeffs=tuple(map(int, coeffs[r])))
-                       for r in (A, B))
+        points = tuple(LatticePoint.of(coeffs[r], coords[r]) for r in (A, B))
         tuples.append(WitnessTuple(shell_index=shell.index, points=points,
                                    quadrants=(1, qb)))
     return WitnessReport(tuples=tuple(tuples), failures=tuple(failures))

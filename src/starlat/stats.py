@@ -221,15 +221,10 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
     search balls); the report records the fraction of lattices whose
     lambda-hat_2 falls below each threshold at each budget.
 
-    For the planar hyperbola body a lattice's candidates are only the
-    points that can be witnesses (see ``minima._budget_candidates``): by
-    that monotonicity every witness at a budget b >= r0 has f <= sqrt(s),
-    certified by the Gauss-reduced basis of norm <= r0, so a curve costs
-    the ball of radius r0 plus O(log budget) rectangles of the hyperbolic
-    cross {|x1*x2| <= s} (s and radii inflated by a relative 1e-9), and
-    budgets above the ball's point cap work.  When s is 0 (Z^2) the ball
-    of the largest budget is used, as for every other body.  Either way the
-    curves are the ball's.
+    For the planar hyperbola body a curve costs a small ball plus
+    O(log budget) rectangles of a hyperbolic cross, not the ball of the
+    largest budget (``minima._budget_candidates``), so budgets above the
+    ball's point cap work; the curves are the ball's.
     """
     budgets = sorted(float(b) for b in budgets)
     if not budgets:

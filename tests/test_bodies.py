@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,3 +132,53 @@ def test_linear_image_evaluator():
     f = sl.linear_image(sl.pnorm_ball(2, 2), A)
     assert sl.evaluate(f, (2, 0)) == pytest.approx(1.0)
     assert sl.evaluate(f, (0, 1)) == pytest.approx(1.0)
+
+
+def _floor_cases(d):
+    """(body, tight): tight when the closed-form floor is the minimum of f
+    on the sphere and not only a lower bound of it."""
+    Q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    A = np.eye(d) + np.triu(np.full((d, d), 0.5), 1)
+    cases = [(sl.pnorm_ball(d, p), True)
+             for p in (0.5, 1, 1.5, 2, 3, math.inf)]
+    return cases + [
+        (sl.box(d), True),
+        (sl.scale_body(sl.inflate_body(sl.pnorm_ball(d, 3), 1.5), 0.7), True),
+        (sl.inflate_body(sl.linear_image(sl.box(d), 2.0 * Q), 0.3), True),
+        (sl.linear_image(sl.scale_body(sl.pnorm_ball(d, 2), 2.0), A), True),
+        # 1/s_max(A) bounds ||A^-1 x|| in every direction, but f's minimum
+        # direction need not be the one where it is attained
+        (sl.inflate_body(sl.linear_image(sl.pnorm_ball(d, 1), A), 0.3),
+         False),
+    ]
+
+
+@pytest.mark.parametrize("d,resolution", [(2, 1024), (3, 1024), (4, 256)])
+def test_closed_form_floor_bounds_the_sampled_estimate(d, resolution):
+    # The sampled estimate lies above the true minimum.  Its sample points
+    # have norm 1 only up to rounding, so for a floor of exactly 1 it may
+    # come out a few ulps below.
+    for f, tight in _floor_cases(d):
+        est = sl.boundedness_floor(dataclasses.replace(f, floor=None),
+                                   resolution).floor
+        assert f.floor <= est * (1 + 1e-12), f.label
+        if tight:
+            assert est <= f.floor * (1 + 1e-3), f.label
+        assert sl.boundedness_floor(f, resolution) == \
+            sl.BoundednessCertificate(floor=f.floor, bounded=True)
+    # sampling misses the axes for d = 3 and would call the body bounded
+    h = sl.hyperbolic(d)
+    assert h.floor == 0.0 and not sl.boundedness_floor(h, resolution).bounded
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sl.pnorm_ball(2, 0),
+    lambda: sl.pnorm_ball(2, -1),
+    lambda: sl.pnorm_ball(2, math.nan),
+    *[lambda c=c, g=g: g(sl.pnorm_ball(2, 2), c)
+      for c in (0.0, -2.0, math.nan, math.inf)
+      for g in (sl.scale_body, sl.inflate_body)],
+])
+def test_body_parameters_are_validated(make):
+    with pytest.raises(ValueError, match="p > 0|finite and > 0"):
+        make()

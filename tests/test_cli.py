@@ -204,6 +204,20 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
      "det(B) is not representable in float64"),
     (("minima", "--basis", "1e-200,0;0,1e-200", "--body", "ball:p=2"),
      "det(B) is not representable in float64"),
+    (("minima", "--basis", "1,0;0,1", "--body", "ball:p=0"),
+     "ball needs p > 0, got p=0"),
+    (("minima", "--basis", "1,0;0,1", "--body", "ball:p=-1"),
+     "ball needs p > 0, got p=-1"),
+    (("minima", "--basis", "1,0;0,1", "--body", "ball:p=nan"),
+     "ball needs p > 0, got p=nan"),
+    (("minima", "--basis", "1,0;0,1", "--body", "scale:c=nan:ball:p=2"),
+     "scale factor must be finite and > 0, got c=nan"),
+    (("minima", "--basis", "1,0;0,1", "--body", "scale:c=inf:ball:p=2"),
+     "scale factor must be finite and > 0, got c=inf"),
+    (("witness", "--body", "sublevel:body=ball:p=0:t=1"),
+     "ball needs p > 0, got p=0"),
+    (("minima", "--basis", "1e200,1e200;1e200,1e200", "--body", "ball:p=2"),
+     "basis columns are numerically dependent"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):

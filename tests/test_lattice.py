@@ -43,6 +43,26 @@ def test_make_lattice_rejects_singular():
         sl.make_lattice([[1, 1 + 1e-14], [1, 1]])
 
 
+@pytest.mark.parametrize("columns,message", [
+    ([[1e200, 1e200], [1e200, 1e200]], "numerically dependent"),
+    ([[1e-200, 1e-200], [1e-200, 1e-200]], "numerically dependent"),
+    ([[1e200, 0], [0, 1e200]], "not representable"),
+    ([[1e-200, 0], [0, 1e-200]], "not representable"),
+    ([[1e200, 1e200], [1e200, 2e200]], "not representable"),
+])
+def test_make_lattice_names_dependence_apart_from_overflow(columns, message):
+    with pytest.raises(SingularBasis, match=message):
+        sl.make_lattice(columns)
+
+
+def test_make_lattice_admits_det_near_the_float_limit():
+    # |det| is a float though (longest column)^d overflows
+    assert sl.make_lattice(np.diag([1e103, 1e103, 1e102])).det == \
+        pytest.approx(1e308)
+    assert sl.make_lattice(np.diag([1.35e154, 1e154])).det == \
+        pytest.approx(1.35e308)
+
+
 def test_make_lattice_rejects_dim_1():
     with pytest.raises(DimensionTooSmall):
         sl.make_lattice([[3]])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -349,3 +350,67 @@ def test_greedy_kernel_exact_beyond_int64():
     assert np.abs(coeffs).max() >= 10**6
     assert minima._greedy_minima(coeffs, fvals, 3) == want
     assert reference_greedy(coeffs, fvals, 3) == want
+
+
+def _same_minima(res, ref):
+    return (res.values == ref.values
+            and [w.coeffs for w in res.witnesses]
+            == [w.coeffs for w in ref.witnesses])
+
+
+def _random_lattice(rng, d, smin=0.45):
+    while True:
+        B = rng.uniform(-3, 3, (d, d))
+        if np.linalg.svd(B, compute_uv=False)[-1] >= smin:
+            return B, sl.make_lattice(B)
+
+
+def test_closed_form_floors_match_the_sampled_floor_path():
+    # The sampled estimate at the default resolution, passed as a cert, is
+    # the floor the solver used before bodies carried closed forms.  A
+    # smaller floor enumerates a larger ball, but points farther out have
+    # larger f and cannot change the greedy pick.
+    def both(f, L):
+        sampled = sl.boundedness_floor(dataclasses.replace(f, floor=None), 512)
+        return (sl.successive_minima_exact(f, L),
+                sl.successive_minima_exact(f, L, cert=sampled))
+
+    pairs = []
+    balls = [sl.pnorm_ball(3, p) for p in (1.0, 2.0, math.inf)]
+    # the skewed unimodular pool of the exact_minima benchmark workload;
+    # random_unimodular(3, 5, 60) is rejected as singular
+    for s in (3, 4, 5):
+        for steps in (10, 20, 30, 40, 50) + ((60,) if s != 5 else ()):
+            L = sl.make_lattice(sl.random_unimodular(3, s, steps))
+            pairs += [both(f, L) for f in balls]
+    # random lattices as in acceptance criterion 01
+    rng = np.random.default_rng(101)
+    for d, count in ((2, 40), (3, 15)):
+        for _ in range(count):
+            _, L = _random_lattice(rng, d)
+            pairs += [both(sl.pnorm_ball(d, p), L)
+                      for p in (1.0, 2.0, math.inf)]
+    # scaled, inflated and linear-image bodies as in criterion 02
+    rng = np.random.default_rng(202)
+    for _ in range(40):
+        B, L = _random_lattice(rng, 2)
+        c = float(rng.uniform(0.5, 3.0))
+        A, _ = _random_lattice(rng, 2)
+        pairs += [both(sl.scale_body(EUCLID, c), L),
+                  both(sl.inflate_body(EUCLID, c), L),
+                  both(sl.linear_image(EUCLID, A), sl.make_lattice(A @ B))]
+    assert all(res.exact and _same_minima(res, ref) for res, ref in pairs)
+
+
+def test_floorless_body_is_not_certified():
+    f = sl.DistanceFunction(dim=2, evaluator=EUCLID.evaluator, label="mine")
+    L = sl.make_lattice([[1, 0.5], [0, math.sqrt(3) / 2]])
+    res = sl.successive_minima_exact(f, L)
+    assert not res.exact
+    assert _same_minima(res, sl.successive_minima_exact(EUCLID, L))
+    cert = sl.BoundednessCertificate(floor=1.0, bounded=True)
+    assert sl.successive_minima_exact(f, L, cert=cert).exact
+    rep = sl.semicontinuity_probe(lambda n: f, lambda n: L, EUCLID, L, 2,
+                                  slack=lambda n: 1.0)
+    assert rep.reference_exact
+    assert not any(e.exact or e.converged for e in rep.entries)

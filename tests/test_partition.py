@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -259,3 +260,26 @@ def test_part_miss_rate_matches_per_lattice_loop(n, budget):
 def test_part_miss_rate_rejects_few_samples():
     with pytest.raises(ValueError):
         sl.part_miss_rate(1, samples=10, config=sl.PipelineConfig(), seed=0)
+
+
+def test_plane_shells_need_no_draws(monkeypatch):
+    # an all-true predicate the library does not recognize takes the Monte
+    # Carlo path; the plane's shells must come out bit-equal without it
+    all_true = lambda pts: np.ones(len(pts), dtype=bool)
+    drawn = [sl.build_shells(all_true, 2, 6, 2 * 10**4, seed)
+             for seed in range(2)]
+
+    def no_draws(*args):
+        raise AssertionError("a plane shell drew Monte Carlo points")
+
+    monkeypatch.setattr(partition, "_annulus_samples", no_draws)
+    plane = sl.plane_body()
+    wrapped = functools.wraps(plane)(lambda pts: plane(pts))
+    for seed, ref in enumerate(drawn):
+        for body in (plane, wrapped):
+            got = sl.build_shells(body, 2, 6, 2 * 10**4, seed)
+            assert [(s.inner, s.outer, s.est_volume, s.stderr)
+                    for s in got] == [(s.inner, s.outer, s.est_volume,
+                                       s.stderr) for s in ref]
+    with pytest.raises(AssertionError, match="drew"):
+        sl.build_shells(all_true, 2, 1, 100, 0)
