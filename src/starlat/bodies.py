@@ -255,12 +255,15 @@ def boundedness_floor(f: DistanceFunction, resolution: int = 1024,
     """Floor of f on the unit sphere; the body is bounded when it exceeds
     the threshold.  The floor is the closed form ``f.floor`` when the body
     has one, as every catalog body does.  Otherwise it is the refined
-    minimum over the sphere sample of this resolution: an estimate from
-    above of the true minimum, which certifies nothing."""
+    minimum over the sphere sample of this resolution and the points +-e_i:
+    an estimate from above of the true minimum, which certifies nothing."""
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    floor = f.floor if f.floor is not None \
-        else _sphere_min(f.evaluator, f.dim, resolution)
+    floor = f.floor
+    if floor is None:
+        axes = np.concatenate([np.eye(f.dim), -np.eye(f.dim)])
+        floor = min(_sphere_min(f.evaluator, f.dim, resolution),
+                    float(np.min(f.evaluator(axes))))
     return BoundednessCertificate(floor=floor, bounded=floor > threshold)
 
 

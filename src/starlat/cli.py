@@ -226,19 +226,29 @@ def _cmd_probe(args):
         if not isinstance(cfg, dict) or key not in cfg:
             raise ValueError(f"probe config {args.config!r} is missing the "
                              f"required key {key!r}")
-    dim = int(cfg.get("dim", 2))
+        if not isinstance(cfg[key], str):
+            raise ValueError(f"probe config key {key!r} must be a string")
+
+    def value(key, kind, default):
+        try:
+            return kind(cfg.get(key, default))
+        except (TypeError, OverflowError):
+            raise ValueError(f"probe config key {key!r} must be a number, "
+                             f"got {cfg[key]!r}") from None
+
+    dim = value("dim", int, 2)
     f = parse_body(cfg["body"], dim)
     if cfg.get("basis") == "golden":
         L = golden_lattice()
     else:
         L = make_lattice(parse_basis(cfg["basis"]))
-    n_max = int(cfg.get("n_max", 16))
-    slack = _parse_slack(cfg.get("slack", "10/n"))
-    budget = float(cfg.get("budget", 50.0))
-    seed = int(cfg.get("seed", args.seed))
+    n_max = value("n_max", int, 16)
+    slack = _parse_slack(value("slack", str, "10/n"))
+    budget = value("budget", float, 50.0)
+    seed = value("seed", int, args.seed)
     body_seq_kind = cfg.get("body_seq", "fixed")
     lat_seq_kind = cfg.get("lattice_seq", "fixed")
-    scale = float(cfg.get("perturb_scale", 1.0))
+    scale = value("perturb_scale", float, 1.0)
 
     if body_seq_kind == "inflate":
         f_seq = lambda n: inflate_body(f, 1.0 + 1.0 / n)

@@ -23,7 +23,7 @@ from .errors import (
     SingularBasis,
 )
 
-DEFAULT_POINT_CAP = 10**8
+DEFAULT_POINT_CAP = 10**8  # one setting; every check reads it at call time
 
 _CHUNK_NODES = 2**14  # level nodes per chunk of a planar stack
 
@@ -198,15 +198,15 @@ def _zeta(d: int) -> float:
 # enumeration
 
 
-def _check_budget(R: float, d: int, det: float, cap: int) -> None:
-    """Reject R <= 0 (or NaN) and a predicted point count vol(R)/det > cap,
-    det being the smallest covolume."""
+def _check_budget(R: float, d: int, det: float) -> None:
+    """Reject R <= 0 (or NaN) and a predicted point count vol(R)/det above
+    DEFAULT_POINT_CAP, det being the smallest covolume."""
     if not R > 0:
         raise ValueError("R must be positive")
     pred = _unit_ball_volume(d) * R**d / det
-    if pred > cap:
+    if pred > DEFAULT_POINT_CAP:
         raise BudgetExceeded(f"predicted point count {pred:.3g} exceeds cap "
-                             f"{cap}")
+                             f"{DEFAULT_POINT_CAP}")
 
 
 def _gauss_reduce_2d(B: np.ndarray):
@@ -246,7 +246,7 @@ def _size_reduce(B: np.ndarray):
     return W, U
 
 
-def _enum(W: np.ndarray, R: float, cap: int):
+def _enum(W: np.ndarray, R: float):
     """(idx, X): every integer x with ||W x|| <= R for each basis of a stack
     (N, d, d), row k of X belonging to basis idx[k], grouped by basis.
 
@@ -256,7 +256,7 @@ def _enum(W: np.ndarray, R: float, cap: int):
     x_i in its remaining radius: nodes gather B_i, mu_ij by basis index,
     np.repeat + cumsum offsets expand them.  Intervals are inflated by
     1e-9, the exact test ||W x||^2 <= R^2 ends the search, and a level
-    with more than `cap` nodes of one basis raises BudgetExceeded.
+    of more than DEFAULT_POINT_CAP nodes of one basis is BudgetExceeded.
     """
     N, d = W.shape[:2]
     V = W.mT.copy()  # V[:, i] is column i
@@ -289,10 +289,11 @@ def _enum(W: np.ndarray, R: float, cap: int):
             cnt = np.floor(w - cen).astype(np.int64) - lo + 1
         end = cnt.cumsum()
         total = int(end[-1])
-        if total > cap:
+        if total > DEFAULT_POINT_CAP:
             worst = total if N == 1 else int(np.bincount(idx, cnt).max())
-            if worst > cap:
-                raise BudgetExceeded(f"{worst} candidates exceed cap {cap}")
+            if worst > DEFAULT_POINT_CAP:
+                raise BudgetExceeded(f"{worst} candidates exceed cap "
+                                     f"{DEFAULT_POINT_CAP}")
         x = np.arange(total) + (lo + cnt - end).repeat(cnt)
         cols = [c.repeat(cnt) for c in cols]
         idx = idx.repeat(cnt) if N > 1 else idx
@@ -310,7 +311,7 @@ def _enum(W: np.ndarray, R: float, cap: int):
     return (idx[keep] if N > 1 else np.zeros(len(X), np.int64)), X
 
 
-def _planar_points(bases, R: float, cap: int = DEFAULT_POINT_CAP):
+def _planar_points(bases, R: float):
     """Chunks (idx, coeffs, coords) of the points of norm <= R of each basis
     of a planar stack (N, 2, 2), admitted and capped as by make_lattice and
     enumerate_ball_arrays; coords are B c by the dots of ``coeffs @ B.T``.
@@ -319,33 +320,33 @@ def _planar_points(bases, R: float, cap: int = DEFAULT_POINT_CAP):
     l, so memory does not grow with N."""
     B = np.asarray(bases, dtype=float)
     det = _admitted_det(B)
-    _check_budget(R, 2, det.min(initial=math.inf), cap)
+    _check_budget(R, 2, det.min(initial=math.inf))
     W, U = _gauss_reduce_2d(B)
     short = np.sqrt(np.vecdot(W[:, :, 0], W[:, :, 0]))
     nodes = (2 * R * short / det + 1) * (2 * R / short + 1)
     window = (np.cumsum(nodes) - nodes) // _CHUNK_NODES
     starts = np.flatnonzero(np.diff(window, prepend=-1))
     for lo, hi in zip(starts, [*starts[1:], len(B)]):
-        idx, X = _enum(W[lo:hi], R, cap)
+        idx, X = _enum(W[lo:hi], R)
         u = U[lo:hi][idx]
         coeffs = u[:, :, 0] * X[:, :1] + u[:, :, 1] * X[:, 1:]  # U x
         yield idx + lo, coeffs, np.vecdot(B[lo:hi][idx], coeffs[:, None, :])
 
 
-def enumerate_ball_arrays(L: Lattice, R: float, cap: int = DEFAULT_POINT_CAP,
-                          sort: bool = True):
+def enumerate_ball_arrays(L: Lattice, R: float, *, sort: bool = True):
     """All lattice points with Euclidean norm <= R, as arrays.
 
     Returns (coeffs, coords): integer coefficients w.r.t. the stored basis
     and real coordinates, rows sorted lexicographically by coefficients
     (callers that do order-independent reductions may pass sort=False).
-    The origin row is included.  The kernels run on a stack of one.
+    The origin row is included.  The kernels run on a stack of one; a
+    count above DEFAULT_POINT_CAP raises BudgetExceeded.
     """
     d = L.dim
-    _check_budget(R, d, L.det, cap)
+    _check_budget(R, d, L.det)
     W, U = _gauss_reduce_2d(L.basis[None]) if d == 2 \
         else (M[None] for M in _size_reduce(L.basis))
-    coeffs = _enum(W, R, cap)[1] @ U[0].T  # x = W c = B (U c)
+    coeffs = _enum(W, R)[1] @ U[0].T  # x = W c = B (U c)
     coords = coeffs @ L.basis.T
     if sort:
         order = np.lexsort(coeffs.T[::-1])
@@ -353,8 +354,7 @@ def enumerate_ball_arrays(L: Lattice, R: float, cap: int = DEFAULT_POINT_CAP,
     return coeffs, coords
 
 
-def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float,
-                               cap: int = DEFAULT_POINT_CAP):
+def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
     """Planar lattice points near the axes, as arrays (coeffs, coords).
 
     Returns a superset of the nonzero points with |x1*x2| <= s and
@@ -368,7 +368,7 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float,
     the ball of radius sqrt(2) of the lattice diag(1/a, 1/h) B; the stack of
     these O(log(R^2/s)) bases is enumerated in place of the pi R^2/det points
     of the ball.  Like every enumeration interval, s and R are inflated by a
-    relative 1e-9; `cap` bounds the candidates summed over all rectangles.
+    relative 1e-9; DEFAULT_POINT_CAP caps the candidates of all rectangles.
     """
     if L.dim != 2:
         raise DimensionMismatch("hyperbolic-cross enumeration is planar")
@@ -386,19 +386,19 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float,
         short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
         sides += [(short, long_), (long_, short)]
     W, U = _gauss_reduce_2d(L.basis / np.array(sides)[:, :, None])
-    idx, X = _enum(W, math.sqrt(2.0), cap)
-    if len(X) > cap:
-        raise BudgetExceeded(f"{len(X)} candidates exceed cap {cap}")
+    idx, X = _enum(W, math.sqrt(2.0))
+    if len(X) > DEFAULT_POINT_CAP:
+        raise BudgetExceeded(f"{len(X)} candidates exceed cap "
+                             f"{DEFAULT_POINT_CAP}")
     coeffs = np.unique(np.vecdot(U[idx], X[:, None, :]), axis=0)
     coeffs = coeffs[np.any(coeffs != 0, axis=1)]
     return coeffs, coeffs @ L.basis.T
 
 
-def enumerate_ball(L: Lattice, R: float,
-                   cap: int = DEFAULT_POINT_CAP) -> list[LatticePoint]:
+def enumerate_ball(L: Lattice, R: float) -> list[LatticePoint]:
     """Object wrapper around :func:`enumerate_ball_arrays`."""
     return [LatticePoint.of(c, x)
-            for c, x in zip(*enumerate_ball_arrays(L, R, cap))]
+            for c, x in zip(*enumerate_ball_arrays(L, R))]
 
 
 def primitive_mask(coeffs: np.ndarray) -> np.ndarray:

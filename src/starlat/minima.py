@@ -18,7 +18,6 @@ from .bodies import (
 from .errors import InvariantViolation, UnboundedBody
 from .lattice import (
     _INFLATE,
-    DEFAULT_POINT_CAP,
     Lattice,
     LatticePoint,
     _gauss_reduce_2d,
@@ -36,76 +35,55 @@ class MinimaResult:
     exact: bool
 
 
-def _argmin_f_lex(coeffs: np.ndarray, fvals: np.ndarray,
-                  mask: np.ndarray) -> int:
-    """Row with the smallest f among `mask`, ties broken by lex-smallest
-    coefficients; -1 when no masked row has a finite f."""
-    f = np.where(mask, fvals, np.inf)
-    fmin = f.min(initial=np.inf)
-    if not np.isfinite(fmin):
-        return -1
-    tie = np.flatnonzero(f == fmin)
-    if len(tie) == 1:
-        return int(tie[0])
-    sub = coeffs[tie]
-    d = coeffs.shape[1]
-    o = np.lexsort(tuple(sub[:, k] for k in range(d - 1, -1, -1)))
-    return int(tie[o[0]])
-
-
 def _greedy_minima(coeffs: np.ndarray, fvals: np.ndarray,
                    d: int) -> list[int]:
     """Indices of the greedy successive-minima witnesses among the rows.
 
-    Each step picks, by :func:`_argmin_f_lex`, a row of least finite f among
-    the nonzero rows still independent of the rows picked before, then
-    eliminates every row against it at once (fraction-free, with Bareiss's
-    exact division), so a row is dependent exactly when it has become zero.
+    The nonzero rows with finite f are ranked once by (f, lex coefficients);
+    rows with non-finite f are never picked.  Each step picks the first
+    ranked row left, eliminates the later rows against it (fraction-free,
+    with Bareiss's exact division) and drops those that became zero: the
+    rows dependent on the picks, repeats of a pick among them, so the rows
+    need not be sorted or distinct.
     Entries stay below 2 (d max|c|^2)^(d-1) by Hadamard's inequality: the
     rows are int64 while that is below 2^63 and Python ints (dtype=object)
     past it, so no input loses exactness.
     """
     m = int(np.abs(coeffs).max(initial=0))
-    M = coeffs.astype(np.int64 if 2 * (d * m * m) ** (d - 1) < 2**63
-                      else object)
-    live = np.any(coeffs != 0, axis=1)
+    rank = np.flatnonzero(np.isfinite(fvals) & np.any(coeffs != 0, axis=1))
+    rank = rank[np.lexsort((*coeffs[rank].T[::-1], fvals[rank]))]
+    M = coeffs[rank].astype(np.int64 if 2 * (d * m * m) ** (d - 1) < 2**63
+                            else object)
     chosen: list[int] = []
     prev = 1
-    while True:
-        i = _argmin_f_lex(coeffs, fvals, live)
-        if i < 0:
-            return chosen
-        chosen.append(i)
+    while len(M):
+        chosen.append(int(rank[0]))
         if len(chosen) == d:
-            return chosen
-        row = M[i]
+            break
+        row = M[0]
         col = int(np.flatnonzero(row)[0])
-        M = (row[col] * M - M[:, col:col + 1] * row) // prev
+        M = (row[col] * M[1:] - M[1:, col:col + 1] * row) // prev
         prev = row[col]
-        live &= np.any(M != 0, axis=1)
+        live = np.any(M != 0, axis=1)
+        M, rank = M[live], rank[1:][live]
+    return chosen
 
 
 def _result_from(chosen: Sequence[int], coeffs: np.ndarray,
                  coords: np.ndarray, fvals: np.ndarray, d: int,
                  exact: bool) -> MinimaResult:
-    values: list[float] = []
-    witnesses: list[Optional[LatticePoint]] = []
-    for idx in chosen:
-        values.append(float(fvals[idx]))
-        witnesses.append(LatticePoint.of(coeffs[idx], coords[idx]))
-    while len(values) < d:
-        values.append(math.inf)
-        witnesses.append(None)
-    return MinimaResult(values=tuple(values), witnesses=tuple(witnesses),
-                        exact=exact)
+    pad = d - len(chosen)  # a rank deficit leaves inf and no witness
+    return MinimaResult(
+        values=tuple(float(fvals[i]) for i in chosen) + (math.inf,) * pad,
+        witnesses=tuple(LatticePoint.of(coeffs[i], coords[i])
+                        for i in chosen) + (None,) * pad, exact=exact)
 
 
-def _budget_candidates(f: DistanceFunction, L: Lattice, R: float,
-                       cap: int = DEFAULT_POINT_CAP):
+def _budget_candidates(f: DistanceFunction, L: Lattice, R: float):
     """Lattice points (coeffs, coords) holding the greedy minima of f at
     every budget <= R: the ball of radius R, filtered to the radius
-    R * (1 + 1e-9) that ball enumeration admits.  The origin may be among
-    them; :func:`_greedy_minima` never picks it.
+    R * (1 + 1e-9) that ball enumeration admits.  The origin and repeated
+    rows may be among them, which :func:`_greedy_minima` allows.
 
     For the planar hyperbola body |x1*x2|^(1/2) fewer points suffice.  The
     Gauss-reduced basis lies in the ball of radius r0 and has max f = sqrt(s),
@@ -121,20 +99,18 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, R: float,
         r0 = math.sqrt(float((w * w).sum(axis=1).max())) * (1.0 + _INFLATE)
         root_s = float(np.max(f.evaluator(w)))
         if r0 < R and 0.0 < root_s < math.inf:
-            ball, _ = enumerate_ball_arrays(L, r0, cap, sort=False)
-            cross, _ = enumerate_hyperbolic_cross(L, root_s * root_s, R,
-                                                  cap - len(ball))
-            coeffs = np.unique(np.concatenate([ball, cross]), axis=0)
+            ball, _ = enumerate_ball_arrays(L, r0, sort=False)
+            cross, _ = enumerate_hyperbolic_cross(L, root_s * root_s, R)
+            coeffs = np.concatenate([ball, cross])
             coords = coeffs @ L.basis.T
             keep = ((coords * coords).sum(axis=1)
                     <= (R * (1.0 + _INFLATE)) ** 2)
             return coeffs[keep], coords[keep]
-    return enumerate_ball_arrays(L, R, cap, sort=False)
+    return enumerate_ball_arrays(L, R, sort=False)
 
 
 def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
                             resolution: int = 512,
-                            cap: int = DEFAULT_POINT_CAP,
                             cert: Optional[BoundednessCertificate] = None
                             ) -> MinimaResult:
     """Exact successive minima of a bounded star body.
@@ -155,7 +131,7 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
     d = L.dim
     R = max(L.det ** (1.0 / d) / alpha, 1e-9)
     while True:
-        coeffs, coords = enumerate_ball_arrays(L, R, cap)
+        coeffs, coords = enumerate_ball_arrays(L, R, sort=False)
         fvals = np.asarray(f.evaluator(coords), dtype=float)
         chosen = _greedy_minima(coeffs, fvals, d)
         if len(chosen) == d:
@@ -168,8 +144,8 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
         R *= 2.0
 
 
-def minima_upper_bound(f: DistanceFunction, L: Lattice, radius_budget: float,
-                       *, cap: int = DEFAULT_POINT_CAP) -> MinimaResult:
+def minima_upper_bound(f: DistanceFunction, L: Lattice,
+                       radius_budget: float) -> MinimaResult:
     """Greedy minima over the lattice points inside a fixed Euclidean ball.
 
     Values are upper bounds on the true minima and are monotone
@@ -184,7 +160,7 @@ def minima_upper_bound(f: DistanceFunction, L: Lattice, radius_budget: float,
     if radius_budget <= 0:
         raise ValueError("radius_budget must be positive")
     d = L.dim
-    coeffs, coords = _budget_candidates(f, L, radius_budget, cap)
+    coeffs, coords = _budget_candidates(f, L, radius_budget)
     fvals = np.asarray(f.evaluator(coords), dtype=float)
     return _result_from(_greedy_minima(coeffs, fvals, d), coeffs, coords,
                         fvals, d, exact=False)

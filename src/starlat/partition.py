@@ -25,7 +25,6 @@ from .errors import (
 )
 from .haar import sample_unimodular_2d_arrays
 from .lattice import (
-    DEFAULT_POINT_CAP,
     Lattice,
     LatticePoint,
     _planar_points,
@@ -106,6 +105,7 @@ class RateReport:
 
 # quadrant index by 2 * (u >= 0) + (v >= 0); exact zeros count positive
 _QUADRANT_BY_SIGNS = np.array([3, 2, 4, 1], dtype=np.int64)
+_PARTITION_TOL_FRAC = 0.01  # equipartition tolerance, a fraction of total/4
 
 
 def _median_cut(vals: np.ndarray, weights: np.ndarray) -> float:
@@ -138,8 +138,7 @@ def _masses_at(pts: np.ndarray, w: np.ndarray, theta: float):
     return center, tuple(float(w[q == i].sum()) for i in (1, 2, 3, 4))
 
 
-def two_line_equipartition(points, tol: float, weights=None,
-                           max_iter: int = 200) -> Partition2D:
+def two_line_equipartition(points, tol: float, weights=None) -> Partition2D:
     """Split a weighted planar sample into four parts of mass total/4 by two
     orthogonal lines, each line halving the mass.
 
@@ -163,7 +162,7 @@ def two_line_equipartition(points, tol: float, weights=None,
         return Partition2D(center=center0, angle=0.0, masses=m0)
     g0 = m0[0] - m0[1]
     lo, hi = 0.0, math.pi / 2.0
-    for _ in range(max_iter):
+    while hi - lo >= 1e-15:  # about 51 halvings
         mid = 0.5 * (lo + hi)
         center, m = _masses_at(pts, w, mid)
         if max(abs(v - quarter) for v in m) <= tol:
@@ -173,8 +172,6 @@ def two_line_equipartition(points, tol: float, weights=None,
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15:
-            break
     raise NoConvergence(
         "equipartition bisection stalled; likely atoms on the lines")
 
@@ -266,6 +263,8 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
     The n-th outer radius is the (bisected) smallest radius whose annulus
     volume estimate minus two standard errors exceeds 2^d * zeta(d) * n.
     """
+    if mc_points < 1:
+        raise ValueError("mc_points must be at least 1")
     zd = _zeta(d)
     shells: list[Shell] = []
     rho_prev = 0.0
@@ -370,8 +369,7 @@ def _classify_rows(shells: list[Shell], partitions: list[Partition2D],
 
 def extract_witnesses(L: Lattice, shells: list[Shell],
                       partitions: list[Partition2D],
-                      budget: float = math.inf,
-                      cap: int = DEFAULT_POINT_CAP) -> WitnessReport:
+                      budget: float = math.inf) -> WitnessReport:
     """Per shell: find one primitive lattice point per partition quadrant and
     select two linearly independent representatives.
 
@@ -384,8 +382,7 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
     """
     if not shells:
         return WitnessReport(tuples=(), failures=())
-    coeffs, coords = enumerate_ball_arrays(L, min(shells[-1].outer, budget),
-                                           cap)
+    coeffs, coords = enumerate_ball_arrays(L, min(shells[-1].outer, budget))
     k, q = _classify_rows(shells, partitions, coeffs, coords)
     rows = np.flatnonzero(q)
     keys, first = np.unique(4 * k[rows] + q[rows] - 1, return_index=True)
@@ -425,7 +422,6 @@ class PipelineConfig:
     body: BodyPredicate = field(default_factory=plane_body)
     mc_points: int = 10**5
     partition_points: int = 10**4
-    partition_tol_frac: float = 0.01   # tolerance as a fraction of total/4
     budget: float = math.inf
 
 
@@ -436,7 +432,7 @@ def build_partitions(shells: list[Shell], config: PipelineConfig,
         sub = int(np.random.SeedSequence(
             entropy=seed, spawn_key=(7, shell.index)).generate_state(1)[0])
         pts = sample_shell_points(shell, config.partition_points, sub)
-        tol = config.partition_tol_frac * len(pts) / 4.0
+        tol = _PARTITION_TOL_FRAC * len(pts) / 4.0
         parts.append(two_line_equipartition(pts, tol=max(tol, 1.0)))
     return parts
 
@@ -455,7 +451,7 @@ def part_miss_rate(n: int, samples: int, config: PipelineConfig,
     # together in chunks
     occupancy = np.zeros(4 * samples, dtype=np.int64)
     for idx, coeffs, coords in _planar_points(
-            bases, min(shell.outer, config.budget), DEFAULT_POINT_CAP):
+            bases, min(shell.outer, config.budget)):
         q = _classify_rows([shell], [part], coeffs, coords)[1]
         hit = q > 0
         occupancy += np.bincount(4 * idx[hit] + q[hit] - 1,

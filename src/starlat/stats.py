@@ -14,7 +14,6 @@ from .bodies import DistanceFunction, _spec_options, boundedness_floor, \
     parse_body
 from .errors import InvariantViolation, UnboundedBody
 from .lattice import (
-    DEFAULT_POINT_CAP,
     Lattice,
     _planar_points,
     _zeta,
@@ -110,10 +109,9 @@ def parse_region(spec: str, dim: int = 2) -> Region:
     raise ValueError(f"unknown region spec {spec!r}")
 
 
-def count_primitive(L: Lattice, region: Region,
-                    cap: int = DEFAULT_POINT_CAP) -> int:
+def count_primitive(L: Lattice, region: Region) -> int:
     """Exact number of primitive points of L in the region."""
-    coeffs, coords = enumerate_ball_arrays(L, region.bounding_radius, cap,
+    coeffs, coords = enumerate_ball_arrays(L, region.bounding_radius,
                                            sort=False)
     mask = np.asarray(region.contains(coords), dtype=bool)
     return int(np.count_nonzero(primitive_mask(coeffs[mask])))
@@ -144,12 +142,10 @@ class MomentReport:
     entries: tuple[RegionMoment, ...]
 
 
-def _primitive_counts(region: Region, bases: np.ndarray,
-                      cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
+def _primitive_counts(region: Region, bases: np.ndarray) -> np.ndarray:
     """:func:`count_primitive` for each lattice of a planar stack (N, 2, 2)."""
     counts = np.zeros(len(bases), dtype=np.int64)
-    for idx, coeffs, coords in _planar_points(bases, region.bounding_radius,
-                                              cap):
+    for idx, coeffs, coords in _planar_points(bases, region.bounding_radius):
         keep = np.asarray(region.contains(coords), dtype=bool) \
             & primitive_mask(coeffs)
         counts += np.bincount(idx[keep], minlength=len(bases))
@@ -213,8 +209,7 @@ def _lambda2_at_budgets(coeffs: np.ndarray, fvals: np.ndarray,
 
 
 def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
-                        thresholds=(1.0, 0.5, 0.2),
-                        cap: int = DEFAULT_POINT_CAP) -> Theorem2Report:
+                        thresholds=(1.0, 0.5, 0.2)) -> Theorem2Report:
     """Budgeted lambda-hat_2 curves for an unbounded body over Haar lattices.
 
     Per-lattice curves are monotone non-increasing by construction (nested
@@ -240,7 +235,7 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
     rows = []
     for i in range(N):
         L = make_lattice(bases[i])
-        coeffs, coords = _budget_candidates(body, L, budgets[-1], cap)
+        coeffs, coords = _budget_candidates(body, L, budgets[-1])
         fvals = np.asarray(body.evaluator(coords), dtype=float)
         norms2 = (coords * coords).sum(axis=1)
         lam2 = _lambda2_at_budgets(coeffs, fvals, norms2, budgets)

@@ -73,11 +73,11 @@ def tuple_minima(basis, fvals_of, R):
     return values
 
 
-def ball_candidates(f, L, R, cap=10**8):
+def ball_candidates(f, L, R):
     """The whole-ball candidate set that the hyperbola fast path replaces:
     nonzero points of the Euclidean ball of radius R."""
     from starlat.lattice import enumerate_ball_arrays
-    coeffs, coords = enumerate_ball_arrays(L, R, cap, sort=False)
+    coeffs, coords = enumerate_ball_arrays(L, R, sort=False)
     nz = np.any(coeffs != 0, axis=1)
     return coeffs[nz], coords[nz]
 

@@ -171,6 +171,16 @@ def test_closed_form_floor_bounds_the_sampled_estimate(d, resolution):
     assert h.floor == 0.0 and not sl.boundedness_floor(h, resolution).bounded
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_sampled_floor_takes_the_axes(d):
+    # the 3D sphere sample has no axis points; without them a floorless
+    # hyperbola read 0.0020 (bounded) and the p = 1/2 ball 1.0024 > 1
+    def sampled(f):
+        return sl.boundedness_floor(dataclasses.replace(f, floor=None), 512)
+    assert not sampled(sl.hyperbolic(d)).bounded
+    assert sampled(sl.pnorm_ball(d, 0.5)).floor <= 1.0
+
+
 @pytest.mark.parametrize("make", [
     lambda: sl.pnorm_ball(2, 0),
     lambda: sl.pnorm_ball(2, -1),

@@ -218,6 +218,20 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
      "ball needs p > 0, got p=0"),
     (("minima", "--basis", "1e200,1e200;1e200,1e200", "--body", "ball:p=2"),
      "basis columns are numerically dependent"),
+    (("witness", "--body", "ball:p=2", "--mc-points", "0"),
+     "mc_points must be at least 1"),
+    (("witness", "--body", "ball:p=2", "--mc-points", "-5"),
+     "mc_points must be at least 1"),
+    (("probe", "--config", {"body": 5, "basis": "1,0;0,1"}),
+     "probe config key 'body' must be a string"),
+    (("probe", "--config", {"body": "ball:p=2", "basis": 7}),
+     "probe config key 'basis' must be a string"),
+    (("probe", "--config", {"body": "ball:p=2", "basis": "1,0;0,1",
+                            "n_max": [1]}),
+     "probe config key 'n_max' must be a number, got [1]"),
+    (("probe", "--config", {"body": "ball:p=2", "basis": "1,0;0,1",
+                            "budget": None}),
+     "probe config key 'budget' must be a number, got None"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starlat as sl
+from starlat import lattice
 from starlat.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -105,10 +106,13 @@ def test_enumerate_ball_axis_aligned():
     assert got == {(0, 0), (1, 0), (-1, 0)}
 
 
-def test_enumerate_ball_budget():
+def test_enumerate_ball_budget(monkeypatch):
     L = sl.make_lattice([[1, 0], [0, 1]])
     with pytest.raises(BudgetExceeded):
-        sl.enumerate_ball(L, 1e6, cap=1000)
+        sl.enumerate_ball(L, 1e6)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 1000)
+    with pytest.raises(BudgetExceeded, match="exceeds cap 1000"):
+        sl.enumerate_ball(L, 20.0)
 
 
 def test_enumerate_matches_grid_oracle_random(rng):
@@ -150,23 +154,25 @@ def test_enumerate_matches_grid_oracle_random(rng):
             assert [p.coeffs for p in sl.enumerate_ball(L, R)] == want
 
 
-def test_enumerate_node_budget():
+def test_enumerate_node_budget(monkeypatch):
     # one pass of size reduction leaves this basis of Z^3 skewed: the
     # search's top level holds hundreds of nodes for the 33 points of the
     # ball of radius 2, so a cap of 100 is exceeded inside the search
     L = sl.make_lattice(sl.random_unimodular(3, 3, 40))
     assert len(sl.enumerate_ball(L, 2.0)) == 33
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 100)
     with pytest.raises(BudgetExceeded):
-        sl.enumerate_ball(L, 2.0, cap=100)
+        sl.enumerate_ball(L, 2.0)
 
 
-def test_enumerate_node_budget_below_the_top_level():
+def test_enumerate_node_budget_below_the_top_level(monkeypatch):
     # 2,663 top-level nodes of this skewed basis of Z^3 expand into 99,063
     # middle-level nodes for the 179 points of the ball of radius 3.47
     L = sl.make_lattice(sl.random_unimodular(3, 5, 40))
     assert len(sl.enumerate_ball_arrays(L, 3.47)[0]) == 179
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 50000)
     with pytest.raises(BudgetExceeded, match="99063 candidates exceed cap"):
-        sl.enumerate_ball_arrays(L, 3.47, cap=50000)
+        sl.enumerate_ball_arrays(L, 3.47)
 
 
 def test_primitive_mask():
@@ -312,14 +318,15 @@ def test_hyperbolic_cross_matches_per_rectangle_loop(rng):
             assert coords.tobytes() == want_x.tobytes()
 
 
-def test_hyperbolic_cross_rejects_bad_input():
+def test_hyperbolic_cross_rejects_bad_input(monkeypatch):
     L = sl.golden_lattice()
     for s, R in ((1.0, 0.0), (1.0, -3.0), (0.0, 10.0), (math.inf, 10.0)):
         with pytest.raises(ValueError):
             sl.enumerate_hyperbolic_cross(L, s, R)
     with pytest.raises(BudgetExceeded):
         sl.enumerate_hyperbolic_cross(L, 1.0, math.inf)
-    with pytest.raises(BudgetExceeded):
-        sl.enumerate_hyperbolic_cross(L, 1.0, 1e3, cap=5)
     with pytest.raises(DimensionMismatch):
         sl.enumerate_hyperbolic_cross(sl.make_lattice(np.eye(3)), 1.0, 5.0)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 5)
+    with pytest.raises(BudgetExceeded):
+        sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)

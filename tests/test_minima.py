@@ -293,8 +293,9 @@ def test_noncontinuity_dependent_witnesses_raise(monkeypatch):
 
 def _greedy_cases():
     """Ball point sets (coeffs, fvals, d), origin included: Z^d (heavy f
-    ties), random unimodular and uniform bases, four bodies, three radii."""
-    rng = np.random.default_rng(2360)
+    ties), random unimodular and uniform bases, four bodies, three radii;
+    each in lex order, shuffled, and shuffled with repeated rows."""
+    rng, rows_rng = np.random.default_rng(2360), np.random.default_rng(2361)
     for d in (2, 3):
         bodies = [sl.pnorm_ball(d, 1), sl.pnorm_ball(d, 2),
                   sl.pnorm_ball(d, math.inf), sl.hyperbolic(d)]
@@ -309,8 +310,12 @@ def _greedy_cases():
             for r in (1.2, 2.5, 4.0):
                 coeffs, coords = sl.enumerate_ball_arrays(
                     L, r * L.det ** (1.0 / d))
+                shuffled = rows_rng.permutation(len(coeffs))
+                repeated = rows_rng.integers(0, len(coeffs), 2 * len(coeffs))
                 for f in bodies:
-                    yield coeffs, f.evaluator(coords), d
+                    fvals = f.evaluator(coords)
+                    for rows in (slice(None), shuffled, repeated):
+                        yield coeffs[rows], fvals[rows], d
 
 
 def test_greedy_kernel_matches_reference_scan():
@@ -319,7 +324,7 @@ def test_greedy_kernel_matches_reference_scan():
         assert minima._greedy_minima(coeffs, fvals, d) == \
             reference_greedy(coeffs, fvals, d), (coeffs.tolist(), d)
         n += 1
-    assert n >= 200
+    assert n >= 600
 
 
 def test_greedy_kernel_large_planar_sets_and_empty_input():
@@ -334,6 +339,12 @@ def test_greedy_kernel_large_planar_sets_and_empty_input():
             reference_greedy(coeffs, fvals, 2)
     assert minima._greedy_minima(np.empty((0, 2), dtype=np.int64),
                                  np.empty(0), 2) == []
+
+
+def test_greedy_kernel_never_picks_non_finite_f():
+    coeffs = np.array([[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]])
+    fvals = np.array([np.nan, -np.inf, 3.0, np.inf, 2.0])
+    assert minima._greedy_minima(coeffs, fvals, 2) == [4, 2]
 
 
 def test_greedy_kernel_exact_beyond_int64():

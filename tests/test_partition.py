@@ -182,7 +182,7 @@ def test_extract_witnesses_collinear_representatives_raise(monkeypatch):
     # (a repeated primitive row, inside the first shell, stands in for it)
     rows = np.array([[1, 0], [-1, 0], [1, 0], [-1, 0]])
     monkeypatch.setattr(partition, "enumerate_ball_arrays",
-                        lambda L, R, cap: (rows, rows * 1.0))
+                        lambda L, R: (rows, rows * 1.0))
     monkeypatch.setattr(partition, "_quadrants_of_rows",
                         lambda part, coords: np.array([1, 2, 3, 4]))
     L = sl.make_lattice([[1, 0], [0, 1]])

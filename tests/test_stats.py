@@ -5,7 +5,7 @@ import pytest
 from scipy.special import zeta
 
 import starlat as sl
-from starlat import stats
+from starlat import lattice, stats
 from starlat.errors import BudgetExceeded, InvariantViolation, UnboundedBody
 
 from conftest import (ball_candidates, grid_primitive_count,
@@ -149,24 +149,26 @@ def test_batched_counts_span_several_chunks():
     (np.array([[1.0, 2.0], [2.0, 4.0]]), sl.SingularBasis),
     (np.array([[1.0, np.nan], [0.0, 1.0]]), sl.SingularBasis),
 ])
-def test_one_bad_lattice_in_a_stack_raises(bad, error):
+def test_one_bad_lattice_in_a_stack_raises(monkeypatch, bad, error):
     bases = _stack("haar", 300, 8)
     bases[117] = bad
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 10**4)
     with pytest.raises(error):
-        stats._primitive_counts(sl.disk_region(2.0), bases, cap=10**4)
+        stats._primitive_counts(sl.disk_region(2.0), bases)
 
 
-def test_level_cap_is_per_lattice_in_a_stack():
-    # the Haar stack holds far more than `cap` level nodes in total but a
-    # few per lattice; a lattice with 201 points on a line (predicted: pi)
+def test_level_cap_is_per_lattice_in_a_stack(monkeypatch):
+    # the Haar stack holds far more than the cap's level nodes in total but
+    # a few per lattice; a lattice with 201 points on a line (predicted: pi)
     # exceeds the cap inside the search
     region = sl.disk_region(1.0)
     bases = _stack("haar", 300, 9)
-    assert np.array_equal(stats._primitive_counts(region, bases, cap=100),
-                          loop_primitive_counts(region, bases))
+    want = loop_primitive_counts(region, bases)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 100)
+    assert np.array_equal(stats._primitive_counts(region, bases), want)
     bases[150] = np.diag([0.01, 100.0])
     with pytest.raises(BudgetExceeded, match="201 candidates exceed cap 100"):
-        stats._primitive_counts(region, bases, cap=100)
+        stats._primitive_counts(region, bases)
 
 
 def test_rogers_rejects_small_sample():
