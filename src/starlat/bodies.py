@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
+from .lattice import _fold
 
 DEFAULT_BOUNDED_TOL = 1e-6
 
@@ -80,8 +81,9 @@ def box(dim: int = 2) -> DistanceFunction:
 
 
 def hyperbolic(dim: int = 2) -> DistanceFunction:
-    """f(x) = |x_1 ... x_d|^(1/d): degree-1 homogeneous, vanishes on the axes."""
-    ev = lambda x: np.abs(np.prod(x, axis=-1)) ** (1.0 / dim)
+    """f(x) = |x_1 ... x_d|^(1/d): degree-1 homogeneous, vanishes on the axes;
+    the product of points (..., d) or (d,) is a column fold (lattice._fold)."""
+    ev = lambda x: np.abs(_fold(np.multiply, np.asarray(x))) ** (1.0 / dim)
     return DistanceFunction(dim=dim, evaluator=ev, label="hyperbola",
                             params=(dim,), floor=0.0)
 
@@ -89,8 +91,7 @@ def hyperbolic(dim: int = 2) -> DistanceFunction:
 def scale_body(f: DistanceFunction, c: float) -> DistanceFunction:
     """The body c*S, i.e. distance function f/c; finite c > 0."""
     _check_factor("scale", c)
-    base = f.evaluator
-    ev = lambda x: base(x) / c
+    ev = lambda x: f.evaluator(x) / c
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"scale:c={c:g}:{f.label}",
                             params=(c,) + f.params,
@@ -100,8 +101,7 @@ def scale_body(f: DistanceFunction, c: float) -> DistanceFunction:
 def inflate_body(f: DistanceFunction, c: float) -> DistanceFunction:
     """Distance function c*f (the body S/c); finite c > 0."""
     _check_factor("inflate", c)
-    base = f.evaluator
-    ev = lambda x: c * base(x)
+    ev = lambda x: c * f.evaluator(x)
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"inflate:c={c:g}:{f.label}",
                             params=(c,) + f.params,
@@ -113,8 +113,7 @@ def linear_image(f: DistanceFunction, A) -> DistanceFunction:
     f's over the largest singular value of A: ||A^-1 x|| >= ||x|| / s_max."""
     A = np.asarray(A, dtype=float)
     Ainv = np.linalg.inv(A)
-    base = f.evaluator
-    ev = lambda x: base(x @ Ainv.T)
+    ev = lambda x: f.evaluator(x @ Ainv.T)
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"image:{f.label}",
                             floor=_floor_times(

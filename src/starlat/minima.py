@@ -20,6 +20,7 @@ from .lattice import (
     _INFLATE,
     Lattice,
     LatticePoint,
+    _fold,
     _gauss_reduce_2d,
     enumerate_ball_arrays,
     enumerate_hyperbolic_cross,
@@ -96,14 +97,14 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, R: float):
     if f.label == "hyperbola" and f.params == (2,) and L.dim == 2:
         _, U = _gauss_reduce_2d(L.basis[None])
         w = U[0].T @ L.basis.T
-        r0 = math.sqrt(float((w * w).sum(axis=1).max())) * (1.0 + _INFLATE)
+        r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + _INFLATE)
         root_s = float(np.max(f.evaluator(w)))
         if r0 < R and 0.0 < root_s < math.inf:
             ball, _ = enumerate_ball_arrays(L, r0, sort=False)
             cross, _ = enumerate_hyperbolic_cross(L, root_s * root_s, R)
             coeffs = np.concatenate([ball, cross])
             coords = coeffs @ L.basis.T
-            keep = ((coords * coords).sum(axis=1)
+            keep = (_fold(np.add, coords * coords)
                     <= (R * (1.0 + _INFLATE)) ** 2)
             return coeffs[keep], coords[keep]
     return enumerate_ball_arrays(L, R, sort=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .haar import sample_unimodular_2d_arrays
 from .lattice import (
     Lattice,
     LatticePoint,
+    _fold,
     _planar_points,
     _unit_ball_volume,
     _zeta,
@@ -106,6 +107,7 @@ class RateReport:
 # quadrant index by 2 * (u >= 0) + (v >= 0); exact zeros count positive
 _QUADRANT_BY_SIGNS = np.array([3, 2, 4, 1], dtype=np.int64)
 _PARTITION_TOL_FRAC = 0.01  # equipartition tolerance, a fraction of total/4
+_MAX_BATCHES = 10**4  # rejection batches before sample_shell_points gives up
 
 
 def _median_cut(vals: np.ndarray, weights: np.ndarray) -> float:
@@ -123,18 +125,18 @@ def _median_cut(vals: np.ndarray, weights: np.ndarray) -> float:
     return float(v[i])
 
 
-def _turned(theta: float, x, y):
-    """Coordinates of (x, y) along the axes turned by theta."""
-    ct, st = math.cos(theta), math.sin(theta)
-    return x * ct + y * st, -x * st + y * ct
+def _turned(c, s, x, y):
+    """Coordinates of (x, y) along the axes turned by cosine c and sine s."""
+    return x * c + y * s, -x * s + y * c
 
 
 def _masses_at(pts: np.ndarray, w: np.ndarray, theta: float):
-    uu, vv = _turned(theta, pts[:, 0], pts[:, 1])
+    c, s = math.cos(theta), math.sin(theta)
+    uu, vv = _turned(c, s, pts[:, 0], pts[:, 1])
     cx = _median_cut(uu, w)
     cy = _median_cut(vv, w)
     q = _QUADRANT_BY_SIGNS[2 * ((uu - cx) >= 0.0) + ((vv - cy) >= 0.0)]
-    center = tuple(map(float, _turned(-theta, cx, cy)))
+    center = tuple(map(float, _turned(c, -s, cx, cy)))  # turned back
     return center, tuple(float(w[q == i].sum()) for i in (1, 2, 3, 4))
 
 
@@ -157,21 +159,18 @@ def two_line_equipartition(points, tol: float, weights=None) -> Partition2D:
     if float(w.max()) > total / 2.0:
         raise DegenerateMass("one atom carries more than half the mass")
     quarter = total / 4.0
-    center0, m0 = _masses_at(pts, w, 0.0)
-    if max(abs(m - quarter) for m in m0) <= tol:
-        return Partition2D(center=center0, angle=0.0, masses=m0)
-    g0 = m0[0] - m0[1]
-    lo, hi = 0.0, math.pi / 2.0
-    while hi - lo >= 1e-15:  # about 51 halvings
-        mid = 0.5 * (lo + hi)
+    lo, hi, mid, g0 = 0.0, math.pi / 2.0, 0.0, None
+    while hi - lo >= 1e-15:  # theta = 0, then about 51 halvings
         center, m = _masses_at(pts, w, mid)
         if max(abs(v - quarter) for v in m) <= tol:
             return Partition2D(center=center, angle=mid, masses=m)
         g = m[0] - m[1]
+        g0 = g if g0 is None else g0
         if (g > 0) == (g0 > 0):
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     raise NoConvergence(
         "equipartition bisection stalled; likely atoms on the lines")
 
@@ -179,21 +178,20 @@ def two_line_equipartition(points, tol: float, weights=None) -> Partition2D:
 def quadrant_of(partition: Partition2D, x) -> int:
     """Quadrant index in {1,2,3,4} by rotated-sign signature; exact zeros
     count positive.  1 = (+,+), 2 = (-,+), 3 = (-,-), 4 = (+,-)."""
-    return int(_quadrants_of_rows(partition,
+    return int(_quadrants_of_rows([partition],
                                   np.asarray(x, dtype=float)[None])[0])
 
 
-def _quadrants_of_rows(partition: Partition2D, pts: np.ndarray) -> np.ndarray:
-    u, v = _turned(partition.angle, pts[:, 0] - partition.center[0],
-                   pts[:, 1] - partition.center[1])
+def _quadrants_of_rows(partitions, pts: np.ndarray, k=0) -> np.ndarray:
+    """Quadrant of each row of pts in partitions[k], k an index or per row."""
+    cx, cy, c, s = np.array([(*p.center, math.cos(p.angle), math.sin(p.angle))
+                             for p in partitions]).T[:, k]
+    u, v = _turned(c, s, pts[:, 0] - cx, pts[:, 1] - cy)
     return _QUADRANT_BY_SIGNS[2 * (u >= 0.0) + (v >= 0.0)]
 
 
 # ---------------------------------------------------------------------------
 # transversal checker
-
-
-_POPCNT4 = np.array([bin(i).count("1") for i in range(16)], dtype=np.int64)
 
 
 def transversal_check(partition: Partition2D, lines: int, seed: int,
@@ -206,24 +204,20 @@ def transversal_check(partition: Partition2D, lines: int, seed: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ang = rng.uniform(0.0, math.pi, lines)
     P = np.array(partition.center) + rng.uniform(-spread, spread, (lines, 2))
-    a, c = _turned(partition.angle, P[:, 0] - partition.center[0],
+    cs = math.cos(partition.angle), math.sin(partition.angle)
+    a, c = _turned(*cs, P[:, 0] - partition.center[0],
                    P[:, 1] - partition.center[1])
-    b, d = _turned(partition.angle, np.cos(ang), np.sin(ang))
+    b, d = _turned(*cs, np.cos(ang), np.sin(ang))
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = np.where(b != 0.0, -a / b, np.nan)
         t2 = np.where(d != 0.0, -c / d, np.nan)
-    t1f = np.where(np.isnan(t1), t2, t1)
-    t2f = np.where(np.isnan(t2), t1, t2)
-    r1 = np.minimum(t1f, t2f)
-    r2 = np.maximum(t1f, t2f)
+    r1, r2 = np.fmin(t1, t2), np.fmax(t1, t2)  # a NaN takes the other
     S = np.stack([r1 - 1.0, 0.5 * (r1 + r2), r2 + 1.0])   # (3, lines)
     U = a + b * S
     V = c + d * S
     valid = (U != 0.0) & (V != 0.0)
-    code = (U > 0.0).astype(np.int64) * 2 + (V > 0.0).astype(np.int64)
-    bits = np.where(valid, np.left_shift(1, code), 0)
-    occ = bits[0] | bits[1] | bits[2]
-    counts = _POPCNT4[occ]
+    bits = np.where(valid, 1 << (2 * (U > 0.0) + (V > 0.0)), 0)
+    counts = np.bitwise_count(np.bitwise_or.reduce(bits))
     hist = np.bincount(counts, minlength=5)
     return TransversalReport(lines=lines, max_met=int(counts.max()),
                              histogram=tuple(int(h) for h in hist[:5]))
@@ -236,7 +230,7 @@ def transversal_check(partition: Partition2D, lines: int, seed: int,
 def _annulus_samples(rng: np.random.Generator, d: int, r_in: float,
                      r_out: float, count: int) -> np.ndarray:
     dirs = rng.standard_normal((count, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= np.sqrt(_fold(np.add, dirs * dirs))[:, None]
     u = rng.random(count)
     radii = (u * (r_out**d - r_in**d) + r_in**d) ** (1.0 / d)
     return dirs * radii[:, None]
@@ -286,8 +280,7 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
         history: list[float] = []
         ro = rho_prev + step
         ok, est, se = passes(ro)
-        doublings = 0
-        while not ok:
+        while not ok:  # len(history) counts the doublings
             history.append(est)
             if len(history) >= 5 and (history[-1] - history[-5]
                                       <= max(4.0 * se, 1e-9)):
@@ -296,15 +289,14 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
                     f"{se:.3g}) stalled within Monte Carlo noise without "
                     f"clearing threshold {thresh:.4g} by two standard errors;"
                     f" either V(B) is finite or mc_points is too small")
-            doublings += 1
-            if doublings > 60:
+            if len(history) > 60:
                 raise VolumeStall("doubling exhausted without reaching "
                                   "the shell volume threshold")
             step *= 2.0
             ro = rho_prev + step
             ok, est, se = passes(ro)
         # bisection phase; keep the last passing radius and estimate
-        lo = rho_prev + (step / 2.0 if doublings else 0.0)
+        lo = rho_prev + (step / 2.0 if history else 0.0)
         hi, hi_est, hi_se = ro, est, se
         for _ in range(60):
             if hi - lo <= 1e-9 * max(hi, 1.0):
@@ -321,25 +313,19 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
     return shells
 
 
-def sample_shell_points(shell: Shell, count: int, seed: int,
-                        max_batches: int = 10**4) -> np.ndarray:
+def sample_shell_points(shell: Shell, count: int, seed: int) -> np.ndarray:
     """Uniform sample of shell-intersect-body by rejection from the annulus."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = []
-    got = 0
-    for _ in range(max_batches):
+    out, got = [], 0
+    for _ in range(_MAX_BATCHES):
         pts = _annulus_samples(rng, 2, shell.inner, shell.outer,
                                max(count, 1024))
-        pts = pts[shell.body(pts)]
-        if len(pts):
-            out.append(pts)
-            got += len(pts)
+        out.append(pts[shell.body(pts)])
+        got += len(out[-1])
         if got >= count:
-            break
-    if got < count:
-        raise NoConvergence("rejection sampling starved; body too thin "
-                            "inside the shell")
-    return np.concatenate(out)[:count]
+            return np.concatenate(out)[:count]
+    raise NoConvergence("rejection sampling starved; body too thin "
+                        "inside the shell")
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +335,26 @@ def sample_shell_points(shell: Shell, count: int, seed: int,
 def _classify_rows(shells: list[Shell], partitions: list[Partition2D],
                    coeffs: np.ndarray, coords: np.ndarray):
     """(k, q) of each enumerated row: k indexes the shell with inner_k <
-    ||x|| <= outer_k, q is the row's quadrant in partitions[k], and q = 0
-    when the row lies in no shell, outside that shell's body or is not
-    primitive.  Shells out of order or overlapping raise ValueError."""
+    ||x|| <= outer_k, q is the row's quadrant in partitions[k] (one pass
+    for all rows), and q = 0 when the row lies in no shell, outside that
+    shell's body (each distinct body called once) or is not primitive.
+    Shells out of order or overlapping raise ValueError."""
     edges = np.array([(s.inner, s.outer) for s in shells]).ravel()
     if not np.all(np.diff(edges) >= 0.0):
         raise ValueError("shells must be ordered and disjoint")
     inner2, outer2 = edges[0::2] ** 2, edges[1::2] ** 2
-    nrm2 = (coords * coords).sum(axis=1)
+    nrm2 = _fold(np.add, coords * coords)
     k = np.searchsorted(inner2, nrm2) - 1
-    ok = (k >= 0) & (nrm2 <= outer2[k]) & primitive_mask(coeffs)
+    rows = np.flatnonzero((k >= 0) & (nrm2 <= outer2[k]))
+    rows = rows[primitive_mask(coeffs[rows])]
+    inside = np.zeros(len(rows), dtype=bool)
+    owner = [s.body for s, _ in zip(shells, partitions, strict=True)]
+    for body in {id(b): b for b in owner}.values():
+        mine = np.array([b is body for b in owner])[k[rows]]
+        inside[mine] = body(coords[rows[mine]])
+    rows = rows[inside]
     q = np.zeros(len(coords), dtype=np.int64)
-    for i, (shell, part) in enumerate(zip(shells, partitions, strict=True)):
-        rows = np.flatnonzero(ok & (k == i))
-        rows = rows[shell.body(coords[rows])]
-        q[rows] = _quadrants_of_rows(part, coords[rows])
+    q[rows] = _quadrants_of_rows(partitions, coords[rows], k[rows])
     return k, q
 
 
@@ -375,19 +366,22 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
 
     A point x belongs to the shell with inner < ||x|| <= outer, so tuples of
     distinct shells are disjoint; shells out of order or overlapping raise
-    ValueError.  One ball of radius min(outermost outer, budget), in lex
-    order of coefficients, serves every shell: the first row of each (shell,
-    quadrant) is its representative.  A shell with an unpopulated quadrant
-    is a failure event: the lattice is in the exceptional set for that n.
+    ValueError.  One unsorted ball of radius min(outermost outer, budget)
+    serves every shell: the lex-least row of each (shell, quadrant) is its
+    representative.  A shell with an unpopulated quadrant is a failure
+    event: the lattice is in the exceptional set for that n.
     """
     if not shells:
         return WitnessReport(tuples=(), failures=())
-    coeffs, coords = enumerate_ball_arrays(L, min(shells[-1].outer, budget))
+    coeffs, coords = enumerate_ball_arrays(L, min(shells[-1].outer, budget),
+                                           sort=False)
     k, q = _classify_rows(shells, partitions, coeffs, coords)
     rows = np.flatnonzero(q)
-    keys, first = np.unique(4 * k[rows] + q[rows] - 1, return_index=True)
+    key = 4 * k[rows] + q[rows] - 1
+    order = np.lexsort((coeffs[rows, 1], coeffs[rows, 0], key))
+    first = order[np.diff(key[order], prepend=-1) > 0]  # lex-least per key
     reps = np.full(4 * len(shells), -1)
-    reps[keys] = rows[first]
+    reps[key[first]] = rows[first]
     tuples: list[WitnessTuple] = []
     failures: list[tuple[int, tuple[int, ...]]] = []
     for shell, rep in zip(shells, reps.reshape(-1, 4).tolist()):
@@ -398,16 +392,16 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
         # the representatives are distinct primitive rows, so at most one
         # of quadrants 2-4 holds the negative of quadrant 1's, and the
         # first of the others is independent of it
-        A = rep[0]
-        for qb, B in zip((2, 3, 4), rep[1:]):
-            if int(coeffs[A, 0]) * int(coeffs[B, 1]) \
-                    != int(coeffs[A, 1]) * int(coeffs[B, 0]):
+        (a0, a1), *others = rep_coeffs = coeffs[rep].tolist()
+        for qb, (b0, b1) in zip((2, 3, 4), others):
+            if a0 * b1 != a1 * b0:
                 break
         else:
             raise InvariantViolation(
                 f"shell {shell.index}: quadrant representatives "
-                f"{coeffs[rep].tolist()} are collinear")
-        points = tuple(LatticePoint.of(coeffs[r], coords[r]) for r in (A, B))
+                f"{rep_coeffs} are collinear")
+        points = tuple(LatticePoint.of(coeffs[r], coords[r])
+                       for r in (rep[0], rep[qb - 1]))
         tuples.append(WitnessTuple(shell_index=shell.index, points=points,
                                    quadrants=(1, qb)))
     return WitnessReport(tuples=tuple(tuples), failures=tuple(failures))
@@ -443,8 +437,7 @@ def part_miss_rate(n: int, samples: int, config: PipelineConfig,
     quadrant without a primitive point, with a 95% Wilson interval."""
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    shells = build_shells(config.body, 2, n, config.mc_points, seed)
-    shell = shells[-1]
+    shell = build_shells(config.body, 2, n, config.mc_points, seed)[-1]
     part = build_partitions([shell], config, seed)[0]
     _, _, _, bases = sample_unimodular_2d_arrays(samples, seed)
     # primitive points per (lattice, quadrant), the lattices enumerated

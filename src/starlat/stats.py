@@ -15,6 +15,7 @@ from .bodies import DistanceFunction, _spec_options, boundedness_floor, \
 from .errors import InvariantViolation, UnboundedBody
 from .lattice import (
     Lattice,
+    _fold,
     _planar_points,
     _zeta,
     enumerate_ball_arrays,
@@ -50,7 +51,7 @@ def _sized(spec: str, **sizes: float) -> str:
 def disk_region(r: float) -> Region:
     return Region(kind="disk", spec=_sized(f"disk:r={r:g}", r=r),
                   area=math.pi * r * r, area_stderr=0.0, bounding_radius=r,
-                  contains=lambda p: (p * p).sum(axis=-1) <= r * r)
+                  contains=lambda p: _fold(np.add, p * p) <= r * r)
 
 
 def annulus_region(r0: float, r1: float) -> Region:
@@ -61,15 +62,14 @@ def annulus_region(r0: float, r1: float) -> Region:
                   area=math.pi * (r1 * r1 - r0 * r0), area_stderr=0.0,
                   bounding_radius=r1,
                   contains=lambda p, a=r0 * r0, b=r1 * r1:
-                      ((p * p).sum(axis=-1) > a)
-                      & ((p * p).sum(axis=-1) <= b))
+                      ((n2 := _fold(np.add, p * p)) > a) & (n2 <= b))
 
 
 def box_region(a: float) -> Region:
     h = a / 2.0
     return Region(kind="box", spec=_sized(f"box:a={a:g}", a=a), area=a * a,
                   area_stderr=0.0, bounding_radius=h * math.sqrt(2.0),
-                  contains=lambda p: np.abs(p).max(axis=-1) <= h)
+                  contains=lambda p: _fold(np.maximum, np.abs(p)) <= h)
 
 
 def sublevel_region(f: DistanceFunction, t: float, clip: float,
@@ -82,11 +82,10 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float,
     radii = clip * np.sqrt(u[:, 0])
     ang = 2.0 * math.pi * u[:, 1]
     pts = np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
-    inside = np.asarray(f.evaluator(pts)) <= t
-    p = float(inside.mean())
+    p = float(np.mean(np.asarray(f.evaluator(pts)) <= t))
     disk_area = math.pi * clip * clip
     contains = lambda pts_: (np.asarray(f.evaluator(pts_)) <= t) \
-        & ((pts_ * pts_).sum(axis=-1) <= clip * clip)
+        & (_fold(np.add, pts_ * pts_) <= clip * clip)
     return Region(kind="sublevel", spec=spec, area=p * disk_area,
                   area_stderr=disk_area
                   * math.sqrt(max(p * (1 - p), 0.0) / mc_points),
@@ -237,7 +236,7 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
         L = make_lattice(bases[i])
         coeffs, coords = _budget_candidates(body, L, budgets[-1])
         fvals = np.asarray(body.evaluator(coords), dtype=float)
-        norms2 = (coords * coords).sum(axis=1)
+        norms2 = _fold(np.add, coords * coords)
         lam2 = _lambda2_at_budgets(coeffs, fvals, norms2, budgets)
         if any(b > a + 1e-12 for a, b in zip(lam2, lam2[1:])):
             raise InvariantViolation(

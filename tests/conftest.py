@@ -116,9 +116,19 @@ def loop_miss_count(n, samples, config, seed):
         keep = (np.gcd(coeffs[:, 0], coeffs[:, 1]) == 1) \
             & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
             & shell.body(coords)
-        q = partition._quadrants_of_rows(part, coords[keep])
+        q = partition._quadrants_of_rows([part], coords[keep])
         misses += len(np.unique(q)) < 4
     return misses
+
+
+def norm_annulus_samples(rng, d, r_in, r_out, count):
+    """partition._annulus_samples with its directions normalized by
+    np.linalg.norm, as before the column fold."""
+    dirs = rng.standard_normal((count, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    u = rng.random(count)
+    radii = (u * (r_out**d - r_in**d) + r_in**d) ** (1.0 / d)
+    return dirs * radii[:, None]
 
 
 def loop_witnesses(L, shells, partitions, budget=math.inf):
@@ -137,7 +147,7 @@ def loop_witnesses(L, shells, partitions, budget=math.inf):
             & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
             & shell.body(coords)
         coeffs, coords = coeffs[keep], coords[keep]
-        q = partition._quadrants_of_rows(part, coords)
+        q = partition._quadrants_of_rows([part], coords)
         reps = {qi: min(np.flatnonzero(q == qi),
                         key=lambda r: tuple(coeffs[r].tolist()))
                 for qi in (1, 2, 3, 4) if np.any(q == qi)}

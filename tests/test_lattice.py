@@ -17,7 +17,7 @@ from starlat.errors import (
     SingularBasis,
 )
 
-from starlat.lattice import _zeta
+from starlat.lattice import _fold, _zeta
 
 from conftest import cross_by_rectangles, grid_enumerate
 
@@ -330,3 +330,33 @@ def test_hyperbolic_cross_rejects_bad_input(monkeypatch):
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 5)
     with pytest.raises(BudgetExceeded):
         sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_SCALED = st.builds(lambda m, e: m * 10.0 ** e,
+                    st.floats(-10.0, 10.0), st.integers(-150, 150))
+
+
+@given(d=st.integers(1, 7), rows=st.integers(1, 6), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fold_is_numpys_row_reduction_bit_for_bit(d, rows, data):
+    X = np.array(data.draw(st.lists(
+        st.lists(st.one_of(_SPECIAL, _SCALED), min_size=d, max_size=d),
+        min_size=rows, max_size=rows)))
+    with np.errstate(all="ignore"):
+        for x in (X, X[0]):  # rows (n, d) and one point (d,)
+            assert np.array_equal(_bits(_fold(np.multiply, x)),
+                                  _bits(np.prod(x, axis=-1)))
+            assert np.array_equal(_bits(np.sqrt(_fold(np.add, x * x))),
+                                  _bits(np.linalg.norm(x, axis=-1)))
+        got, want = _fold(np.add, X), X.sum(axis=-1)
+    # numpy's sum starts from +0.0, so only a row of -0.0 terms differs:
+    # its sum is -0.0 here and +0.0 there
+    zeros = np.all(_bits(X) == _bits(-0.0), axis=-1)
+    assert np.array_equal(_bits(got)[~zeros], _bits(want)[~zeros])
+    assert np.all(_bits(got[zeros]) == _bits(-0.0))
+    assert np.all(_bits(want[zeros]) == _bits(0.0))

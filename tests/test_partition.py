@@ -10,7 +10,7 @@ import starlat as sl
 from starlat import partition
 from starlat.errors import DegenerateMass, InvariantViolation, VolumeStall
 
-from conftest import loop_miss_count, loop_witnesses
+from conftest import loop_miss_count, loop_witnesses, norm_annulus_samples
 
 
 def test_equipartition_symmetric_grid():
@@ -182,9 +182,9 @@ def test_extract_witnesses_collinear_representatives_raise(monkeypatch):
     # (a repeated primitive row, inside the first shell, stands in for it)
     rows = np.array([[1, 0], [-1, 0], [1, 0], [-1, 0]])
     monkeypatch.setattr(partition, "enumerate_ball_arrays",
-                        lambda L, R: (rows, rows * 1.0))
+                        lambda L, R, sort=True: (rows, rows * 1.0))
     monkeypatch.setattr(partition, "_quadrants_of_rows",
-                        lambda part, coords: np.array([1, 2, 3, 4]))
+                        lambda parts, coords, k: np.array([1, 2, 3, 4]))
     L = sl.make_lattice([[1, 0], [0, 1]])
     shells = sl.build_shells(sl.plane_body(), 2, 1, mc_points=2 * 10**4,
                              seed=4)
@@ -283,3 +283,72 @@ def test_plane_shells_need_no_draws(monkeypatch):
                                        s.stderr) for s in ref]
     with pytest.raises(AssertionError, match="drew"):
         sl.build_shells(all_true, 2, 1, 100, 0)
+
+
+@pytest.mark.parametrize("name,n", [("plane", 6), ("hyperbola", 3),
+                                    ("ball", 2)])
+def test_shells_and_partitions_match_the_norm_reference(monkeypatch, name,
+                                                        n):
+    body = {"plane": sl.plane_body(),
+            "hyperbola": sl.sublevel_body(sl.hyperbolic(2), 2.0),
+            "ball": sl.sublevel_body(sl.pnorm_ball(2, 2), 3.0)}[name]
+    config = sl.PipelineConfig(body=body, mc_points=2 * 10**4,
+                               partition_points=3000)
+
+    def run(seed):
+        shells = sl.build_shells(body, 2, n, config.mc_points, seed)
+        parts = sl.build_partitions(shells, config, seed)
+        pts = sl.sample_shell_points(shells[-1], 2000, seed + 9)
+        return repr((shells, parts)), pts.tobytes()
+
+    got = [run(seed) for seed in (0, 1)]
+    monkeypatch.setattr(partition, "_annulus_samples", norm_annulus_samples)
+    assert got == [run(seed) for seed in (0, 1)]
+
+
+def test_sample_shell_points_starves_after_the_batch_limit(monkeypatch):
+    calls = []
+
+    def nothing(pts):
+        calls.append(len(pts))
+        return np.zeros(len(pts), dtype=bool)
+
+    monkeypatch.setattr(partition, "_MAX_BATCHES", 3)
+    shell = sl.Shell(1, 0.0, 2.0, nothing, 1.0, 0.0)
+    with pytest.raises(sl.NoConvergence, match="rejection sampling starved"):
+        sl.sample_shell_points(shell, 10, seed=0)
+    assert calls == [1024] * 3
+
+
+def test_extract_witnesses_two_bodies_match_per_shell_loop():
+    # shells of one extraction with different bodies: each body is called
+    # once per lattice, on the rows of its own shells only
+    plane = sl.plane_body()
+    hyp = sl.sublevel_body(sl.hyperbolic(2), 2.0)
+    seen = {"plane": [], "hyperbola": []}
+
+    def counted(name, body):
+        def pred(pts):
+            seen[name].append(len(pts))
+            return body(pts)
+        return pred
+
+    config = sl.PipelineConfig(mc_points=2 * 10**4, partition_points=3000)
+    shells = sl.build_shells(plane, 2, 6, config.mc_points, 3)
+    parts = sl.build_partitions(shells, config, 3)
+    bodies = [counted("plane", plane), counted("hyperbola", hyp)]
+    mixed = [replace(s, body=bodies[i % 2]) for i, s in enumerate(shells)]
+    tuples = failures = 0
+    for B in [np.eye(2), *sl.sample_unimodular_2d_arrays(60, 3)[3]]:
+        L = sl.make_lattice(B)
+        for budget in (math.inf, shells[3].outer):
+            for calls in seen.values():
+                calls.clear()
+            rep = sl.extract_witnesses(L, mixed, parts, budget)
+            assert [len(v) for v in seen.values()] == [1, 1]
+            assert rep == loop_witnesses(L, mixed, parts, budget)
+            tuples += len(rep.tuples)
+            failures += len(rep.failures)
+    assert tuples and failures
+    with pytest.raises(ValueError):
+        sl.extract_witnesses(sl.make_lattice(np.eye(2)), mixed, parts[:-1])
