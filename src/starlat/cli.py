@@ -24,21 +24,10 @@ from .haar import sample_unimodular_2d_arrays, sample_unimodular_2d
 from .lattice import golden_lattice, make_lattice, parse_basis, perturb_basis
 from .minima import minima_upper_bound, semicontinuity_probe, \
     successive_minima_exact
-from .partition import (
-    PipelineConfig,
-    build_partitions,
-    build_shells,
-    extract_witnesses,
-    plane_body,
-    sublevel_body,
-)
-from .stats import (
-    count_primitive,
-    disk_region,
-    parse_region,
-    rogers_moment_report,
-    theorem2_experiment,
-)
+from .partition import (PipelineConfig, build_partitions, build_shells,
+                        extract_witnesses, plane_body, sublevel_body)
+from .stats import (count_primitive, disk_region, parse_region,
+                    rogers_moment_report, theorem2_experiment)
 
 
 def _plain(obj):

@@ -15,13 +15,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    DimensionTooSmall,
-    NotLatticePoint,
-    SingularBasis,
-)
+from .errors import (BudgetExceeded, DimensionMismatch, DimensionTooSmall,
+                     NotLatticePoint, SingularBasis)
 
 DEFAULT_POINT_CAP = 10**8  # one setting; every check reads it at call time
 
@@ -205,11 +200,12 @@ def _zeta(d: int) -> float:
 
 def _check_budget(R: float, d: int, det: float) -> None:
     """Reject R <= 0 (or NaN) and a predicted point count vol(R)/det above
-    DEFAULT_POINT_CAP, det being the smallest covolume."""
+    DEFAULT_POINT_CAP, det the smallest covolume, in logs (no overflow)."""
     if not R > 0:
         raise ValueError("R must be positive")
-    pred = _unit_ball_volume(d) * R**d / det
-    if pred > DEFAULT_POINT_CAP:
+    log_n = math.log(_unit_ball_volume(d)) - math.log(det) + d * math.log(R)
+    if log_n > math.log(DEFAULT_POINT_CAP):
+        pred = math.exp(log_n) if log_n < 709 else math.inf
         raise BudgetExceeded(f"predicted point count {pred:.3g} exceeds cap "
                              f"{DEFAULT_POINT_CAP}")
 
@@ -251,6 +247,20 @@ def _size_reduce(B: np.ndarray):
     return W, U
 
 
+def _gram_schmidt(W: np.ndarray):
+    """(B, mu) of each basis of a stack (N, d, d) by modified Gram-Schmidt:
+    B[i] = ||w_i*||^2 and mu[i][:, j - i - 1] = <w_i*, w_j> / B[i], j > i."""
+    V = W.mT.copy()  # V[:, i] is column i
+    B, mu = [], []
+    for i in range(W.shape[1]):
+        g = np.vecdot(V[:, i, None], V[:, i:])  # <w_i*, v_j>, j >= i
+        B.append(g[:, 0])
+        if i < W.shape[1] - 1:
+            mu.append(g[:, 1:] / g[:, :1])
+            V[:, i + 1:] -= mu[i][:, :, None] * V[:, i, None]
+    return B, mu
+
+
 def _enum(W: np.ndarray, R: float):
     """(idx, X): every integer x with ||W x|| <= R for each basis of a stack
     (N, d, d), row k of X belonging to basis idx[k], grouped by basis.
@@ -264,14 +274,7 @@ def _enum(W: np.ndarray, R: float):
     of more than DEFAULT_POINT_CAP nodes of one basis is BudgetExceeded.
     """
     N, d = W.shape[:2]
-    V = W.mT.copy()  # V[:, i] is column i
-    B, mu = [], []
-    for i in range(d):
-        g = np.vecdot(V[:, i, None], V[:, i:])  # <w_i*, v_j>, j >= i
-        B.append(g[:, 0])
-        if i < d - 1:
-            mu.append(g[:, 1:] / g[:, :1])
-            V[:, i + 1:] -= mu[i][:, :, None] * V[:, i, None]
+    B, mu = _gram_schmidt(W)
 
     def node(a):
         # per-node values of a per-basis array; a stack of one broadcasts,
@@ -316,22 +319,33 @@ def _enum(W: np.ndarray, R: float):
     return (idx[keep] if N > 1 else np.zeros(len(X), np.int64)), X
 
 
-def _planar_points(bases, R: float):
-    """Chunks (idx, coeffs, coords) of the points of norm <= R of each basis
-    of a planar stack (N, 2, 2), admitted and capped as by make_lattice and
-    enumerate_ball_arrays; coords are B c by the dots of ``coeffs @ B.T``.
-    A chunk takes consecutive bases up to about _CHUNK_NODES level nodes,
-    (2 R l / det + 1)(2 R / l + 1) for a reduced basis of shortest vector
-    l, so memory does not grow with N."""
+def _reduce_planar(bases):
+    """(B, det, W, U) of a planar stack (N, 2, 2): the bases admitted as by
+    make_lattice, det their |det|, and W = B @ U Gauss-reduced."""
     B = np.asarray(bases, dtype=float)
-    det = _admitted_det(B)
-    _check_budget(R, 2, det.min(initial=math.inf))
-    W, U = _gauss_reduce_2d(B)
+    return (B, _admitted_det(B), *_gauss_reduce_2d(B))
+
+
+def _windows(W: np.ndarray, det: np.ndarray, R: float, limit: int):
+    """(lo, hi) runs of consecutive bases of a reduced planar stack W, each
+    of about `limit` level nodes of the ball of radius R, (2 R l / det + 1)
+    (2 R / l + 1) for a basis of shortest vector l."""
     short = np.sqrt(np.vecdot(W[:, :, 0], W[:, :, 0]))
     nodes = (2 * R * short / det + 1) * (2 * R / short + 1)
-    window = (np.cumsum(nodes) - nodes) // _CHUNK_NODES
+    window = (np.cumsum(nodes) - nodes) // limit
     starts = np.flatnonzero(np.diff(window, prepend=-1))
-    for lo, hi in zip(starts, [*starts[1:], len(B)]):
+    return zip(starts, [*starts[1:], len(W)])
+
+
+def _planar_points(bases, R: float, stack=None):
+    """Chunks (idx, coeffs, coords) of the points of norm <= R of each basis
+    of a planar stack (N, 2, 2), admitted and capped as by make_lattice and
+    enumerate_ball_arrays (`stack`, if given, is ``_reduce_planar(bases)``);
+    coords are B c by the dots of ``coeffs @ B.T``.  A chunk takes bases up
+    to about _CHUNK_NODES level nodes, so memory does not grow with N."""
+    B, det, W, U = _reduce_planar(bases) if stack is None else stack
+    _check_budget(R, 2, det.min(initial=math.inf))
+    for lo, hi in _windows(W, det, R, _CHUNK_NODES):
         idx, X = _enum(W[lo:hi], R)
         u = U[lo:hi][idx]
         coeffs = u[:, :, 0] * X[:, :1] + u[:, :, 1] * X[:, 1:]  # U x
@@ -381,11 +395,10 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
         raise ValueError("R must be positive")
     if not 0 < s < math.inf:
         raise ValueError("s must be positive and finite")
-    if R == math.inf:
-        raise BudgetExceeded("an infinite radius needs infinitely many "
-                             "rectangles")
     t = math.sqrt(s * (1.0 + _INFLATE))
     R_in = R * (1.0 + _INFLATE)
+    if not R_in < 2.0**511 * t:  # else the rectangle bases overflow
+        raise BudgetExceeded(f"radius {R:g} needs over 1022 rectangles")
     sides = []
     for j in range(1, max(1, math.ceil(math.log2(R_in / t))) + 1):
         short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)

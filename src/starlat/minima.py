@@ -9,24 +9,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bodies import (
-    BoundednessCertificate,
-    DistanceFunction,
-    boundedness_floor,
-    hyperbolic,
-)
+from .bodies import (BoundednessCertificate, DistanceFunction,
+                     boundedness_floor, hyperbolic)
 from .errors import InvariantViolation, UnboundedBody
-from .lattice import (
-    _INFLATE,
-    Lattice,
-    LatticePoint,
-    _fold,
-    _gauss_reduce_2d,
-    enumerate_ball_arrays,
-    enumerate_hyperbolic_cross,
-    golden_lattice,
-    perturb_basis,
-)
+from .lattice import (_INFLATE, Lattice, LatticePoint, _fold, _gauss_reduce_2d,
+                      enumerate_ball_arrays, enumerate_hyperbolic_cross,
+                      golden_lattice, perturb_basis)
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateMass,
-    InvariantViolation,
-    NoConvergence,
-    VolumeStall,
-)
+from .errors import (DegenerateMass, InvariantViolation, NoConvergence,
+                     VolumeStall)
 from .haar import sample_unimodular_2d_arrays
-from .lattice import (
-    Lattice,
-    LatticePoint,
-    _fold,
-    _planar_points,
-    _unit_ball_volume,
-    _zeta,
-    enumerate_ball_arrays,
-    primitive_mask,
-)
+from .lattice import (Lattice, LatticePoint, _fold, _planar_points,
+                      _unit_ball_volume, _zeta, enumerate_ball_arrays,
+                      primitive_mask)
 
 BodyPredicate = Callable[[np.ndarray], np.ndarray]  # (N, d) -> bool mask
 
@@ -259,6 +248,8 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
     """
     if mc_points < 1:
         raise ValueError("mc_points must be at least 1")
+    if n_max < 1:
+        raise ValueError(f"need at least one shell, got n_max={n_max}")
     zd = _zeta(d)
     shells: list[Shell] = []
     rho_prev = 0.0

@@ -1,9 +1,11 @@
 """Primitive-point counting over bounded regions and the Monte Carlo
-mean-value / minima-decay experiments over Haar-random planar lattices;
-mean-value counts enumerate a whole Haar stack, a chunk per numpy pass."""
+mean-value / minima-decay experiments over Haar-random planar lattices; a
+report reduces its Haar stack once, counts disks and annuli without listing
+points (:func:`_interval_counts`) and other regions by listing them."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -13,15 +15,10 @@ import numpy as np
 from .bodies import DistanceFunction, _spec_options, boundedness_floor, \
     parse_body
 from .errors import InvariantViolation, UnboundedBody
-from .lattice import (
-    Lattice,
-    _fold,
-    _planar_points,
-    _zeta,
-    enumerate_ball_arrays,
-    make_lattice,
-    primitive_mask,
-)
+from . import lattice
+from .lattice import (_INFLATE, Lattice, _check_budget, _fold, _gram_schmidt,
+                      _planar_points, _reduce_planar, _windows, _zeta,
+                      enumerate_ball_arrays, make_lattice, primitive_mask)
 from .haar import sample_unimodular_2d_arrays
 from .minima import _budget_candidates, _greedy_minima
 
@@ -37,6 +34,11 @@ class Region:
     area_stderr: float
     bounding_radius: float
     contains: Callable[[np.ndarray], np.ndarray]   # (N, d) -> bool mask
+    inner_radius: float = 0.0   # an annulus's r0; a disk's is 0
+
+    def __post_init__(self):
+        if not self.area < math.inf:
+            raise ValueError(f"region spec {self.spec!r} has no finite area")
 
 
 def _sized(spec: str, **sizes: float) -> str:
@@ -60,7 +62,7 @@ def annulus_region(r0: float, r1: float) -> Region:
         raise ValueError(f"region spec {spec!r} needs 0 <= r0 < r1")
     return Region(kind="annulus", spec=spec,
                   area=math.pi * (r1 * r1 - r0 * r0), area_stderr=0.0,
-                  bounding_radius=r1,
+                  bounding_radius=r1, inner_radius=r0,
                   contains=lambda p, a=r0 * r0, b=r1 * r1:
                       ((n2 := _fold(np.add, p * p)) > a) & (n2 <= b))
 
@@ -141,13 +143,93 @@ class MomentReport:
     entries: tuple[RegionMoment, ...]
 
 
-def _primitive_counts(region: Region, bases: np.ndarray) -> np.ndarray:
-    """:func:`count_primitive` for each lattice of a planar stack (N, 2, 2)."""
-    counts = np.zeros(len(bases), dtype=np.int64)
-    for idx, coeffs, coords in _planar_points(bases, region.bounding_radius):
-        keep = np.asarray(region.contains(coords), dtype=bool) \
-            & primitive_mask(coeffs)
-        counts += np.bincount(idx[keep], minlength=len(bases))
+_INTERVAL_CHUNK = 2**17  # ball nodes per chunk, for 5-8x fewer interval rows
+_MOBIUS_MAX = 2**16   # lattices needing more terms k are listed
+
+
+@functools.cache
+def _squarefree(K: int):
+    """(k, mu(k)) for the squarefree k in 1..K, from sum over d | n of mu(d)
+    = [n = 1]: each mu(i), once final, is taken off its multiples."""
+    mu = np.zeros(K + 1, np.int64)
+    mu[1] = 1
+    for i in range(1, K // 2 + 1):
+        mu[2 * i::i] -= mu[i]
+    k = np.flatnonzero(mu)
+    return k, mu[k]
+
+
+def _runs(n: np.ndarray):
+    """(owner, position) of every item of consecutive runs of lengths n."""
+    owner = np.repeat(np.arange(len(n)), n)
+    return owner, np.arange(len(owner)) - (np.cumsum(n) - n)[owner]
+
+
+def _interval_counts(stack, r: float):
+    """(P, flagged) for a stack ``_reduce_planar(bases)``: P the primitive
+    points of norm <= r per lattice, flagged where P is not certified or the
+    candidates exceed the point cap.  P = sum over squarefree k <= r (1 + 2
+    eta) / l of mu(k) #(x != 0 : ||(kW) x|| <= r) (Hardy & Wright, ch. XVI),
+    l the shortest vector; by Gram-Schmidt B0, B1, mu of W, row x1 holds the
+    x0 in [-c - w, -c + w], c = mu x1, w^2 = (r^2 - k^2 B1 x1^2) / (k^2 B0).
+    A lattice is certified if the counts with r and w scaled by 1 + eta and
+    by 1 - eta agree for every k: no point has norm within a relative ~eta
+    of r/k.  eta = max(1e-9, 2^-40 ||B|| ||U|| / l) (Frobenius norms) tops
+    the relative rounding of W = B U, of the intervals and of the listing
+    path's ``coeffs @ B.T``, a few hundred ulps of ||B|| ||U|| / l at most,
+    so a certified P is the listing path's.  At eta = 1e-9 the k = 1 count,
+    in _enum's arithmetic, is _enum's candidate count."""
+    B, det, W, U = stack
+    P, flagged = np.zeros(len(B), np.int64), np.zeros(len(B), bool)
+    for lo, hi in _windows(W, det, r, _INTERVAL_CHUNK):
+        (B0, B1), (mu,) = _gram_schmidt(W[lo:hi])
+        eta = np.maximum(_INFLATE, 2.0**-40 / np.sqrt(B0) * np.sqrt(
+            _fold(np.add, (B[lo:hi] ** 2).reshape(-1, 4))
+            * _fold(np.add, (U[lo:hi] ** 2).reshape(-1, 4))))
+        K = (r * (1 + 2 * eta) / np.sqrt(B0)).astype(np.int64)
+        out = K > _MOBIUS_MAX
+        K[out] = 0
+        ks, mus = _squarefree(max(2, 1 << int(K.max()).bit_length()))
+        owner, pos = _runs(np.searchsorted(ks, K, side="right"))
+        k, e = ks[pos], 1.0 + np.array([[1.0], [-1.0]]) * eta[owner]
+        R2 = (r * e) ** 2
+        q0, q1 = k * k * B0[owner], k * k * B1[owner]
+        top = (np.sqrt(R2 / q1) * e).astype(np.int64)
+        row, x = _runs(top[0] + 1)
+        cen = mu[owner[row], 0] * x
+        w = np.sqrt(np.maximum(R2[:, row] - q1[row] * (x * x), 0.0)
+                    / q0[row]) * e[:, row]
+        cnt = (np.floor(w - cen) - np.ceil(-cen - w) + 1) \
+            * (x <= top[:, row]) * np.where(x > 0, 2.0, 1.0)
+        n_out, n_in = (np.bincount(row, c, minlength=len(k)) for c in cnt)
+        over = (k == 1) & (n_out > lattice.DEFAULT_POINT_CAP)
+        P[lo:hi] = np.bincount(owner, mus[pos] * (n_out - 1), hi - lo)
+        flagged[lo:hi] = out | (np.bincount(owner, n_out - n_in + over,
+                                            hi - lo) > 0)
+    return P, flagged
+
+
+def _primitive_counts(region: Region, bases: np.ndarray,
+                      stack=None) -> np.ndarray:
+    """:func:`count_primitive` for each lattice of a planar stack (N, 2, 2),
+    `stack` its ``_reduce_planar``: disks and annuli by _interval_counts,
+    other regions and its flagged lattices by listing the bounding ball."""
+    B, det, W, U = stack = _reduce_planar(bases) if stack is None else stack
+    R = region.bounding_radius
+    _check_budget(R, 2, det.min(initial=math.inf))
+    counts, flagged = np.zeros(len(B), np.int64), np.ones(len(B), bool)
+    if region.kind in ("disk", "annulus"):
+        counts, flagged = _interval_counts(stack, R)
+        if region.inner_radius > 0:  # an annulus: P(r1) - P(r0)
+            p0, f0 = _interval_counts(stack, region.inner_radius)
+            counts, flagged = counts - p0, flagged | f0
+    if flagged.any():  # a slice keeps a whole stack a view
+        sub = slice(None) if flagged.all() else np.flatnonzero(flagged)
+        part, counts[sub] = tuple(a[sub] for a in stack), 0
+        for idx, coeffs, coords in _planar_points(part[0], R, part):
+            keep = np.asarray(region.contains(coords), dtype=bool) \
+                & primitive_mask(coeffs)
+            counts[sub] += np.bincount(idx[keep], minlength=len(part[0]))
     return counts
 
 
@@ -159,10 +241,11 @@ def rogers_moment_report(regions: list[Region], N: int,
     if N < 10**3:
         raise ValueError("need at least 1000 samples")
     _, _, _, bases = sample_unimodular_2d_arrays(N, seed)
+    stack = _reduce_planar(bases)
     z2 = _zeta(2)
     entries = []
     for region in regions:
-        counts = _primitive_counts(region, bases)
+        counts = _primitive_counts(region, bases, stack)
         V = region.area
         center = V / z2
         dev = counts - center

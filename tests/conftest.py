@@ -92,6 +92,18 @@ def grid_primitive_count(basis, contains, R):
     return int(np.count_nonzero(contains(coords)))
 
 
+def listing_primitive_counts(region, bases):
+    """Primitive counts of a planar stack by listing every point of the
+    bounding ball (the chunked stack enumeration) and a gcd per point, the
+    path that interval counting replaces for disks and annuli."""
+    from starlat.lattice import _planar_points, primitive_mask
+    counts = np.zeros(len(bases), dtype=np.int64)
+    for idx, coeffs, coords in _planar_points(bases, region.bounding_radius):
+        keep = region.contains(coords) & primitive_mask(coeffs)
+        counts += np.bincount(idx[keep], minlength=len(bases))
+    return counts
+
+
 def loop_primitive_counts(region, bases):
     """Primitive counts of a stack of planar bases by the per-lattice loop
     that batched counting replaced: one count_primitive call per lattice."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -232,6 +233,14 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
     (("probe", "--config", {"body": "ball:p=2", "basis": "1,0;0,1",
                             "budget": None}),
      "probe config key 'budget' must be a number, got None"),
+    (("count", "--basis", "1,0;0,1", "--region", "disk:r=1e308"),
+     "region spec 'disk:r=1e+308' has no finite area"),
+    (("count", "--basis", "1,0;0,1", "--region", "annulus:r0=1e200:r1=1e300"),
+     "region spec 'annulus:r0=1e+200:r1=1e+300' has no finite area"),
+    (("rogers", "--region", "box:a=1e300"),
+     "region spec 'box:a=1e+300' has no finite area"),
+    (("witness", "--shells", "0"), "need at least one shell, got n_max=0"),
+    (("witness", "--shells", "-1"), "need at least one shell, got n_max=-1"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
@@ -245,6 +254,41 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("theorem2", "--budgets", "1e308"), "needs over 1022 rectangles"),
+    (("minima", "--basis", "1,0;0,1", "--body", "hyperbola", "--budget",
+      "1e300"), "predicted point count inf exceeds cap"),
+    (("count", "--basis", "1e-150,0;0,1e-150", "--region", "disk:r=1e100"),
+     "predicted point count inf exceeds cap"),
+    (("rogers", "--areas", "1e300", "--count", "1000"),
+     "predicted point count 1e+300 exceeds cap"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_sizes_are_one_budget_error_line(capsys, argv, message):
+    # sizes whose point count overflows a float are budget errors (exit 3)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("rogers", "--areas", "5,10,20,40", "--count", "20000", "--json"),
+     "e4e00be880b50d05a0065a085be942b0c8c9d5f3044a9f1a5ebd8461689a3163"),
+    (("count", "--basis", "1,0;0.5,0.8660254037844386", "--region",
+      "disk:r=1.7320508075688772", "--json"),
+     "5ed26c881c7a15578ad7bb39dbd5827aebcdcab23174de6fdeb7070e28285965"),
+])
+def test_mean_value_and_boundary_count_bytes_are_pinned(capsys, argv,
+                                                        digest):
+    # sha256 of the stdout that listing every point gave, before disks were
+    # counted by intervals; the hexagonal disk has lattice points on its
+    # circle
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sample_count_zero_prints_nothing(capsys):

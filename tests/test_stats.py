@@ -9,7 +9,7 @@ from starlat import lattice, stats
 from starlat.errors import BudgetExceeded, InvariantViolation, UnboundedBody
 
 from conftest import (ball_candidates, grid_primitive_count,
-                      loop_primitive_counts)
+                      listing_primitive_counts, loop_primitive_counts)
 
 
 Z2 = sl.make_lattice([[1, 0], [0, 1]])
@@ -169,6 +169,125 @@ def test_level_cap_is_per_lattice_in_a_stack(monkeypatch):
     bases[150] = np.diag([0.01, 100.0])
     with pytest.raises(BudgetExceeded, match="201 candidates exceed cap 100"):
         stats._primitive_counts(region, bases)
+
+
+def test_squarefree_matches_trial_division():
+    def mobius(n):
+        mu, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                mu = -mu
+            p += 1
+        return -mu if n > 1 else mu
+
+    k, mu = stats._squarefree(1024)
+    want = [n for n in range(1, 1025) if mobius(n)]
+    assert k.tolist() == want
+    assert mu.tolist() == [mobius(n) for n in want]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_interval_counts_certify_benchmark_stacks(seed):
+    # the mean-value workload's stacks: 1000 Haar lattices, disks of area
+    # 5..40; every lattice is certified and equals the listing path
+    bases = _stack("haar", 1000, 1000 + seed)
+    stack = lattice._reduce_planar(bases)
+    for area in (5.0, 10.0, 20.0, 40.0):
+        region = sl.disk_region(math.sqrt(area / math.pi))
+        counts, flagged = stats._interval_counts(stack,
+                                                 region.bounding_radius)
+        assert not flagged.any()
+        assert np.array_equal(counts, listing_primitive_counts(region, bases))
+
+
+@pytest.mark.parametrize("kind", ["haar", "skewed", "integer"])
+@pytest.mark.parametrize("r0,r1", [(0.0, 2.5), (0.0, 1.0), (1.0, 2.5),
+                                   (2.0, 4.0), (0.5, 0.75)])
+def test_annulus_counts_match_listing(kind, r0, r1):
+    region = sl.annulus_region(r0, r1)
+    bases = _stack(kind, 300, 77 + int(10 * r1))
+    assert np.array_equal(stats._primitive_counts(region, bases),
+                          listing_primitive_counts(region, bases))
+
+
+HEX = np.array([[1.0, 0.5], [0.0, 0.8660254037844386]])
+
+
+@pytest.mark.parametrize("basis,r", [
+    (HEX, math.sqrt(3.0)), (HEX, math.sqrt(13.0)), (np.eye(2), 5.0),
+    (np.eye(2), 65.0), (np.eye(2), math.sqrt(50.0)), (np.eye(2), 25.0)])
+def test_boundary_lattices_are_flagged_and_listed(basis, r):
+    # lattice points lie on the circle (up to the rounding of the basis),
+    # so the interval count is not certified and the listing path decides
+    stack = lattice._reduce_planar(basis[None])
+    assert stats._interval_counts(stack, r)[1].all()
+    for region in (sl.disk_region(r), sl.annulus_region(r / 2, r),
+                   sl.annulus_region(0.5, r)):
+        L = sl.make_lattice(basis)
+        assert stats._primitive_counts(region, basis[None]).tolist() \
+            == [sl.count_primitive(L, region)]
+
+
+def test_boundary_point_on_the_top_row_is_flagged():
+    # w0 = (1, 0), w1 = (1/2, h) rotated: the only points on the circle
+    # through -w0 + 2 w1 are +-(-w0 + 2 w1), on the rows x1 = +-2 that the
+    # radius deflated by eta no longer reaches
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        h, t = rng.uniform(0.9, 1.6), rng.uniform(0, 2 * math.pi)
+        B = np.array([[math.cos(t), -math.sin(t)],
+                      [math.sin(t), math.cos(t)]]) @ [[1.0, 0.5], [0.0, h]]
+        region = sl.disk_region(float(np.linalg.norm(B @ [-1.0, 2.0])))
+        assert stats._interval_counts(lattice._reduce_planar(B[None]),
+                                      region.bounding_radius)[1].all()
+        assert stats._primitive_counts(region, B[None]).tolist() \
+            == [sl.count_primitive(sl.make_lattice(B), region)]
+
+
+def test_cap_counts_interval_candidates_off_the_boundary(monkeypatch):
+    # 2 * 81 + 1 candidates on the row x1 = 0, none near the circle, so
+    # only the cap check sends the lattice to the listing path that raises
+    bases = _stack("haar", 300, 9)
+    bases[150] = np.diag([0.0123, 100.0])
+    assert not stats._interval_counts(lattice._reduce_planar(bases[150:151]),
+                                      1.0)[1].any()
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 100)
+    with pytest.raises(BudgetExceeded, match="163 candidates exceed cap 100"):
+        stats._primitive_counts(sl.disk_region(1.0), bases)
+
+
+@pytest.mark.parametrize("y", [1e8, 5e11])
+def test_skewed_haar_basis_takes_the_listing_path(y):
+    # a Haar basis far up the cusp (y near the 1e12 admission limit):
+    # ||B|| ||U|| / l is about y, beyond what the relative 1e-9 width
+    # covers, and r/l > 2^16 terms k at y = 5e11, so it is flagged
+    s, x, c, sn = 1 / math.sqrt(y), 0.3, math.cos(0.7), math.sin(0.7)
+    skew = np.array([[s * c, s * (x * c - y * sn)],
+                     [s * sn, s * (x * sn + y * c)]])
+    bases = np.concatenate([_stack("haar", 50, 3), skew[None]])
+    region = sl.disk_region(math.sqrt(2.0 / math.pi))
+    flagged = stats._interval_counts(lattice._reduce_planar(bases),
+                                     region.bounding_radius)[1]
+    assert flagged.tolist() == [False] * 50 + [True]
+    assert np.array_equal(stats._primitive_counts(region, bases),
+                          listing_primitive_counts(region, bases))
+
+
+def test_rogers_report_reduces_the_stack_once(monkeypatch):
+    calls = []
+    reduce = lattice._gauss_reduce_2d
+    monkeypatch.setattr(lattice, "_gauss_reduce_2d",
+                        lambda B: calls.append(len(B)) or reduce(B))
+    regions = [sl.disk_region(2.0), sl.annulus_region(1.0, 2.0),
+               sl.box_region(3.0)]
+    rep = sl.rogers_moment_report(regions, N=1000, seed=4)
+    assert calls == [1000]
+    bases = sl.sample_unimodular_2d_arrays(1000, 4)[3]
+    for region, e in zip(regions, rep.entries):
+        assert e.counts == tuple(listing_primitive_counts(region, bases))
 
 
 def test_rogers_rejects_small_sample():
