@@ -26,7 +26,6 @@ class DistanceFunction:
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str
-    params: tuple = ()
     floor: float | None = None  # lower bound of f on the sphere; None: unknown
 
     def __call__(self, x) -> np.ndarray:
@@ -70,14 +69,13 @@ def pnorm_ball(dim: int = 2, p: float = 2) -> DistanceFunction:
         raise ValueError(f"ball needs p > 0, got p={p:g}")
     ev = lambda x: np.linalg.norm(x, ord=p, axis=-1)
     return DistanceFunction(dim=dim, evaluator=ev, label=f"ball:p={p:g}",
-                            params=(p,), floor=1.0 if p <= 2 else
+                            floor=1.0 if p <= 2 else
                             _floor_times(1.0, dim ** (1.0 / p - 0.5)))
 
 
 def box(dim: int = 2) -> DistanceFunction:
     """Sup-norm cube, alias of the p=inf ball."""
-    return dataclasses.replace(pnorm_ball(dim, math.inf), label="box",
-                               params=())
+    return dataclasses.replace(pnorm_ball(dim, math.inf), label="box")
 
 
 def hyperbolic(dim: int = 2) -> DistanceFunction:
@@ -85,7 +83,7 @@ def hyperbolic(dim: int = 2) -> DistanceFunction:
     the product of points (..., d) or (d,) is a column fold (lattice._fold)."""
     ev = lambda x: np.abs(_fold(np.multiply, np.asarray(x))) ** (1.0 / dim)
     return DistanceFunction(dim=dim, evaluator=ev, label="hyperbola",
-                            params=(dim,), floor=0.0)
+                            floor=0.0)
 
 
 def scale_body(f: DistanceFunction, c: float) -> DistanceFunction:
@@ -94,7 +92,6 @@ def scale_body(f: DistanceFunction, c: float) -> DistanceFunction:
     ev = lambda x: f.evaluator(x) / c
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"scale:c={c:g}:{f.label}",
-                            params=(c,) + f.params,
                             floor=_floor_times(f.floor, 1.0 / c))
 
 
@@ -104,7 +101,6 @@ def inflate_body(f: DistanceFunction, c: float) -> DistanceFunction:
     ev = lambda x: c * f.evaluator(x)
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"inflate:c={c:g}:{f.label}",
-                            params=(c,) + f.params,
                             floor=_floor_times(f.floor, c))
 
 
@@ -122,15 +118,17 @@ def linear_image(f: DistanceFunction, A) -> DistanceFunction:
 
 def _spec_options(spec: str, keys: tuple[str, ...]) -> list[str]:
     """Values of the options `keys` of a spec "head:k1=v1:k2=v2...", in the
-    order of `keys`; each is required.  A token starts an option only when
-    it reads `key=` with `key` in `keys`; other tokens continue the value
-    before them, colon included, so a nested body spec keeps its colons
-    ("sublevel:body=scale:c=2:ball:p=2:t=1")."""
+    order of `keys`; each must appear once.  A token starts an option only
+    when it reads `key=` with `key` in `keys`; other tokens continue the
+    value before them, colon included, so a nested body spec keeps its
+    colons ("sublevel:body=scale:c=2:ball:p=2:t=1")."""
     opts: dict[str, str] = {}
     key = None
     for tok in spec.split(":")[1:]:
         k, eq, v = tok.partition("=")
         if eq and k in keys:
+            if k in opts:
+                raise ValueError(f"spec {spec!r} repeats the option {k}=")
             key, opts[k] = k, v
         elif key is None:
             raise ValueError(f"unexpected {tok!r} in spec {spec!r}")
@@ -202,16 +200,15 @@ def sphere_samples(dim: int, resolution: int) -> np.ndarray:
     return pts
 
 
-def _refine_min_2d(func, theta: float, half_width: float,
-                   iters: int = 80) -> float:
-    """Golden-section search for min func(cos t, sin t) on a bracket."""
+def _refine_min_2d(func, theta: float, half_width: float) -> float:
+    """80 golden-section steps for min func(cos t, sin t) on a bracket."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = theta - half_width, theta + half_width
     val = lambda t: float(func(np.array([math.cos(t), math.sin(t)])))
     c = b - gr * (b - a)
     d_ = a + gr * (b - a)
     fc, fd = val(c), val(d_)
-    for _ in range(iters):
+    for _ in range(80):
         if fc < fd:
             b, d_, fd = d_, c, fc
             c = b - gr * (b - a)
@@ -248,12 +245,11 @@ def _sphere_min(func, dim: int, resolution: int) -> float:
     return min(float(vals[i]), best_val)
 
 
-def boundedness_floor(f: DistanceFunction, resolution: int = 1024,
-                      threshold: float = DEFAULT_BOUNDED_TOL
-                      ) -> BoundednessCertificate:
+def boundedness_floor(f: DistanceFunction,
+                      resolution: int = 1024) -> BoundednessCertificate:
     """Floor of f on the unit sphere; the body is bounded when it exceeds
-    the threshold.  The floor is the closed form ``f.floor`` when the body
-    has one, as every catalog body does.  Otherwise it is the refined
+    DEFAULT_BOUNDED_TOL.  The floor is the closed form ``f.floor`` when the
+    body has one, as every catalog body does.  Otherwise it is the refined
     minimum over the sphere sample of this resolution and the points +-e_i:
     an estimate from above of the true minimum, which certifies nothing."""
     if resolution < 64:
@@ -263,7 +259,8 @@ def boundedness_floor(f: DistanceFunction, resolution: int = 1024,
         axes = np.concatenate([np.eye(f.dim), -np.eye(f.dim)])
         floor = min(_sphere_min(f.evaluator, f.dim, resolution),
                     float(np.min(f.evaluator(axes))))
-    return BoundednessCertificate(floor=floor, bounded=floor > threshold)
+    return BoundednessCertificate(floor=floor,
+                                  bounded=floor > DEFAULT_BOUNDED_TOL)
 
 
 def body_distance(f: DistanceFunction, g: DistanceFunction,

@@ -126,7 +126,7 @@ def _cmd_sample(args):
 
 def _cmd_count(args):
     L = make_lattice(parse_basis(args.basis))
-    region = parse_region(args.region, L.dim)
+    region = parse_region(args.region)
     n = count_primitive(L, region)
     return {"count": n, "region": region.spec}, f"{n}\n", [{"count": n}]
 

@@ -1,16 +1,16 @@
 """Lattices in low dimension: construction, ball enumeration, primitivity.
 
-A lattice is stored by the user-supplied basis (no silent reduction); all
-enumeration goes through one Fincke-Pohst coefficient-interval search,
-vectorized level by level in every dimension, never an unbounded grid
-scan.  Reduction and search run on stacks of bases (a lattice is a stack of
-one); Monte Carlo statistics enumerate Haar stacks in chunks.
+A lattice keeps the user-supplied basis B, in which coefficients are given,
+and a reduced basis W = B U made once by make_lattice (Gauss in the plane,
+size reduction above); _reduce_planar reduces a stack of planar bases once.
+All enumeration is one Fincke-Pohst coefficient-interval search on W,
+vectorized level by level, on stacks of bases (a lattice is a stack of one).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -30,14 +30,17 @@ _SCALED_DET_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Lattice:
-    """A full-rank lattice given by d basis columns and its cached determinant."""
+    """Full-rank lattice: basis columns, |det|, reduced W = basis @ U."""
 
     dim: int
     basis: np.ndarray  # shape (d, d); columns are the basis vectors
     det: float
+    W: np.ndarray = field(repr=False, compare=False)
+    U: np.ndarray = field(repr=False, compare=False)  # int64
 
     def __post_init__(self):
-        self.basis.setflags(write=False)
+        for a in (self.basis, self.W, self.U):
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -93,14 +96,19 @@ def _admitted_det(B: np.ndarray):
 
 
 def make_lattice(columns) -> Lattice:
-    """Build a lattice from basis columns, rejecting degenerate input."""
+    """Admit basis columns (no degenerate input); reduce them once."""
     B = np.array(columns, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise SingularBasis(f"basis must be square, got shape {B.shape}")
     d = B.shape[0]
     if d < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {d}")
-    return Lattice(dim=d, basis=B, det=float(_admitted_det(B)))
+    det = float(_admitted_det(B))
+    if d > 2:
+        return Lattice(d, B, det, *_size_reduce(B))
+    e = np.frexp(np.abs(B).max())[1]  # exact scale: no Gram entry overflows
+    W, U = (M[0] for M in _gauss_reduce_2d(np.ldexp(B, -e)[None]))
+    return Lattice(d, B, det, np.ldexp(W, e), U)
 
 
 def parse_basis(spec: str) -> np.ndarray:
@@ -337,13 +345,12 @@ def _windows(W: np.ndarray, det: np.ndarray, R: float, limit: int):
     return zip(starts, [*starts[1:], len(W)])
 
 
-def _planar_points(bases, R: float, stack=None):
+def _planar_points(stack, R: float):
     """Chunks (idx, coeffs, coords) of the points of norm <= R of each basis
-    of a planar stack (N, 2, 2), admitted and capped as by make_lattice and
-    enumerate_ball_arrays (`stack`, if given, is ``_reduce_planar(bases)``);
-    coords are B c by the dots of ``coeffs @ B.T``.  A chunk takes bases up
-    to about _CHUNK_NODES level nodes, so memory does not grow with N."""
-    B, det, W, U = _reduce_planar(bases) if stack is None else stack
+    of a planar stack ``_reduce_planar(bases)``, capped as by
+    enumerate_ball_arrays; coords are B c by the dots of ``coeffs @ B.T``.
+    A chunk holds about _CHUNK_NODES level nodes, so memory is flat in N."""
+    B, det, W, U = stack
     _check_budget(R, 2, det.min(initial=math.inf))
     for lo, hi in _windows(W, det, R, _CHUNK_NODES):
         idx, X = _enum(W[lo:hi], R)
@@ -358,14 +365,11 @@ def enumerate_ball_arrays(L: Lattice, R: float, *, sort: bool = True):
     Returns (coeffs, coords): integer coefficients w.r.t. the stored basis
     and real coordinates, rows sorted lexicographically by coefficients
     (callers that do order-independent reductions may pass sort=False).
-    The origin row is included.  The kernels run on a stack of one; a
-    count above DEFAULT_POINT_CAP raises BudgetExceeded.
+    The origin row is included.  The kernel searches the stored L.W, a
+    stack of one; a count above DEFAULT_POINT_CAP raises BudgetExceeded.
     """
-    d = L.dim
-    _check_budget(R, d, L.det)
-    W, U = _gauss_reduce_2d(L.basis[None]) if d == 2 \
-        else (M[None] for M in _size_reduce(L.basis))
-    coeffs = _enum(W, R)[1] @ U[0].T  # x = W c = B (U c)
+    _check_budget(R, L.dim, L.det)
+    coeffs = _enum(L.W[None], R)[1] @ L.U.T  # x = W c = B (U c)
     coords = coeffs @ L.basis.T
     if sort:
         order = np.lexsort(coeffs.T[::-1])

@@ -4,7 +4,7 @@ bounds for unbounded ones, and the semicontinuity probe harness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -12,9 +12,11 @@ import numpy as np
 from .bodies import (BoundednessCertificate, DistanceFunction,
                      boundedness_floor, hyperbolic)
 from .errors import InvariantViolation, UnboundedBody
-from .lattice import (_INFLATE, Lattice, LatticePoint, _fold, _gauss_reduce_2d,
+from .lattice import (_INFLATE, Lattice, LatticePoint, _fold,
                       enumerate_ball_arrays, enumerate_hyperbolic_cross,
                       golden_lattice, perturb_basis)
+
+_RESOLUTION = 512  # sphere sample behind a floorless body's floor estimate
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,15 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, R: float):
     rows may be among them, which :func:`_greedy_minima` allows.
 
     For the planar hyperbola body |x1*x2|^(1/2) fewer points suffice.  The
-    Gauss-reduced basis lies in the ball of radius r0 and has max f = sqrt(s),
+    reduced basis L.W lies in the ball of radius r0 and has max f = sqrt(s),
     so by monotonicity in the budget every witness at a budget b >= r0 has
     f <= lambda-hat_2(b) <= sqrt(s): the ball of radius r0 (inflated by a
     relative 1e-9) and the hyperbolic cross {|x1*x2| <= s, ||x|| <= R}
     hold every witness the ball does.  The ball of radius R is used when
     s is 0 (a basis vector on each axis, e.g. Z^2) or r0 >= R.
     """
-    if f.label == "hyperbola" and f.params == (2,) and L.dim == 2:
-        _, U = _gauss_reduce_2d(L.basis[None])
-        w = U[0].T @ L.basis.T
+    if f.label == "hyperbola" and f.dim == 2 and L.dim == 2:
+        w = L.U.T @ L.basis.T
         r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + _INFLATE)
         root_s = float(np.max(f.evaluator(w)))
         if r0 < R and 0.0 < root_s < math.inf:
@@ -99,7 +100,6 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, R: float):
 
 
 def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
-                            resolution: int = 512,
                             cert: Optional[BoundednessCertificate] = None
                             ) -> MinimaResult:
     """Exact successive minima of a bounded star body.
@@ -113,7 +113,7 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
     """
     exact = cert is not None or f.floor is not None
     if cert is None:
-        cert = boundedness_floor(f, resolution)
+        cert = boundedness_floor(f, _RESOLUTION)
     if not cert.bounded:
         raise UnboundedBody(f"body {f.label!r} has no positive sphere floor")
     alpha = cert.floor
@@ -185,15 +185,16 @@ def semicontinuity_probe(f_seq: Callable[[int], DistanceFunction],
                          L_seq: Callable[[int], Lattice],
                          f: DistanceFunction, L: Lattice, n_max: int, *,
                          slack: Callable[[int], float],
-                         budget: float = 50.0,
-                         resolution: int = 512) -> ProbeReport:
+                         budget: float = 50.0) -> ProbeReport:
     """Evaluate lambda_i along converging schedules and flag the
     upper-semicontinuity and (bounded case) convergence inequalities; an
     entry converges only when it and the reference are exact minima."""
 
     def minima(fn: DistanceFunction, Ln: Lattice) -> MinimaResult:
-        if boundedness_floor(fn, resolution).bounded:
-            return successive_minima_exact(fn, Ln, resolution=resolution)
+        cert = boundedness_floor(fn, _RESOLUTION)
+        if cert.bounded:
+            res = successive_minima_exact(fn, Ln, cert=cert)
+            return replace(res, exact=fn.floor is not None)
         return minima_upper_bound(fn, Ln, budget)
 
     ref = minima(f, L)

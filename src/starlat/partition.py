@@ -21,8 +21,8 @@ from .errors import (DegenerateMass, InvariantViolation, NoConvergence,
                      VolumeStall)
 from .haar import sample_unimodular_2d_arrays
 from .lattice import (Lattice, LatticePoint, _fold, _planar_points,
-                      _unit_ball_volume, _zeta, enumerate_ball_arrays,
-                      primitive_mask)
+                      _reduce_planar, _unit_ball_volume, _zeta,
+                      enumerate_ball_arrays, primitive_mask)
 
 BodyPredicate = Callable[[np.ndarray], np.ndarray]  # (N, d) -> bool mask
 
@@ -97,6 +97,7 @@ class RateReport:
 _QUADRANT_BY_SIGNS = np.array([3, 2, 4, 1], dtype=np.int64)
 _PARTITION_TOL_FRAC = 0.01  # equipartition tolerance, a fraction of total/4
 _MAX_BATCHES = 10**4  # rejection batches before sample_shell_points gives up
+_SPAN = 10.0  # transversal_check's line anchors: center +- _SPAN per axis
 
 
 def _median_cut(vals: np.ndarray, weights: np.ndarray) -> float:
@@ -183,8 +184,8 @@ def _quadrants_of_rows(partitions, pts: np.ndarray, k=0) -> np.ndarray:
 # transversal checker
 
 
-def transversal_check(partition: Partition2D, lines: int, seed: int,
-                      spread: float = 10.0) -> TransversalReport:
+def transversal_check(partition: Partition2D, lines: int,
+                      seed: int) -> TransversalReport:
     """Sample random affine lines and count how many of the four open
     quadrants each one meets.  Two crossing lines cut any other line into
     at most three pieces, so a count of 4 is a hard geometry bug."""
@@ -192,7 +193,7 @@ def transversal_check(partition: Partition2D, lines: int, seed: int,
         raise ValueError("need at least one probe line")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ang = rng.uniform(0.0, math.pi, lines)
-    P = np.array(partition.center) + rng.uniform(-spread, spread, (lines, 2))
+    P = np.array(partition.center) + rng.uniform(-_SPAN, _SPAN, (lines, 2))
     cs = math.cos(partition.angle), math.sin(partition.angle)
     a, c = _turned(*cs, P[:, 0] - partition.center[0],
                    P[:, 1] - partition.center[1])
@@ -435,7 +436,7 @@ def part_miss_rate(n: int, samples: int, config: PipelineConfig,
     # together in chunks
     occupancy = np.zeros(4 * samples, dtype=np.int64)
     for idx, coeffs, coords in _planar_points(
-            bases, min(shell.outer, config.budget)):
+            _reduce_planar(bases), min(shell.outer, config.budget)):
         q = _classify_rows([shell], [part], coeffs, coords)[1]
         hit = q > 0
         occupancy += np.bincount(4 * idx[hit] + q[hit] - 1,

@@ -1,7 +1,7 @@
-"""Primitive-point counting over bounded regions and the Monte Carlo
-mean-value / minima-decay experiments over Haar-random planar lattices; a
-report reduces its Haar stack once, counts disks and annuli without listing
-points (:func:`_interval_counts`) and other regions by listing them."""
+"""Primitive-point counting over bounded planar regions, one counter for a
+lattice (a stack of one) and a Haar stack reduced once: disks and annuli
+without listing points (:func:`_interval_counts`), others by listing; and
+the Monte Carlo mean-value / minima-decay experiments over Haar lattices."""
 
 from __future__ import annotations
 
@@ -14,13 +14,18 @@ import numpy as np
 
 from .bodies import DistanceFunction, _spec_options, boundedness_floor, \
     parse_body
-from .errors import InvariantViolation, UnboundedBody
+from .errors import DimensionMismatch, InvariantViolation, UnboundedBody
 from . import lattice
 from .lattice import (_INFLATE, Lattice, _check_budget, _fold, _gram_schmidt,
-                      _planar_points, _reduce_planar, _windows, _zeta,
-                      enumerate_ball_arrays, make_lattice, primitive_mask)
+                      _reduce_planar, _windows, _zeta, make_lattice,
+                      primitive_mask)
 from .haar import sample_unimodular_2d_arrays
 from .minima import _budget_candidates, _greedy_minima
+
+_MC_POINTS = 10**6  # Monte Carlo points behind a sublevel region's area
+_INTERVAL_CHUNK = 2**17  # ball nodes per chunk, for 5-8x fewer interval rows
+_MOBIUS_MAX = 2**16   # lattices needing more terms k are listed
+_THRESHOLDS = (1.0, 0.5, 0.2)  # of lambda-hat_2, for fraction_below
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,12 @@ def box_region(a: float) -> Region:
                   contains=lambda p: _fold(np.maximum, np.abs(p)) <= h)
 
 
-def sublevel_region(f: DistanceFunction, t: float, clip: float,
-                    mc_points: int = 10**6) -> Region:
+def sublevel_region(f: DistanceFunction, t: float, clip: float) -> Region:
     """{x : f(x) <= t} clipped to the disk of radius `clip` (finite area)."""
     spec = _sized(f"sublevel:body={f.label}:t={t:g}:clip={clip:g}", t=t,
                   clip=clip)
     rng = np.random.default_rng(np.random.SeedSequence(987654321))
-    u = rng.random((mc_points, 2))
+    u = rng.random((_MC_POINTS, 2))
     radii = clip * np.sqrt(u[:, 0])
     ang = 2.0 * math.pi * u[:, 1]
     pts = np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
@@ -90,13 +94,13 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float,
         & (_fold(np.add, pts_ * pts_) <= clip * clip)
     return Region(kind="sublevel", spec=spec, area=p * disk_area,
                   area_stderr=disk_area
-                  * math.sqrt(max(p * (1 - p), 0.0) / mc_points),
+                  * math.sqrt(max(p * (1 - p), 0.0) / _MC_POINTS),
                   bounding_radius=clip, contains=contains)
 
 
-def parse_region(spec: str, dim: int = 2) -> Region:
+def parse_region(spec: str) -> Region:
     """Parse "disk:r=2.5", "annulus:r0=1:r1=2", "box:a=2",
-    "sublevel:body=hyperbola:t=1:clip=10"."""
+    "sublevel:body=hyperbola:t=1:clip=10" (regions are planar)."""
     head = spec.partition(":")[0]
     if head == "disk":
         return disk_region(*map(float, _spec_options(spec, ("r",))))
@@ -106,16 +110,16 @@ def parse_region(spec: str, dim: int = 2) -> Region:
         return box_region(*map(float, _spec_options(spec, ("a",))))
     if head == "sublevel":
         body, t, clip = _spec_options(spec, ("body", "t", "clip"))
-        return sublevel_region(parse_body(body, dim), float(t), float(clip))
+        return sublevel_region(parse_body(body), float(t), float(clip))
     raise ValueError(f"unknown region spec {spec!r}")
 
 
 def count_primitive(L: Lattice, region: Region) -> int:
-    """Exact number of primitive points of L in the region."""
-    coeffs, coords = enumerate_ball_arrays(L, region.bounding_radius,
-                                           sort=False)
-    mask = np.asarray(region.contains(coords), dtype=bool)
-    return int(np.count_nonzero(primitive_mask(coeffs[mask])))
+    """Exact number of primitive points of a planar L in the region."""
+    if L.dim != 2:
+        raise DimensionMismatch(f"regions are planar, got dimension {L.dim}")
+    stack = (L.basis[None], np.array([L.det]), L.W[None], L.U[None])
+    return int(_primitive_counts(region, stack)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +145,6 @@ class MomentReport:
     samples: int
     seed: int
     entries: tuple[RegionMoment, ...]
-
-
-_INTERVAL_CHUNK = 2**17  # ball nodes per chunk, for 5-8x fewer interval rows
-_MOBIUS_MAX = 2**16   # lattices needing more terms k are listed
 
 
 @functools.cache
@@ -209,12 +209,11 @@ def _interval_counts(stack, r: float):
     return P, flagged
 
 
-def _primitive_counts(region: Region, bases: np.ndarray,
-                      stack=None) -> np.ndarray:
-    """:func:`count_primitive` for each lattice of a planar stack (N, 2, 2),
-    `stack` its ``_reduce_planar``: disks and annuli by _interval_counts,
-    other regions and its flagged lattices by listing the bounding ball."""
-    B, det, W, U = stack = _reduce_planar(bases) if stack is None else stack
+def _primitive_counts(region: Region, stack) -> np.ndarray:
+    """Primitive points in the region of each lattice of a planar stack
+    ``_reduce_planar(bases)``: disks and annuli by _interval_counts, other
+    regions and its flagged lattices by listing the bounding ball."""
+    B, det, W, U = stack
     R = region.bounding_radius
     _check_budget(R, 2, det.min(initial=math.inf))
     counts, flagged = np.zeros(len(B), np.int64), np.ones(len(B), bool)
@@ -226,7 +225,7 @@ def _primitive_counts(region: Region, bases: np.ndarray,
     if flagged.any():  # a slice keeps a whole stack a view
         sub = slice(None) if flagged.all() else np.flatnonzero(flagged)
         part, counts[sub] = tuple(a[sub] for a in stack), 0
-        for idx, coeffs, coords in _planar_points(part[0], R, part):
+        for idx, coeffs, coords in lattice._planar_points(part, R):
             keep = np.asarray(region.contains(coords), dtype=bool) \
                 & primitive_mask(coeffs)
             counts[sub] += np.bincount(idx[keep], minlength=len(part[0]))
@@ -240,12 +239,11 @@ def rogers_moment_report(regions: list[Region], N: int,
     the N lattices as one stack."""
     if N < 10**3:
         raise ValueError("need at least 1000 samples")
-    _, _, _, bases = sample_unimodular_2d_arrays(N, seed)
-    stack = _reduce_planar(bases)
+    stack = _reduce_planar(sample_unimodular_2d_arrays(N, seed)[3])
     z2 = _zeta(2)
     entries = []
     for region in regions:
-        counts = _primitive_counts(region, bases, stack)
+        counts = _primitive_counts(region, stack)
         V = region.area
         center = V / z2
         dev = counts - center
@@ -290,8 +288,8 @@ def _lambda2_at_budgets(coeffs: np.ndarray, fvals: np.ndarray,
     return out
 
 
-def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
-                        thresholds=(1.0, 0.5, 0.2)) -> Theorem2Report:
+def theorem2_experiment(body: DistanceFunction, budgets, N: int,
+                        seed: int) -> Theorem2Report:
     """Budgeted lambda-hat_2 curves for an unbounded body over Haar lattices.
 
     Per-lattice curves are monotone non-increasing by construction (nested
@@ -313,10 +311,9 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
     if boundedness_floor(body).bounded:
         raise UnboundedBody("minima-decay experiment requires an unbounded "
                             "body")
-    _, _, _, bases = sample_unimodular_2d_arrays(N, seed)
     rows = []
-    for i in range(N):
-        L = make_lattice(bases[i])
+    for B in sample_unimodular_2d_arrays(N, seed)[3]:
+        L = make_lattice(B)
         coeffs, coords = _budget_candidates(body, L, budgets[-1])
         fvals = np.asarray(body.evaluator(coords), dtype=float)
         norms2 = _fold(np.add, coords * coords)
@@ -329,7 +326,7 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int, seed: int,
     med = tuple(float(v) for v in np.median(arr, axis=0))
     frac = tuple(
         tuple(float(np.mean(arr[:, j] < t)) for j in range(len(budgets)))
-        for t in thresholds)
+        for t in _THRESHOLDS)
     return Theorem2Report(body=body.label, budgets=tuple(budgets), samples=N,
                           seed=seed, lambda2=tuple(rows), median_curve=med,
-                          thresholds=tuple(thresholds), fraction_below=frac)
+                          thresholds=_THRESHOLDS, fraction_below=frac)

@@ -96,20 +96,27 @@ def listing_primitive_counts(region, bases):
     """Primitive counts of a planar stack by listing every point of the
     bounding ball (the chunked stack enumeration) and a gcd per point, the
     path that interval counting replaces for disks and annuli."""
-    from starlat.lattice import _planar_points, primitive_mask
+    from starlat.lattice import _planar_points, _reduce_planar, primitive_mask
     counts = np.zeros(len(bases), dtype=np.int64)
-    for idx, coeffs, coords in _planar_points(bases, region.bounding_radius):
+    for idx, coeffs, coords in _planar_points(_reduce_planar(bases),
+                                              region.bounding_radius):
         keep = region.contains(coords) & primitive_mask(coeffs)
         counts += np.bincount(idx[keep], minlength=len(bases))
     return counts
 
 
 def loop_primitive_counts(region, bases):
-    """Primitive counts of a stack of planar bases by the per-lattice loop
-    that batched counting replaced: one count_primitive call per lattice."""
-    from starlat import count_primitive, make_lattice
-    return np.array([count_primitive(make_lattice(B), region)
-                     for B in bases], dtype=np.int64)
+    """Primitive counts of a stack of planar bases by listing one lattice at
+    a time: the points of its bounding ball from enumerate_ball_arrays, the
+    region's predicate and a gcd per point."""
+    from starlat import enumerate_ball_arrays, make_lattice, primitive_mask
+    counts = []
+    for B in bases:
+        coeffs, coords = enumerate_ball_arrays(
+            make_lattice(B), region.bounding_radius, sort=False)
+        keep = np.asarray(region.contains(coords), dtype=bool)
+        counts.append(np.count_nonzero(primitive_mask(coeffs[keep])))
+    return np.array(counts, dtype=np.int64)
 
 
 def loop_miss_count(n, samples, config, seed):

@@ -241,6 +241,12 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
      "region spec 'box:a=1e+300' has no finite area"),
     (("witness", "--shells", "0"), "need at least one shell, got n_max=0"),
     (("witness", "--shells", "-1"), "need at least one shell, got n_max=-1"),
+    (("count", "--basis", "1,0,0;0,1,0;0,0,1", "--region", "box:a=2"),
+     "regions are planar, got dimension 3"),
+    (("count", "--basis", "1,0;0,1", "--region", "disk:r=2:r=3"),
+     "spec 'disk:r=2:r=3' repeats the option r="),
+    (("witness", "--body", "sublevel:body=ball:p=2:t=1:t=2"),
+     "repeats the option t="),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starlat as sl
-from starlat import lattice
+from starlat import lattice, minima, partition, stats
 from starlat.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -360,3 +360,64 @@ def test_fold_is_numpys_row_reduction_bit_for_bit(d, rows, data):
     assert np.array_equal(_bits(got)[~zeros], _bits(want)[~zeros])
     assert np.all(_bits(got[zeros]) == _bits(-0.0))
     assert np.all(_bits(want[zeros]) == _bits(0.0))
+
+
+@pytest.mark.parametrize("columns", [
+    [[1.0, 0.0], [7.3, 1.0]], [[0.3, 1.1], [-2.0, 0.4]],
+    [[1.4e154, 1.4e154], [0.0, 1e150]],  # |column|^2 overflows a float
+    sl.random_unimodular(3, 4, 30), sl.random_unimodular(4, 2, 20)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_lattice_stores_its_reduced_basis(columns):
+    L = sl.make_lattice(columns)
+    scale = np.abs(L.basis).max()
+    assert L.U.dtype == np.int64 and abs(round(np.linalg.det(L.U))) == 1
+    assert np.allclose(L.W, L.basis @ L.U, rtol=0, atol=1e-12 * scale)
+    assert not (L.W.flags.writeable or L.U.flags.writeable)
+    if L.dim == 2:  # Gauss-reduced: |w0| <= |w1|, |<w0, w1>| <= |w0|^2 / 2
+        g = (L.W / scale).T @ (L.W / scale)
+        assert g[0, 0] <= g[1, 1] and 2 * abs(g[0, 1]) <= g[0, 0] * (1 + 1e-12)
+    assert "W=" not in repr(L)
+
+
+def _count_reductions(monkeypatch):
+    """Calls of the two single-lattice reductions, by name, from every
+    starlat module that binds them."""
+    calls = {"_gauss_reduce_2d": 0, "_size_reduce": 0}
+    for name in calls:
+        fn = getattr(lattice, name)
+
+        def counted(B, fn=fn, name=name):
+            calls[name] += 1
+            return fn(B)
+
+        for mod in (lattice, minima, stats, partition):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("columns", [[[1.0, 0.0], [0.4, 10.0]],
+                                     [[1.0, 0, 0], [0, 1.0, 0],
+                                      [0.3, -0.2, 10.0]]])
+def test_exact_minima_query_reduces_its_lattice_once(monkeypatch, columns):
+    # lambda_d lies far beyond the first radius det^(1/d) / floor, so the
+    # radius doubles; the basis is reduced when the lattice is built only
+    calls = _count_reductions(monkeypatch)
+    radii = []
+    enum = lattice.enumerate_ball_arrays
+    monkeypatch.setattr(minima, "enumerate_ball_arrays",
+                        lambda L, R, **kw: radii.append(R) or enum(L, R, **kw))
+    d = len(columns)
+    res = sl.successive_minima_exact(sl.pnorm_ball(d, 2),
+                                     sl.make_lattice(columns))
+    assert res.exact and len(radii) >= 2
+    assert sum(calls.values()) == 1
+    assert calls["_gauss_reduce_2d" if d == 2 else "_size_reduce"] == 1
+
+
+def test_theorem2_reduces_a_lattice_once_plus_its_rectangles(monkeypatch):
+    # one reduction in make_lattice and one of the hyperbolic cross's
+    # rectangle stack; the r0-ball and the threshold s reuse L.W
+    calls = _count_reductions(monkeypatch)
+    sl.theorem2_experiment(sl.hyperbolic(2), (10, 100, 1000), 1, 3)
+    assert calls == {"_gauss_reduce_2d": 2, "_size_reduce": 0}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starlat as sl
-from starlat import minima
+from starlat import bodies, minima
 from starlat.errors import InvariantViolation, SingularBasis, UnboundedBody
 
 from conftest import (
@@ -425,3 +425,19 @@ def test_floorless_body_is_not_certified():
                                   slack=lambda n: 1.0)
     assert rep.reference_exact
     assert not any(e.exact or e.converged for e in rep.entries)
+
+
+def test_probe_samples_a_floorless_floor_once_per_entry(monkeypatch):
+    # the reference and each of 3 entries estimate the floor once; the
+    # exact solver takes that estimate as its certificate
+    calls = []
+    sphere_min = bodies._sphere_min
+    monkeypatch.setattr(bodies, "_sphere_min",
+                        lambda *a: calls.append(a[1]) or sphere_min(*a))
+    f = sl.DistanceFunction(dim=2, evaluator=EUCLID.evaluator, label="mine")
+    L = sl.make_lattice([[1, 0.5], [0, math.sqrt(3) / 2]])
+    rep = sl.semicontinuity_probe(lambda n: f, lambda n: L, f, L, 3,
+                                  slack=lambda n: 1.0)
+    assert len(calls) == 4
+    assert not rep.reference_exact
+    assert [e.values for e in rep.entries] == [rep.reference] * 3

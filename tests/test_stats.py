@@ -6,7 +6,8 @@ from scipy.special import zeta
 
 import starlat as sl
 from starlat import lattice, stats
-from starlat.errors import BudgetExceeded, InvariantViolation, UnboundedBody
+from starlat.errors import (BudgetExceeded, DimensionMismatch,
+                            InvariantViolation, UnboundedBody)
 
 from conftest import (ball_candidates, grid_primitive_count,
                       listing_primitive_counts, loop_primitive_counts)
@@ -41,6 +42,26 @@ def test_count_primitive_box_and_annulus():
     full = sl.count_primitive(Z2, sl.disk_region(2.5))
     inner = sl.count_primitive(Z2, sl.disk_region(1.0))
     assert sl.count_primitive(Z2, sl.annulus_region(1.0, 2.5)) == full - inner
+
+
+def test_count_primitive_regions_are_planar():
+    # the cube [-1, 1]^3 holds 26 primitive points, but a region's bounding
+    # radius and area are planar, so a 3D count is refused
+    L3 = sl.make_lattice(np.eye(3))
+    for region in (sl.box_region(2.0), sl.disk_region(1.5)):
+        with pytest.raises(DimensionMismatch, match="regions are planar"):
+            sl.count_primitive(L3, region)
+
+
+def test_repeated_spec_option_is_an_error():
+    for spec, key in (("disk:r=2:r=3", "r"), ("annulus:r0=1:r1=2:r0=0.5",
+                                               "r0"),
+                      ("sublevel:body=hyperbola:t=1:clip=3:t=2", "t")):
+        with pytest.raises(ValueError, match=f"{spec!r} repeats the option "
+                           f"{key}="):
+            sl.parse_region(spec)
+    with pytest.raises(ValueError, match="repeats the option p="):
+        sl.parse_body("ball:p=2:p=3")
 
 
 def test_region_parsing_round_trip():
@@ -126,7 +147,7 @@ REGION_SPECS = ("disk:r=5", "disk:r=1.7841241161527712", "box:a=3",
 def test_batched_counts_match_per_lattice_loop(kind, spec):
     region = sl.parse_region(spec)
     bases = _stack(kind, 200, 31 + len(spec))
-    counts = stats._primitive_counts(region, bases)
+    counts = stats._primitive_counts(region, lattice._reduce_planar(bases))
     assert np.array_equal(counts, loop_primitive_counts(region, bases))
     for i in range(0, len(bases), 25):
         assert counts[i] == grid_primitive_count(
@@ -136,11 +157,13 @@ def test_batched_counts_match_per_lattice_loop(kind, spec):
 def test_batched_counts_span_several_chunks():
     region = sl.disk_region(math.sqrt(40.0 / math.pi))
     bases = _stack("haar", 3000, 5)
-    chunks = list(sl.lattice._planar_points(bases, region.bounding_radius))
+    chunks = list(lattice._planar_points(lattice._reduce_planar(bases),
+                                         region.bounding_radius))
     assert len(chunks) > 3
     idx = np.concatenate([c[0] for c in chunks])
     assert np.all(np.diff(idx) >= 0) and set(idx.tolist()) == set(range(3000))
-    assert np.array_equal(stats._primitive_counts(region, bases),
+    stack = lattice._reduce_planar(bases)
+    assert np.array_equal(stats._primitive_counts(region, stack),
                           loop_primitive_counts(region, bases))
 
 
@@ -154,7 +177,8 @@ def test_one_bad_lattice_in_a_stack_raises(monkeypatch, bad, error):
     bases[117] = bad
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 10**4)
     with pytest.raises(error):
-        stats._primitive_counts(sl.disk_region(2.0), bases)
+        stats._primitive_counts(sl.disk_region(2.0),
+                                lattice._reduce_planar(bases))
 
 
 def test_level_cap_is_per_lattice_in_a_stack(monkeypatch):
@@ -165,10 +189,11 @@ def test_level_cap_is_per_lattice_in_a_stack(monkeypatch):
     bases = _stack("haar", 300, 9)
     want = loop_primitive_counts(region, bases)
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 100)
-    assert np.array_equal(stats._primitive_counts(region, bases), want)
+    assert np.array_equal(
+        stats._primitive_counts(region, lattice._reduce_planar(bases)), want)
     bases[150] = np.diag([0.01, 100.0])
     with pytest.raises(BudgetExceeded, match="201 candidates exceed cap 100"):
-        stats._primitive_counts(region, bases)
+        stats._primitive_counts(region, lattice._reduce_planar(bases))
 
 
 def test_squarefree_matches_trial_division():
@@ -209,8 +234,9 @@ def test_interval_counts_certify_benchmark_stacks(seed):
 def test_annulus_counts_match_listing(kind, r0, r1):
     region = sl.annulus_region(r0, r1)
     bases = _stack(kind, 300, 77 + int(10 * r1))
-    assert np.array_equal(stats._primitive_counts(region, bases),
-                          listing_primitive_counts(region, bases))
+    assert np.array_equal(
+        stats._primitive_counts(region, lattice._reduce_planar(bases)),
+        listing_primitive_counts(region, bases))
 
 
 HEX = np.array([[1.0, 0.5], [0.0, 0.8660254037844386]])
@@ -224,11 +250,34 @@ def test_boundary_lattices_are_flagged_and_listed(basis, r):
     # so the interval count is not certified and the listing path decides
     stack = lattice._reduce_planar(basis[None])
     assert stats._interval_counts(stack, r)[1].all()
+    L = sl.make_lattice(basis)
     for region in (sl.disk_region(r), sl.annulus_region(r / 2, r),
                    sl.annulus_region(0.5, r)):
-        L = sl.make_lattice(basis)
-        assert stats._primitive_counts(region, basis[None]).tolist() \
-            == [sl.count_primitive(L, region)]
+        want = loop_primitive_counts(region, basis[None]).tolist()
+        assert stats._primitive_counts(region, stack).tolist() == want
+        assert [sl.count_primitive(L, region)] == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_count_primitive_on_certified_lattices_never_lists(monkeypatch,
+                                                           seed):
+    bases = _stack("haar", 150, 500 + seed)
+    stack = lattice._reduce_planar(bases)
+    regions = [sl.disk_region(math.sqrt(a / math.pi)) for a in (5, 40)]
+    regions.append(sl.annulus_region(1.0, 2.5))
+    for r in (1.0, 2.5, *(g.bounding_radius for g in regions)):
+        assert not stats._interval_counts(stack, r)[1].any()
+    want = [loop_primitive_counts(region, bases) for region in regions]
+
+    def listing(*args):
+        raise AssertionError("a certified lattice was listed")
+
+    monkeypatch.setattr(lattice, "_planar_points", listing)
+    with pytest.raises(AssertionError, match="was listed"):
+        sl.count_primitive(sl.make_lattice(bases[0]), sl.box_region(2.0))
+    for region, counts in zip(regions, want):
+        assert [sl.count_primitive(sl.make_lattice(B), region)
+                for B in bases] == counts.tolist()
 
 
 def test_boundary_point_on_the_top_row_is_flagged():
@@ -241,10 +290,11 @@ def test_boundary_point_on_the_top_row_is_flagged():
         B = np.array([[math.cos(t), -math.sin(t)],
                       [math.sin(t), math.cos(t)]]) @ [[1.0, 0.5], [0.0, h]]
         region = sl.disk_region(float(np.linalg.norm(B @ [-1.0, 2.0])))
-        assert stats._interval_counts(lattice._reduce_planar(B[None]),
-                                      region.bounding_radius)[1].all()
-        assert stats._primitive_counts(region, B[None]).tolist() \
-            == [sl.count_primitive(sl.make_lattice(B), region)]
+        stack = lattice._reduce_planar(B[None])
+        assert stats._interval_counts(stack, region.bounding_radius)[1].all()
+        want = loop_primitive_counts(region, B[None]).tolist()
+        assert stats._primitive_counts(region, stack).tolist() == want
+        assert [sl.count_primitive(sl.make_lattice(B), region)] == want
 
 
 def test_cap_counts_interval_candidates_off_the_boundary(monkeypatch):
@@ -256,7 +306,8 @@ def test_cap_counts_interval_candidates_off_the_boundary(monkeypatch):
                                       1.0)[1].any()
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 100)
     with pytest.raises(BudgetExceeded, match="163 candidates exceed cap 100"):
-        stats._primitive_counts(sl.disk_region(1.0), bases)
+        stats._primitive_counts(sl.disk_region(1.0),
+                                lattice._reduce_planar(bases))
 
 
 @pytest.mark.parametrize("y", [1e8, 5e11])
@@ -272,8 +323,9 @@ def test_skewed_haar_basis_takes_the_listing_path(y):
     flagged = stats._interval_counts(lattice._reduce_planar(bases),
                                      region.bounding_radius)[1]
     assert flagged.tolist() == [False] * 50 + [True]
-    assert np.array_equal(stats._primitive_counts(region, bases),
-                          listing_primitive_counts(region, bases))
+    assert np.array_equal(
+        stats._primitive_counts(region, lattice._reduce_planar(bases)),
+        listing_primitive_counts(region, bases))
 
 
 def test_rogers_report_reduces_the_stack_once(monkeypatch):
