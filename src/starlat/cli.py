@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import sys
@@ -40,11 +39,7 @@ def _plain(obj):
                 if not callable(v)}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _plain(float(obj))
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return _plain(obj.tolist())
     if isinstance(obj, float):
         if math.isinf(obj):
@@ -78,14 +73,9 @@ def _emit(text: str, out_path):
 
 
 def _csv_rows(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    cols = list(rows[0])
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for row in rows:
-        buf.write(",".join(str(_plain(row[c])) for c in cols) + "\n")
-    return buf.getvalue()
+    cols = list(rows[0]) if rows else []
+    lines = [cols] + [[str(_plain(row[c])) for c in cols] for row in rows]
+    return "".join(",".join(v) + "\n" for v in lines)
 
 
 def _fmt(v: float) -> str:
@@ -110,10 +100,8 @@ def _cmd_minima(args):
 
 def _cmd_sample(args):
     x, y, rot, bases = sample_unimodular_2d_arrays(args.count, args.seed)
-    result = [{
-        "x": float(x[i]), "y": float(y[i]), "rotation": float(rot[i]),
-        "basis": bases[i].tolist(),
-    } for i in range(args.count)]
+    result = [{"x": float(a), "y": float(b), "rotation": float(r),
+               "basis": B.tolist()} for a, b, r, B in zip(x, y, rot, bases)]
     plain = "".join(
         json.dumps(_plain(r), sort_keys=True, separators=(",", ":")) + "\n"
         for r in result)
@@ -235,22 +223,17 @@ def _cmd_probe(args):
     slack = _parse_slack(value("slack", str, "10/n"))
     budget = value("budget", float, 50.0)
     seed = value("seed", int, args.seed)
-    body_seq_kind = cfg.get("body_seq", "fixed")
-    lat_seq_kind = cfg.get("lattice_seq", "fixed")
     scale = value("perturb_scale", float, 1.0)
-
-    if body_seq_kind == "inflate":
-        f_seq = lambda n: inflate_body(f, 1.0 + 1.0 / n)
-    elif body_seq_kind == "fixed":
-        f_seq = lambda n: f
-    else:
-        raise ValueError(f"unknown body_seq {body_seq_kind!r}")
-    if lat_seq_kind == "perturb":
-        L_seq = lambda n: perturb_basis(L, scale / n, seed + n)
-    elif lat_seq_kind == "fixed":
-        L_seq = lambda n: L
-    else:
-        raise ValueError(f"unknown lattice_seq {lat_seq_kind!r}")
+    seqs = {"body_seq": {"inflate": lambda n: inflate_body(f, 1.0 + 1.0 / n),
+                         "fixed": lambda n: f},
+            "lattice_seq": {"perturb": lambda n: perturb_basis(L, scale / n,
+                                                               seed + n),
+                            "fixed": lambda n: L}}
+    for key, kinds in seqs.items():
+        kind = cfg.get(key, "fixed")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ValueError(f"unknown {key} {kind!r}")
+    f_seq, L_seq = (seqs[k][cfg.get(k, "fixed")] for k in seqs)
     rep = semicontinuity_probe(f_seq, L_seq, f, L, n_max, slack=slack,
                                budget=budget)
     rows = [{"n": e.n, "values": ";".join(_fmt(v) for v in e.values),

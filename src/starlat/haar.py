@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, make_lattice
+from .lattice import Lattice, _reduce_planar, make_lattice
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,8 @@ def sample_unimodular_2d_arrays(count: int, seed: int):
 
 def sample_unimodular_2d_batch(count: int, seed: int) -> list[HaarSample2D]:
     x, y, rot, bases = sample_unimodular_2d_arrays(count, seed)
-    return [
-        HaarSample2D(x=float(x[i]), y=float(y[i]), rotation=float(rot[i]),
-                     lattice=make_lattice(bases[i]))
-        for i in range(count)
-    ]
+    return [HaarSample2D(*map(float, v), Lattice(2, B, float(det), W, U))
+            for *v, B, det, W, U in zip(x, y, rot, *_reduce_planar(bases))]
 
 
 def sample_unimodular_2d(seed: int) -> HaarSample2D:

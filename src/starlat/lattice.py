@@ -269,28 +269,39 @@ def _gram_schmidt(W: np.ndarray):
     return B, mu
 
 
-def _enum(W: np.ndarray, R: float):
+@np.errstate(all="ignore")  # non-finite bounds are refused before a cast
+def _enum(W: np.ndarray, R):
     """(idx, X): every integer x with ||W x|| <= R for each basis of a stack
-    (N, d, d), row k of X belonging to basis idx[k], grouped by basis.
+    (N, d, d), R a scalar or one radius per basis, row k of X belonging to
+    basis idx[k], grouped by basis.
 
     Modified Gram-Schmidt (accurate on skewed bases) gives ||W x||^2 =
     sum_i B_i (x_i + sum_{j>i} mu_ij x_j)^2.  Level by level from x_{d-1}
     (Fincke-Pohst), one numpy step extends every node of the stack by all
-    x_i in its remaining radius: nodes gather B_i, mu_ij by basis index,
-    np.repeat + cumsum offsets expand them.  Intervals are inflated by
-    1e-9, the exact test ||W x||^2 <= R^2 ends the search, and a level
-    of more than DEFAULT_POINT_CAP nodes of one basis is BudgetExceeded.
-    """
+    x_i in its remaining radius: nodes gather B_i, mu_ij and R^2 by basis
+    index, np.repeat + cumsum offsets expand them.  Intervals are inflated
+    by 1e-9, the exact test ||W x||^2 <= R^2 ends the search, and a level
+    of more than DEFAULT_POINT_CAP nodes of one basis is BudgetExceeded, as
+    is a level whose nodes' centers c and half-widths w of x_i have a sum of
+    squares of 2^90 or more or not finite (an overflowing R^2 among them).
+    Below it every |c|, w < 2^45 and, for under 2^31 nodes, the level's
+    count is below 2^62 (Cauchy-Schwarz): no cast or count overflows."""
     N, d = W.shape[:2]
     B, mu = _gram_schmidt(W)
 
-    def node(a):
-        # per-node values of a per-basis array; a stack of one broadcasts,
-        # so it carries no per-node index
-        return a if N == 1 else a[idx]
+    def node(a):  # a per-basis array per node; one basis or a scalar as is
+        return a if N == 1 or isinstance(a, float) else a[idx]
 
-    R2 = (R * (1.0 + _INFLATE)) ** 2
-    top = (np.sqrt(R2 / B[-1]) * (1.0 + _INFLATE)).astype(np.int64)
+    def fits(sq):  # before a level's casts; NaN fails too
+        if not sq < 2.0**90:
+            raise BudgetExceeded("the search leaves the float range: the "
+                                 "radius is too large for the basis")
+
+    big = not isinstance(R, np.ndarray) and not R < 2.0**511  # NaN too
+    R2 = math.inf if big else (R * (1.0 + _INFLATE)) ** 2  # arrays give inf
+    top = np.sqrt(R2 / B[-1]) * (1.0 + _INFLATE)
+    fits(top.dot(top))
+    top = top.astype(np.int64)
     lo, cnt = -top, 2 * top + 1  # x_{d-1} in [-top, top]
     idx = np.arange(N)
     cols = []  # node coordinates x_{d-1}, ..., x_{i+1}
@@ -301,6 +312,7 @@ def _enum(W: np.ndarray, R: float):
             for k in range(1, d - 1 - i):
                 cen += m[:, k] * cols[-1 - k]
             w = np.sqrt(np.maximum(rem, 0.0) / node(B[i])) * (1.0 + _INFLATE)
+            fits(cen.dot(cen) + w.dot(w))
             lo = np.ceil(-cen - w).astype(np.int64)
             cnt = np.floor(w - cen).astype(np.int64) - lo + 1
         end = cnt.cumsum()
@@ -314,7 +326,7 @@ def _enum(W: np.ndarray, R: float):
         cols = [c.repeat(cnt) for c in cols]
         idx = idx.repeat(cnt) if N > 1 else idx
         if i == d - 1:
-            rem = R2 - node(B[i]) * (x * x)
+            rem = node(R2) - node(B[i]) * (x * x)
         elif i:
             y = x + cen.repeat(cnt)
             rem = rem.repeat(cnt) - node(B[i]) * (y * y)
@@ -322,14 +334,15 @@ def _enum(W: np.ndarray, R: float):
     X = np.array(cols[::-1]).T
     # BLAS dots either way, so both are bit-equal to X @ W.T of one basis
     xy = X @ W[0].T if N == 1 else np.vecdot(W[idx], X[:, None, :])
-    keep = _fold(np.add, xy * xy) <= R2
+    keep = _fold(np.add, xy * xy) <= node(R2)
     X = X[keep]
     return (idx[keep] if N > 1 else np.zeros(len(X), np.int64)), X
 
 
 def _reduce_planar(bases):
     """(B, det, W, U) of a planar stack (N, 2, 2): the bases admitted as by
-    make_lattice, det their |det|, and W = B @ U Gauss-reduced."""
+    make_lattice, det their |det|, and W = B @ U Gauss-reduced, make_lattice's
+    bit for bit where no Gram entry leaves the normal floats (Haar bases)."""
     B = np.asarray(bases, dtype=float)
     return (B, _admitted_det(B), *_gauss_reduce_2d(B))
 
@@ -377,28 +390,14 @@ def enumerate_ball_arrays(L: Lattice, R: float, *, sort: bool = True):
     return coeffs, coords
 
 
-def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
-    """Planar lattice points near the axes, as arrays (coeffs, coords).
-
-    Returns a superset of the nonzero points with |x1*x2| <= s and
-    ||x|| <= R, rows deduplicated and sorted lexicographically by
-    coefficients; coords are ``coeffs @ L.basis.T`` as in
-    :func:`enumerate_ball_arrays`.  A point with |x_i| <= |x_k| and
-    2^(j-1) t < |x_k| <= 2^j t, t = sqrt(s), has |x_i| <= s/|x_k| <
-    2^(1-j) t, so the region is covered by the dyadic rectangles
-    {|x_i| <= 2^(1-j) t, |x_k| <= 2^j t}, j = 1..ceil(log2(R/t)), on each
-    axis.  A rectangle with half-widths (a, h) lies in the ellipse that is
-    the ball of radius sqrt(2) of the lattice diag(1/a, 1/h) B; the stack of
-    these O(log(R^2/s)) bases is enumerated in place of the pi R^2/det points
-    of the ball.  Like every enumeration interval, s and R are inflated by a
-    relative 1e-9; DEFAULT_POINT_CAP caps the candidates of all rectangles.
-    """
-    if L.dim != 2:
-        raise DimensionMismatch("hyperbolic-cross enumeration is planar")
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
+def _cross_stack(L: Lattice, s: float, R: float):
+    """(W, U): Gauss-reduced bases whose balls of radius sqrt(2) cover the
+    cross {|x1*x2| <= s, ||x|| <= R} of a planar L, s and R inflated by a
+    relative 1e-9.  A point with |x_i| <= |x_k| and 2^(j-1) t < |x_k| <=
+    2^j t, t = sqrt(s), has |x_i| <= s/|x_k| < 2^(1-j) t, so the dyadic
+    rectangles {|x_i| <= 2^(1-j) t, |x_k| <= 2^j t}, j = 1..ceil(log2(R/t)),
+    cover it; half-widths (a, h) lie in the ball of radius sqrt(2) of
+    diag(1/a, 1/h) B, one basis of the stack."""
     t = math.sqrt(s * (1.0 + _INFLATE))
     R_in = R * (1.0 + _INFLATE)
     if not R_in < 2.0**511 * t:  # else the rectangle bases overflow
@@ -407,7 +406,26 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
     for j in range(1, max(1, math.ceil(math.log2(R_in / t))) + 1):
         short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
         sides += [(short, long_), (long_, short)]
-    W, U = _gauss_reduce_2d(L.basis / np.array(sides)[:, :, None])
+    return _gauss_reduce_2d(L.basis / np.array(sides)[:, :, None])
+
+
+def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
+    """Planar lattice points near the axes, as arrays (coeffs, coords).
+
+    Returns a superset of the nonzero points with |x1*x2| <= s and
+    ||x|| <= R, rows deduplicated and sorted lexicographically by
+    coefficients; coords are ``coeffs @ L.basis.T`` as in
+    :func:`enumerate_ball_arrays`.  One enumeration of the O(log(R^2/s))
+    rectangles of ``_cross_stack`` replaces the pi R^2/det points of the
+    ball; DEFAULT_POINT_CAP caps their candidates.
+    """
+    if L.dim != 2:
+        raise DimensionMismatch("hyperbolic-cross enumeration is planar")
+    if not R > 0:
+        raise ValueError("R must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
+    W, U = _cross_stack(L, s, R)
     idx, X = _enum(W, math.sqrt(2.0))
     if len(X) > DEFAULT_POINT_CAP:
         raise BudgetExceeded(f"{len(X)} candidates exceed cap "

@@ -11,10 +11,11 @@ import numpy as np
 
 from .bodies import (BoundednessCertificate, DistanceFunction,
                      boundedness_floor, hyperbolic)
-from .errors import InvariantViolation, UnboundedBody
-from .lattice import (_INFLATE, Lattice, LatticePoint, _fold,
-                      enumerate_ball_arrays, enumerate_hyperbolic_cross,
-                      golden_lattice, perturb_basis)
+from .errors import BudgetExceeded, InvariantViolation, UnboundedBody
+from . import lattice
+from .lattice import (_INFLATE, Lattice, LatticePoint, _cross_stack, _enum,
+                      _fold, enumerate_ball_arrays, golden_lattice,
+                      perturb_basis)
 
 _RESOLUTION = 512  # sphere sample behind a floorless body's floor estimate
 
@@ -71,27 +72,28 @@ def _result_from(chosen: Sequence[int], coeffs: np.ndarray,
 
 
 def _budget_candidates(f: DistanceFunction, L: Lattice, R: float):
-    """Lattice points (coeffs, coords) holding the greedy minima of f at
-    every budget <= R: the ball of radius R, filtered to the radius
-    R * (1 + 1e-9) that ball enumeration admits.  The origin and repeated
-    rows may be among them, which :func:`_greedy_minima` allows.
-
-    For the planar hyperbola body |x1*x2|^(1/2) fewer points suffice.  The
-    reduced basis L.W lies in the ball of radius r0 and has max f = sqrt(s),
-    so by monotonicity in the budget every witness at a budget b >= r0 has
-    f <= lambda-hat_2(b) <= sqrt(s): the ball of radius r0 (inflated by a
-    relative 1e-9) and the hyperbolic cross {|x1*x2| <= s, ||x|| <= R}
-    hold every witness the ball does.  The ball of radius R is used when
-    s is 0 (a basis vector on each axis, e.g. Z^2) or r0 >= R.
-    """
+    """Lattice points (coeffs, coords), repeats and the origin allowed,
+    holding the greedy minima of f at every budget <= R: the ball of radius
+    R (1 + 1e-9).  For the planar hyperbola body |x1*x2|^(1/2), the reduced
+    basis L.W lies in the ball of radius r0 and has max f = sqrt(s), so by
+    monotonicity every witness at a budget b >= r0 has f <= lambda-hat_2(b)
+    <= sqrt(s): L.W's ball of radius r0 (1 + 1e-9) and the rectangles of
+    ``_cross_stack(L, s, R)``, capped, hold them, listed by one _enum.  The
+    ball of radius R is used when s is 0 (e.g. Z^2) or r0 >= R."""
     if f.label == "hyperbola" and f.dim == 2 and L.dim == 2:
         w = L.U.T @ L.basis.T
         r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + _INFLATE)
         root_s = float(np.max(f.evaluator(w)))
         if r0 < R and 0.0 < root_s < math.inf:
-            ball, _ = enumerate_ball_arrays(L, r0, sort=False)
-            cross, _ = enumerate_hyperbolic_cross(L, root_s * root_s, R)
-            coeffs = np.concatenate([ball, cross])
+            W, U = _cross_stack(L, root_s * root_s, R)
+            idx, X = _enum(np.concatenate([W, L.W[None]]),
+                           np.append(np.full(len(W), math.sqrt(2.0)), r0))
+            n = int(np.searchsorted(idx, len(W)))  # rectangles' candidates
+            if n > lattice.DEFAULT_POINT_CAP:
+                raise BudgetExceeded(f"{n} candidates exceed cap "
+                                     f"{lattice.DEFAULT_POINT_CAP}")
+            coeffs = np.vecdot(np.concatenate([U, L.U[None]])[idx],
+                               X[:, None, :])
             coords = coeffs @ L.basis.T
             keep = (_fold(np.add, coords * coords)
                     <= (R * (1.0 + _INFLATE)) ** 2)
@@ -139,12 +141,10 @@ def minima_upper_bound(f: DistanceFunction, L: Lattice,
 
     Values are upper bounds on the true minima and are monotone
     non-increasing in the budget; a rank deficit leaves the remaining
-    values flagged infinite.  For the planar hyperbola body only points
-    that can be witnesses are looked at: a threshold certified by the
-    Gauss-reduced basis and monotonicity in the budget bounds f on them,
-    and :func:`enumerate_hyperbolic_cross` lists them in O(log budget)
-    rectangles (see ``_budget_candidates``; the ball is used when the
-    threshold is 0).  The result equals the ball's.
+    values flagged infinite.  For the planar hyperbola body one enumeration
+    lists only the points that can be witnesses: the small ball of the
+    reduced basis and the O(log budget) rectangles of a hyperbolic cross
+    (``_budget_candidates``).  The result equals the ball's.
     """
     if radius_budget <= 0:
         raise ValueError("radius_budget must be positive")
@@ -249,10 +249,7 @@ def noncontinuity_demo(epsilon: float, radius_budget: float, seed: int,
         raise ValueError("epsilon must be nonnegative")
     L = golden_lattice()
     f = hyperbolic(2)
-    best = math.inf
-    best_res = None
-    best_L = L
-    tried = 0
+    best, best_res, best_L, tried = math.inf, None, L, 0
     n_attempts = 1 if epsilon == 0 else attempts
     for k in range(n_attempts):
         sub = int(np.random.SeedSequence(

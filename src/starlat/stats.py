@@ -17,10 +17,9 @@ from .bodies import DistanceFunction, _spec_options, boundedness_floor, \
 from .errors import DimensionMismatch, InvariantViolation, UnboundedBody
 from . import lattice
 from .lattice import (_INFLATE, Lattice, _check_budget, _fold, _gram_schmidt,
-                      _reduce_planar, _windows, _zeta, make_lattice,
-                      primitive_mask)
-from .haar import sample_unimodular_2d_arrays
-from .minima import _budget_candidates, _greedy_minima
+                      _reduce_planar, _windows, _zeta, primitive_mask)
+from .haar import sample_unimodular_2d_arrays, sample_unimodular_2d_batch
+from .minima import _budget_candidates
 
 _MC_POINTS = 10**6  # Monte Carlo points behind a sublevel region's area
 _INTERVAL_CHUNK = 2**17  # ball nodes per chunk, for 5-8x fewer interval rows
@@ -279,13 +278,22 @@ class Theorem2Report:
 def _lambda2_at_budgets(coeffs: np.ndarray, fvals: np.ndarray,
                         norms2: np.ndarray,
                         budgets: list[float]) -> list[float]:
-    out = []
-    for b in budgets:
-        sel = norms2 <= b * b
-        sub_f = fvals[sel]
-        chosen = _greedy_minima(coeffs[sel], sub_f, 2)
-        out.append(float(sub_f[chosen[1]]) if len(chosen) == 2 else math.inf)
-    return out
+    """lambda-hat_2 at each budget b, without ranking: with q any argmin of
+    f over the live rows (f finite, coefficients nonzero, norm^2 <= b^2),
+    min f over the live rows independent of q, inf if none.  That is the
+    greedy value, min f over the live rows independent of the first pick p,
+    an f-minimizer too: if all f-minimizers lie on one line through the
+    origin, p and q span it and the row sets are the same; otherwise both
+    sets hold an f-minimizer.  Independence is the exact cross product, in
+    int64 under _greedy_minima's bound 4 max|c|^2 < 2^63, else Python ints."""
+    live = (np.isfinite(fvals) & _fold(np.logical_or, coeffs != 0)
+            & (norms2 <= np.square(budgets)[:, None]))
+    f = np.where(live, fvals, math.inf)  # (budget, row)
+    m = int(np.abs(coeffs).max())
+    c = coeffs.astype(np.int64 if 4 * m * m < 2**63 else object)
+    q = c[f.argmin(axis=1)]
+    cross = c[:, 0] * q[:, 1:] - c[:, 1] * q[:, :1]
+    return np.where(cross != 0, f, math.inf).min(axis=1).tolist()
 
 
 def theorem2_experiment(body: DistanceFunction, budgets, N: int,
@@ -294,13 +302,11 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int,
 
     Per-lattice curves are monotone non-increasing by construction (nested
     search balls); the report records the fraction of lattices whose
-    lambda-hat_2 falls below each threshold at each budget.
-
-    For the planar hyperbola body a curve costs a small ball plus
-    O(log budget) rectangles of a hyperbolic cross, not the ball of the
-    largest budget (``minima._budget_candidates``), so budgets above the
-    ball's point cap work; the curves are the ball's.
-    """
+    lambda-hat_2 falls below each threshold at each budget.  The lattices
+    are reduced as one stack; a curve is one candidate set for the largest
+    budget (``minima._budget_candidates``: for the planar hyperbola body one
+    enumeration of a small ball and O(log budget) rectangles, so budgets
+    above the ball's point cap work) and one pass over it."""
     budgets = sorted(float(b) for b in budgets)
     if not budgets:
         raise ValueError("need at least one budget")
@@ -312,8 +318,7 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int,
         raise UnboundedBody("minima-decay experiment requires an unbounded "
                             "body")
     rows = []
-    for B in sample_unimodular_2d_arrays(N, seed)[3]:
-        L = make_lattice(B)
+    for L in (h.lattice for h in sample_unimodular_2d_batch(N, seed)):
         coeffs, coords = _budget_candidates(body, L, budgets[-1])
         fvals = np.asarray(body.evaluator(coords), dtype=float)
         norms2 = _fold(np.add, coords * coords)
@@ -322,11 +327,11 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int,
             raise InvariantViolation(
                 f"lambda-hat_2 increased with the budget: {lam2}")
         rows.append(tuple(lam2))
-    arr = np.array(rows)
-    med = tuple(float(v) for v in np.median(arr, axis=0))
-    frac = tuple(
-        tuple(float(np.mean(arr[:, j] < t)) for j in range(len(budgets)))
-        for t in _THRESHOLDS)
+    arr = np.sort(rows, axis=0)  # np.median's values, without its overhead
+    med = arr[N // 2] if N % 2 else (arr[N // 2 - 1] + arr[N // 2]) / 2
+    below = (arr < np.array(_THRESHOLDS)[:, None, None]).mean(axis=1)
     return Theorem2Report(body=body.label, budgets=tuple(budgets), samples=N,
-                          seed=seed, lambda2=tuple(rows), median_curve=med,
-                          thresholds=_THRESHOLDS, fraction_below=frac)
+                          seed=seed, lambda2=tuple(rows),
+                          median_curve=tuple(med.tolist()),
+                          thresholds=_THRESHOLDS,
+                          fraction_below=tuple(map(tuple, below.tolist())))

@@ -204,6 +204,54 @@ def cross_by_rectangles(L, s, R):
     return coeffs, coeffs @ L.basis.T
 
 
+def loop_theorem2(body, budgets, N, seed):
+    """theorem2_experiment by the per-lattice path it replaced: make_lattice
+    per Haar basis; for the hyperbola two enumerations, the ball of radius
+    r0 of the reduced basis and enumerate_hyperbolic_cross (else the ball of
+    the largest budget); _greedy_minima once per budget; the report reduced
+    per threshold and budget."""
+    from starlat import (Theorem2Report, enumerate_ball_arrays,
+                         enumerate_hyperbolic_cross, make_lattice,
+                         sample_unimodular_2d_arrays)
+    from starlat.lattice import _fold
+    from starlat.minima import _greedy_minima
+    from starlat.stats import _THRESHOLDS
+    budgets = sorted(float(b) for b in budgets)
+    R, rows = budgets[-1], []
+    for B in sample_unimodular_2d_arrays(N, seed)[3]:
+        L = make_lattice(B)
+        w = L.U.T @ L.basis.T
+        r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + 1e-9)
+        root_s = float(np.max(body.evaluator(w)))
+        if body.label == "hyperbola" and r0 < R and 0 < root_s < math.inf:
+            ball = enumerate_ball_arrays(L, r0, sort=False)[0]
+            cross = enumerate_hyperbolic_cross(L, root_s * root_s, R)[0]
+            coeffs = np.concatenate([ball, cross])
+            coords = coeffs @ L.basis.T
+            keep = _fold(np.add, coords * coords) <= (R * (1 + 1e-9)) ** 2
+            coeffs, coords = coeffs[keep], coords[keep]
+        else:
+            coeffs, coords = enumerate_ball_arrays(L, R, sort=False)
+        fvals = np.asarray(body.evaluator(coords), dtype=float)
+        norms2 = _fold(np.add, coords * coords)
+        lam2 = []
+        for b in budgets:
+            sel = norms2 <= b * b
+            chosen = _greedy_minima(coeffs[sel], fvals[sel], 2)
+            lam2.append(float(fvals[sel][chosen[1]]) if len(chosen) == 2
+                        else math.inf)
+        rows.append(tuple(lam2))
+    arr = np.array(rows)
+    return Theorem2Report(
+        body=body.label, budgets=tuple(budgets), samples=N, seed=seed,
+        lambda2=tuple(rows),
+        median_curve=tuple(float(v) for v in np.median(arr, axis=0)),
+        thresholds=_THRESHOLDS,
+        fraction_below=tuple(tuple(float(np.mean(arr[:, j] < t))
+                                   for j in range(len(budgets)))
+                             for t in _THRESHOLDS))
+
+
 def exact_rank(rows):
     """Rank of integer row vectors by Gaussian elimination over Fraction."""
     M = [[Fraction(int(v)) for v in r] for r in rows]

@@ -270,6 +270,10 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
      "predicted point count inf exceeds cap"),
     (("rogers", "--areas", "1e300", "--count", "1000"),
      "predicted point count 1e+300 exceeds cap"),
+    # the rectangles lose the lattice in floats; R^2 overflows
+    (("theorem2", "--budgets", "1e40"), "leaves the float range"),
+    (("minima", "--basis", "1.35e154,0;0,1e154", "--body", "ball:p=2"),
+     "leaves the float range"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_sizes_are_one_budget_error_line(capsys, argv, message):

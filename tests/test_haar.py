@@ -49,6 +49,21 @@ def test_single_sample_wrapper():
     assert s.lattice.basis.shape == (2, 2)
 
 
+@pytest.mark.parametrize("seed", [5, 90417])
+def test_batch_reduces_its_stack_as_make_lattice_does(seed):
+    # the batch is reduced as one stack; each lattice's W, U and det equal
+    # make_lattice's bit for bit (2 x 5000 Haar bases)
+    bases = sl.sample_unimodular_2d_arrays(5000, seed)[3]
+    for s, B in zip(sl.sample_unimodular_2d_batch(5000, seed), bases):
+        L = sl.make_lattice(B)
+        assert repr(s.lattice) == repr(L)
+        assert type(s.lattice.det) is float and s.lattice.det == L.det
+        for a, b in ((s.lattice.basis, L.basis), (s.lattice.W, L.W),
+                     (s.lattice.U, L.U)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+
 def test_tail_probability_y_above_2():
     # analytic value: P(y > 2) = 3 / (2 pi) = 0.47746...
     _, y, _, _ = sl.sample_unimodular_2d_arrays(10**5, seed=2024)

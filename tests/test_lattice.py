@@ -415,9 +415,65 @@ def test_exact_minima_query_reduces_its_lattice_once(monkeypatch, columns):
     assert calls["_gauss_reduce_2d" if d == 2 else "_size_reduce"] == 1
 
 
+def _count_enums(monkeypatch):
+    """Calls of lattice._enum from every starlat module that binds it."""
+    calls = []
+    fn = lattice._enum
+
+    def counted(W, R):
+        calls.append((W, R))
+        return fn(W, R)
+
+    for mod in (lattice, minima, stats, partition):
+        if getattr(mod, "_enum", None) is fn:
+            monkeypatch.setattr(mod, "_enum", counted)
+    return calls
+
+
 def test_theorem2_reduces_a_lattice_once_plus_its_rectangles(monkeypatch):
-    # one reduction in make_lattice and one of the hyperbolic cross's
-    # rectangle stack; the r0-ball and the threshold s reuse L.W
+    # one reduction of the Haar stack and one of each lattice's rectangle
+    # stack; the r0-ball and the threshold s reuse L.W, and one enumeration
+    # per lattice lists the r0-ball and the rectangles
     calls = _count_reductions(monkeypatch)
+    enums = _count_enums(monkeypatch)
     sl.theorem2_experiment(sl.hyperbolic(2), (10, 100, 1000), 1, 3)
     assert calls == {"_gauss_reduce_2d": 2, "_size_reduce": 0}
+    assert len(enums) == 1
+    sl.theorem2_experiment(sl.hyperbolic(2), (10, 100, 1000), 3, 4)
+    assert calls == {"_gauss_reduce_2d": 2 + 1 + 3, "_size_reduce": 0}
+    assert len(enums) == 1 + 3
+    L = sl.golden_lattice()
+    res = sl.minima_upper_bound(sl.hyperbolic(2), L, 50.0)
+    assert len(enums) == 1 + 3 + 1 and res.values[1] < math.inf
+    W, R = enums[-1]  # the rectangles at radius sqrt(2), then L.W at r0
+    assert len(W) > 1 and np.array_equal(W[-1], L.W)
+    assert np.all(R[:-1] == math.sqrt(2)) and 1 < R[-1] < 50.0
+
+
+def test_enum_takes_one_radius_per_basis(rng):
+    # a stack with one radius per basis lists, bit for bit, what each basis
+    # lists on its own at its radius
+    W = lattice._reduce_planar(sl.sample_unimodular_2d_arrays(12, 5)[3])[2]
+    W[3] *= 0.3  # a denser lattice in the stack
+    R = rng.uniform(0.5, 6.0, len(W))
+    idx, X = lattice._enum(W, R)
+    assert np.all(np.diff(idx) >= 0)
+    for k in range(len(W)):
+        want = lattice._enum(W[k:k + 1], float(R[k]))[1]
+        assert X[idx == k].tobytes() == want.tobytes()
+        norms = np.linalg.norm(X[idx == k] @ W[k].T, axis=1)
+        assert np.all(norms <= R[k] * (1 + 1e-8))
+
+
+@pytest.mark.parametrize("W,R", [
+    (np.eye(2)[None], 1e200),  # R^2 overflows
+    (np.eye(2)[None], math.nan),
+    (np.array([[[1.0, 1.0], [0.0, 1e-300]]]), 1.0),  # B_1 underflows to 0
+    (np.array([[[1.0, 0.0], [0.0, 1e-30]]]), 1.0),  # x_1 up to 1e30
+    (np.stack([np.eye(2), np.diag([1e-30, 1.0])]), np.array([1.0, 1.0])),
+    (np.stack([np.eye(2), np.eye(2)]), np.array([1.0, 1e200])),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_enum_refuses_bounds_beyond_floats(W, R):
+    with pytest.raises(BudgetExceeded, match="leaves the float range"):
+        lattice._enum(W, R)

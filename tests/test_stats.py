@@ -10,7 +10,8 @@ from starlat.errors import (BudgetExceeded, DimensionMismatch,
                             InvariantViolation, UnboundedBody)
 
 from conftest import (ball_candidates, grid_primitive_count,
-                      listing_primitive_counts, loop_primitive_counts)
+                      listing_primitive_counts, loop_primitive_counts,
+                      loop_theorem2, reference_greedy)
 
 
 Z2 = sl.make_lattice([[1, 0], [0, 1]])
@@ -410,3 +411,77 @@ def test_theorem2_monotonicity_violation_raises(monkeypatch):
                         lambda coeffs, f, n2, budgets: [0.1, 0.5])
     with pytest.raises(InvariantViolation):
         sl.theorem2_experiment(sl.hyperbolic(2), [5.0, 20.0], N=1, seed=0)
+
+
+def _greedy_lambda2(coeffs, fvals, norms2, budgets):
+    """lambda-hat_2 per budget by the rank definition of the greedy pick."""
+    out = []
+    for b in budgets:
+        sel = np.flatnonzero(norms2 <= b * b)
+        kept = reference_greedy(coeffs[sel], fvals[sel], 2)
+        out.append(float(fvals[sel[kept[1]]]) if len(kept) == 2
+                   else math.inf)
+    return out
+
+
+BIG = 2**32  # a cross product of 2^64 wraps to 0 in int64
+
+_TIE_CASES = {
+    # f-minimizers on one line: any of them leaves the same rows
+    "one_line": ([(0, 0), (1, 0), (-1, 0), (3, 0), (0, 1), (1, 1)],
+                 [0.0, 1.0, 1.0, 1.0, 2.0, 3.0]),
+    # f-minimizers on two lines: lambda-hat_2 is min f
+    "two_lines": ([(0, 0), (2, 0), (0, 1), (1, 0), (1, 1)],
+                  [0.0, 1.0, 1.0, 1.0, 3.0]),
+    "repeats": ([(1, 2), (0, 0), (1, 2), (2, 4), (1, 2), (1, 3), (1, 3)],
+                [1.0, 0.0, 1.0, 1.0, 1.0, 5.0, 5.0]),
+    # the zero row has f = 0 and infinite f is never picked
+    "zero_and_inf": ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)],
+                     [0.0, 1.0, math.inf, math.inf, 4.0]),
+    "all_inf": ([(0, 0), (1, 0), (0, 1)], [0.0, math.inf, math.inf]),
+    "big": ([(0, 0), (BIG, 0), (0, BIG), (BIG, 3 * BIG), (1, 3),
+             (2**40, 2**40 + 1), (2**40 + 1, 2**40 + 2)],
+            [0.0, 1.0, 2.0, 0.5, 0.5, 7.0, 6.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+def test_tie_free_lambda2_is_the_greedy_value(case):
+    coeffs, fvals = (np.array(a) for a in _TIE_CASES[case])
+    coeffs = coeffs.astype(np.int64)
+    for norms2 in (np.arange(len(coeffs), dtype=float),
+                   np.arange(len(coeffs), dtype=float)[::-1].copy()):
+        budgets = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 10.0]
+        got = stats._lambda2_at_budgets(coeffs, fvals, norms2, budgets)
+        assert got == _greedy_lambda2(coeffs, fvals, norms2, budgets)
+
+
+def test_tie_free_lambda2_takes_python_ints_past_the_hadamard_bound():
+    # (2^32, 0) and (0, 2^32) are independent, but their int64 cross
+    # product wraps to 0
+    coeffs = np.array([(0, 0), (BIG, 0), (0, BIG)], dtype=np.int64)
+    fvals, norms2 = np.array([0.0, 1.0, 2.0]), np.zeros(3)
+    assert stats._lambda2_at_budgets(coeffs, fvals, norms2, [1.0]) == [2.0]
+
+
+def test_tie_free_lambda2_matches_greedy_on_random_ties(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        coeffs = rng.integers(-3, 4, (n, 2))
+        coeffs[0] = 0  # candidate sets hold the origin
+        fvals = rng.choice([0.5, 1.0, 1.0, 2.0, math.inf], n)
+        norms2 = rng.choice([0.1, 1.0, 4.0, 9.0], n)
+        budgets = sorted(rng.choice([0.2, 1.0, 2.0, 3.0, 5.0], 3))
+        assert (stats._lambda2_at_budgets(coeffs, fvals, norms2, budgets)
+                == _greedy_lambda2(coeffs, fvals, norms2, budgets))
+
+
+@pytest.mark.parametrize("budgets,N,seed", [
+    ((0.9, 1.2, 1.6, 10.0, 300.0), 40, 2024),  # r0 >= 1; N even
+    ((1.0, 1000.0), 5, 17),
+    ((10.0, 100.0, 1000.0), 40, 1),
+])
+def test_theorem2_equals_the_per_lattice_greedy_path(budgets, N, seed):
+    body = sl.hyperbolic(2)
+    assert (sl.theorem2_experiment(body, budgets, N, seed)
+            == loop_theorem2(body, budgets, N, seed))
