@@ -64,10 +64,20 @@ def _check_factor(kind: str, c: float) -> None:
 def pnorm_ball(dim: int = 2, p: float = 2) -> DistanceFunction:
     """Unit ball of the p-norm (a quasi-norm for p < 1), 0 < p <= inf.  Its
     floor is 1 for p <= 2 (attained on the axes) and d^(1/p - 1/2) for p > 2
-    (on the diagonals, by Hoelder's inequality)."""
+    (on the diagonals, by Hoelder's inequality).  Other p than 1, 2, inf take
+    m (sum (|x_i| / m)^p)^(1/p), m = max |x_i|: each (|x_i| / m)^p is in
+    [0, 1], so only a value beyond the floats overflows (to inf)."""
     if not p > 0:
         raise ValueError(f"ball needs p > 0, got p={p:g}")
-    ev = lambda x: np.linalg.norm(x, ord=p, axis=-1)
+    if p in (1, 2, math.inf):
+        ev = lambda x: np.linalg.norm(x, ord=p, axis=-1)
+    else:
+        @np.errstate(all="ignore")
+        def ev(x):
+            a = np.abs(x)
+            m = _fold(np.maximum, a)
+            y = a / np.where(m > 0, m, 1.0)[..., None]
+            return m * _fold(np.add, y ** p) ** (1.0 / p)
     return DistanceFunction(dim=dim, evaluator=ev, label=f"ball:p={p:g}",
                             floor=1.0 if p <= 2 else
                             _floor_times(1.0, dim ** (1.0 / p - 0.5)))

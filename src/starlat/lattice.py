@@ -390,23 +390,19 @@ def enumerate_ball_arrays(L: Lattice, R: float, *, sort: bool = True):
     return coeffs, coords
 
 
-def _cross_stack(L: Lattice, s: float, R: float):
-    """(W, U): Gauss-reduced bases whose balls of radius sqrt(2) cover the
-    cross {|x1*x2| <= s, ||x|| <= R} of a planar L, s and R inflated by a
-    relative 1e-9.  A point with |x_i| <= |x_k| and 2^(j-1) t < |x_k| <=
-    2^j t, t = sqrt(s), has |x_i| <= s/|x_k| < 2^(1-j) t, so the dyadic
-    rectangles {|x_i| <= 2^(1-j) t, |x_k| <= 2^j t}, j = 1..ceil(log2(R/t)),
-    cover it; half-widths (a, h) lie in the ball of radius sqrt(2) of
-    diag(1/a, 1/h) B, one basis of the stack."""
-    t = math.sqrt(s * (1.0 + _INFLATE))
-    R_in = R * (1.0 + _INFLATE)
-    if not R_in < 2.0**511 * t:  # else the rectangle bases overflow
+def _check_cross(s: float, R: float):
+    """(t, R_in) = (sqrt(s), R) inflated by 1e-9, BudgetExceeded unless R_in
+    < 2^24 t: a rectangle of the cross has aspect up to (R/t)^2, so its float
+    reduction is off by about 2^-53 (R/t)^2 (2^-5 at the bound), against the
+    26 % by which the sqrt(2) ball exceeds the cross's sqrt(5/4) (measured
+    against exact rationals, Haar lattices lost points from 2^27 on)."""
+    t, R_in = math.sqrt(s * (1.0 + _INFLATE)), R * (1.0 + _INFLATE)
+    if not R_in < 2.0**511 * t:
         raise BudgetExceeded(f"radius {R:g} needs over 1022 rectangles")
-    sides = []
-    for j in range(1, max(1, math.ceil(math.log2(R_in / t))) + 1):
-        short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
-        sides += [(short, long_), (long_, short)]
-    return _gauss_reduce_2d(L.basis / np.array(sides)[:, :, None])
+    if not R_in < 2.0**24 * t:
+        raise BudgetExceeded(f"the search leaves the float range: radius "
+                             f"{R:g} is 2^24 sqrt(s) or more")
+    return t, R_in
 
 
 def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
@@ -414,18 +410,24 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
 
     Returns a superset of the nonzero points with |x1*x2| <= s and
     ||x|| <= R, rows deduplicated and sorted lexicographically by
-    coefficients; coords are ``coeffs @ L.basis.T`` as in
-    :func:`enumerate_ball_arrays`.  One enumeration of the O(log(R^2/s))
-    rectangles of ``_cross_stack`` replaces the pi R^2/det points of the
-    ball; DEFAULT_POINT_CAP caps their candidates.
-    """
+    coefficients; coords are ``coeffs @ L.basis.T``.  A point with |x_i| <=
+    |x_k| and 2^(j-1) t < |x_k| <= 2^j t, t = sqrt(s), has |x_i| < 2^(1-j) t,
+    so the rectangles {|x_i| <= 2^(1-j) t, |x_k| <= 2^j t}, j = 1..ceil(log2
+    (R/t)), cover it; half-widths (a, h) lie in the ball of radius sqrt(2) of
+    diag(1/a, 1/h) B.  One enumeration of this Gauss-reduced stack replaces
+    the pi R^2/det points of the ball; DEFAULT_POINT_CAP caps it."""
     if L.dim != 2:
         raise DimensionMismatch("hyperbolic-cross enumeration is planar")
     if not R > 0:
         raise ValueError("R must be positive")
     if not 0 < s < math.inf:
         raise ValueError("s must be positive and finite")
-    W, U = _cross_stack(L, s, R)
+    t, R_in = _check_cross(s, R)
+    sides = []
+    for j in range(1, max(1, math.ceil(math.log2(R_in / t))) + 1):
+        short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
+        sides += [(short, long_), (long_, short)]
+    W, U = _gauss_reduce_2d(L.basis / np.array(sides)[:, :, None])
     idx, X = _enum(W, math.sqrt(2.0))
     if len(X) > DEFAULT_POINT_CAP:
         raise BudgetExceeded(f"{len(X)} candidates exceed cap "

@@ -303,10 +303,10 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int,
     Per-lattice curves are monotone non-increasing by construction (nested
     search balls); the report records the fraction of lattices whose
     lambda-hat_2 falls below each threshold at each budget.  The lattices
-    are reduced as one stack; a curve is one candidate set for the largest
-    budget (``minima._budget_candidates``: for the planar hyperbola body one
-    enumeration of a small ball and O(log budget) rectangles, so budgets
-    above the ball's point cap work) and one pass over it."""
+    are reduced as one stack; a curve is one pass over one candidate set
+    (``minima._budget_candidates``: for the planar hyperbola body the
+    O(log budget) points of its continued-fraction chain, so budgets above
+    the ball's point cap work)."""
     budgets = sorted(float(b) for b in budgets)
     if not budgets:
         raise ValueError("need at least one budget")
@@ -319,7 +319,7 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int,
                             "body")
     rows = []
     for L in (h.lattice for h in sample_unimodular_2d_batch(N, seed)):
-        coeffs, coords = _budget_candidates(body, L, budgets[-1])
+        coeffs, coords = _budget_candidates(body, L, budgets)
         fvals = np.asarray(body.evaluator(coords), dtype=float)
         norms2 = _fold(np.add, coords * coords)
         lam2 = _lambda2_at_budgets(coeffs, fvals, norms2, budgets)

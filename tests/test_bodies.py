@@ -29,6 +29,28 @@ def test_evaluate_examples():
                                                                   abs=1e-12)
 
 
+def test_pnorm_ball_at_extreme_p():
+    # p = 1, 2, inf keep numpy's norm bit for bit; other p are scaled by the
+    # largest |x_i|, so neither overflow nor underflow makes a wrong value
+    x = np.array([[0.5, 0.0], [0.5, 0.25], [3.0, -4.0], [0.0, 0.0],
+                  [1e200, 1e200], [1e-200, -1e-200]])
+    for p in (1, 2, math.inf):  # (numpy's 2-norm of 1e200 overflows)
+        assert (sl.pnorm_ball(2, p).evaluator(x[:4]).tobytes()
+                == np.linalg.norm(x[:4], ord=p, axis=-1).tobytes())
+    with np.errstate(all="raise"):
+        tiny, big = (sl.pnorm_ball(2, p).evaluator(x).tolist()
+                     for p in (1e-300, 1e300))
+        mid = sl.pnorm_ball(2, 2000).evaluator(x)
+        cube = sl.pnorm_ball(2, 3).evaluator(x)
+    assert tiny == [0.5, math.inf, math.inf, 0.0, math.inf, math.inf]
+    assert big == [0.5, 0.5, 4.0, 0.0, 1e200, 1e-200]
+    assert mid == pytest.approx([0.5, 0.5, 4.0, 0.0, 2 ** (1 / 2000) * 1e200,
+                                 2 ** (1 / 2000) * 1e-200], rel=1e-15)
+    assert cube == pytest.approx(np.linalg.norm(x[:4], ord=3, axis=-1).tolist()
+                                 + [2 ** (1 / 3) * 1e200,
+                                    2 ** (1 / 3) * 1e-200], rel=1e-15)
+
+
 def test_evaluate_dimension_check():
     with pytest.raises(DimensionMismatch):
         sl.evaluate(sl.pnorm_ball(2, 2), (1, 2, 3))

@@ -274,6 +274,9 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
     (("theorem2", "--budgets", "1e40"), "leaves the float range"),
     (("minima", "--basis", "1.35e154,0;0,1e154", "--body", "ball:p=2"),
      "leaves the float range"),
+    # R >= 2^24 sqrt(s): the rectangles (and the chain) stop there
+    (("minima", "--basis", "1,1;1.618033988749895,-0.618033988749895",
+      "--body", "hyperbola", "--budget", "1e9"), "leaves the float range"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_sizes_are_one_budget_error_line(capsys, argv, message):
@@ -282,6 +285,18 @@ def test_huge_sizes_are_one_budget_error_line(capsys, argv, message):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("basis,p,values", [
+    ("0.5,0;0,0.5", "1e-300", "0.5 0.5\n"),
+    ("2,0;0,2", "2000", "2 2\n"),
+    ("2,0;0,2", "1e300", "2 2\n"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_p_balls_give_their_minima(capsys, basis, p, values):
+    # |x_i|^p left the floats: 1 1 with warnings, or a bogus cap error
+    assert run(capsys, "minima", "--basis", basis, "--body",
+               f"ball:p={p}") == (0, values, "")
 
 
 @pytest.mark.parametrize("argv,digest", [

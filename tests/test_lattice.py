@@ -430,24 +430,45 @@ def _count_enums(monkeypatch):
     return calls
 
 
-def test_theorem2_reduces_a_lattice_once_plus_its_rectangles(monkeypatch):
-    # one reduction of the Haar stack and one of each lattice's rectangle
-    # stack; the r0-ball and the threshold s reuse L.W, and one enumeration
-    # per lattice lists the r0-ball and the rectangles
+def test_theorem2_reduces_a_lattice_once_and_enumerates_nothing(monkeypatch):
+    # the Haar stack is reduced once; a lattice that the continued-fraction
+    # chain covers needs no enumeration and no further reduction, and its
+    # walk takes O(log R) steps (one divmod per step)
     calls = _count_reductions(monkeypatch)
     enums = _count_enums(monkeypatch)
+    steps = []
+    monkeypatch.setattr(minima, "divmod", lambda u, v: steps.append(1)
+                        or divmod(u, v), raising=False)
     sl.theorem2_experiment(sl.hyperbolic(2), (10, 100, 1000), 1, 3)
-    assert calls == {"_gauss_reduce_2d": 2, "_size_reduce": 0}
-    assert len(enums) == 1
+    assert calls == {"_gauss_reduce_2d": 1, "_size_reduce": 0}
+    assert not enums and 0 < len(steps) <= 2 * math.log2(2e3) + 8
     sl.theorem2_experiment(sl.hyperbolic(2), (10, 100, 1000), 3, 4)
-    assert calls == {"_gauss_reduce_2d": 2 + 1 + 3, "_size_reduce": 0}
-    assert len(enums) == 1 + 3
+    assert calls == {"_gauss_reduce_2d": 2, "_size_reduce": 0}
+    assert not enums
     L = sl.golden_lattice()
-    res = sl.minima_upper_bound(sl.hyperbolic(2), L, 50.0)
-    assert len(enums) == 1 + 3 + 1 and res.values[1] < math.inf
-    W, R = enums[-1]  # the rectangles at radius sqrt(2), then L.W at r0
-    assert len(W) > 1 and np.array_equal(W[-1], L.W)
-    assert np.all(R[:-1] == math.sqrt(2)) and 1 < R[-1] < 50.0
+    phi = (1 + math.sqrt(5)) / 2
+    for R in (50.0, 1e3, 1e5, 1e7):  # every quotient is 1: x1 grows by phi
+        steps.clear()  # (the float basis drifts from |x1 x2| = 1 at 1e7)
+        res = sl.minima_upper_bound(sl.hyperbolic(2), L, R)
+        assert not enums and res.values == pytest.approx((1, 1), abs=1e-3)
+        assert len(steps) <= 2 * math.log(2 * R, phi) + 2
+    assert calls == {"_gauss_reduce_2d": 3, "_size_reduce": 0}
+
+
+def test_hyperbolic_cross_refuses_radii_that_lose_the_lattice():
+    # against exact rationals the float rectangles of this lattice drop
+    # points from R/sqrt(s) of about 1e9 on (156 rows at 1e10, 288,900 at
+    # 1e20): R >= 2^24 sqrt(s) is a budget error, below it the rows hold
+    L = sl.sample_unimodular_2d(0).lattice
+    t = math.sqrt(0.5)
+    rows = [len(sl.enumerate_hyperbolic_cross(L, 0.5, R)[0])
+            for R in (1e4, 2.0**23 * t)]  # R grows 2^9.2-fold: 20 rectangles
+    assert rows[0] <= rows[1] <= rows[0] + 5 * 20
+    for R in (2.0**24 * t, 1e10, 1e15, 1e20):
+        with pytest.raises(BudgetExceeded, match="leaves the float range"):
+            sl.enumerate_hyperbolic_cross(L, 0.5, R)
+    with pytest.raises(BudgetExceeded, match="leaves the float range"):
+        sl.minima_upper_bound(sl.hyperbolic(2), sl.golden_lattice(), 1e9)
 
 
 def test_enum_takes_one_radius_per_basis(rng):

@@ -274,6 +274,59 @@ def test_upper_bound_hyperbola_cross_matches_ball(monkeypatch):
         assert fast == ball, (L.basis.tolist(), budget)
 
 
+def test_upper_bound_chain_matches_ball_on_perturbed_golden(monkeypatch):
+    # values and witness coefficients equal the whole ball's near the golden
+    # lattice, whose long runs of quotient 1 hold many near-ties of f
+    f = sl.hyperbolic(2)
+    for eps in (1e-3, 1e-2, 0.1):
+        for k in range(12):
+            L = sl.perturb_basis(sl.golden_lattice(), eps, seed=500 + k)
+            for budget in (3.0, 50.0, 200.0):
+                fast = sl.minima_upper_bound(f, L, budget)
+                with monkeypatch.context() as m:
+                    m.setattr(minima, "_budget_candidates", ball_candidates)
+                    ball = sl.minima_upper_bound(f, L, budget)
+                assert fast == ball, (eps, k, budget)
+
+
+@pytest.mark.parametrize("columns,taken", [
+    ([[1.0, 0.0], [0.0, 1.0]], ["ball"] * 3),  # Z^2: s = 0
+    ([[1.0, 0.0], [0.0, math.sqrt(2)]], ["ball"] * 3),  # s = 0
+    ([[1.0, 0.5], [0.0, math.sqrt(3) / 2]],  # hexagonal: an axis vector
+     ["flagged", "ball", "flagged", "ball", "flagged", "cross"]),
+    ([[1.0, -1.0], [1.0, 1.0]],  # turned Z^2: reflection ties
+     ["flagged", "ball", "flagged", "ball", "flagged", "cross"]),
+])
+def test_hyperbola_fallback_lattices(monkeypatch, columns, taken):
+    # lattices outside the chain's proof take the ball (s = 0, or a flagged
+    # lattice with r0 >= R) or the r0-ball and the cross, with the ball's
+    # values and witnesses
+    f, L, seen = sl.hyperbolic(2), sl.make_lattice(columns), []
+    chain_rows, cross = minima._chain_rows, minima.enumerate_hyperbolic_cross
+    ball = minima.enumerate_ball_arrays
+
+    def traced_chain(L, radii):
+        try:
+            return chain_rows(L, radii)
+        except minima._Flagged:
+            seen.append("flagged")
+            raise
+
+    monkeypatch.setattr(minima, "_chain_rows", traced_chain)
+    monkeypatch.setattr(minima, "enumerate_hyperbolic_cross",
+                        lambda *a: seen.append("cross") or cross(*a))
+    monkeypatch.setattr(minima, "enumerate_ball_arrays", lambda L, R, **kw:
+                        seen.append("ball" if R in budgets else "r0")
+                        or ball(L, R, **kw))
+    budgets = (0.5, 1.0, 50.0)
+    for budget in budgets:
+        fast = sl.minima_upper_bound(f, L, budget)
+        with monkeypatch.context() as m:
+            m.setattr(minima, "_budget_candidates", ball_candidates)
+            assert fast == sl.minima_upper_bound(f, L, budget)
+    assert [t for t in seen if t != "r0"] == taken
+
+
 def test_upper_bound_hyperbola_beyond_the_ball_cap():
     # every nonzero golden-lattice point has |x1*x2| >= 1, so the values
     # stay (1, 1) at a budget whose ball would hold ~3e10 points; the unit

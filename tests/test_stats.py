@@ -485,3 +485,16 @@ def test_theorem2_equals_the_per_lattice_greedy_path(budgets, N, seed):
     body = sl.hyperbolic(2)
     assert (sl.theorem2_experiment(body, budgets, N, seed)
             == loop_theorem2(body, budgets, N, seed))
+
+
+@pytest.mark.parametrize("budgets,seed", [
+    ((10.0, 100.0, 1000.0), 14),
+    ((10.0, 1000.0, 1e5), 15),
+    ((0.2, 0.5, 0.8, 1.1), 16),  # below and about r0 (near 1 at det 1)
+])
+def test_theorem2_chain_equals_the_per_lattice_path(budgets, seed):
+    # 2000 Haar lattices: the chain (and the cross for the few it flags)
+    # gives the report of the r0-ball and hyperbolic cross per lattice
+    body = sl.hyperbolic(2)
+    assert (sl.theorem2_experiment(body, budgets, 2000, seed)
+            == loop_theorem2(body, budgets, 2000, seed))
