@@ -99,7 +99,7 @@ def hyperbolic(dim: int = 2) -> DistanceFunction:
 def scale_body(f: DistanceFunction, c: float) -> DistanceFunction:
     """The body c*S, i.e. distance function f/c; finite c > 0."""
     _check_factor("scale", c)
-    ev = lambda x: f.evaluator(x) / c
+    ev = np.errstate(over="ignore")(lambda x: f.evaluator(x) / c)
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"scale:c={c:g}:{f.label}",
                             floor=_floor_times(f.floor, 1.0 / c))

@@ -137,8 +137,7 @@ def _cmd_rogers(args):
              "mean_stderr": e.mean_stderr, "center": e.center,
              "m2": e.second_moment, "ratio_volume": e.ratio_volume,
              "ratio_schmidt": e.ratio_schmidt} for e in rep.entries]
-    plain = _csv_rows(rows)
-    return rep, plain, rows
+    return rep, _csv_rows(rows), rows
 
 
 def _parse_witness_body(spec: str):
@@ -153,10 +152,8 @@ def _parse_witness_body(spec: str):
 
 def _cmd_witness(args):
     body = _parse_witness_body(args.body)
-    if args.basis:
-        L = make_lattice(parse_basis(args.basis))
-    else:
-        L = sample_unimodular_2d(args.seed).lattice
+    L = (make_lattice(parse_basis(args.basis)) if args.basis
+         else sample_unimodular_2d(args.seed).lattice)
     config = PipelineConfig(body=body, mc_points=args.mc_points,
                             partition_points=args.samples)
     shells = build_shells(body, 2, args.shells, args.mc_points, args.seed)
@@ -213,12 +210,9 @@ def _cmd_probe(args):
             raise ValueError(f"probe config key {key!r} must be a number, "
                              f"got {cfg[key]!r}") from None
 
-    dim = value("dim", int, 2)
-    f = parse_body(cfg["body"], dim)
-    if cfg.get("basis") == "golden":
-        L = golden_lattice()
-    else:
-        L = make_lattice(parse_basis(cfg["basis"]))
+    L = (golden_lattice() if cfg["basis"] == "golden"
+         else make_lattice(parse_basis(cfg["basis"])))
+    f = parse_body(cfg["body"], L.dim)
     n_max = value("n_max", int, 16)
     slack = _parse_slack(value("slack", str, "10/n"))
     budget = value("budget", float, 50.0)

@@ -270,15 +270,14 @@ def _gram_schmidt(W: np.ndarray):
 
 
 @np.errstate(all="ignore")  # non-finite bounds are refused before a cast
-def _enum(W: np.ndarray, R):
+def _enum(W: np.ndarray, R: float):
     """(idx, X): every integer x with ||W x|| <= R for each basis of a stack
-    (N, d, d), R a scalar or one radius per basis, row k of X belonging to
-    basis idx[k], grouped by basis.
+    (N, d, d), row k of X belonging to basis idx[k], grouped by basis.
 
     Modified Gram-Schmidt (accurate on skewed bases) gives ||W x||^2 =
     sum_i B_i (x_i + sum_{j>i} mu_ij x_j)^2.  Level by level from x_{d-1}
     (Fincke-Pohst), one numpy step extends every node of the stack by all
-    x_i in its remaining radius: nodes gather B_i, mu_ij and R^2 by basis
+    x_i in its remaining radius: nodes gather B_i and mu_ij by basis
     index, np.repeat + cumsum offsets expand them.  Intervals are inflated
     by 1e-9, the exact test ||W x||^2 <= R^2 ends the search, and a level
     of more than DEFAULT_POINT_CAP nodes of one basis is BudgetExceeded, as
@@ -289,16 +288,15 @@ def _enum(W: np.ndarray, R):
     N, d = W.shape[:2]
     B, mu = _gram_schmidt(W)
 
-    def node(a):  # a per-basis array per node; one basis or a scalar as is
-        return a if N == 1 or isinstance(a, float) else a[idx]
+    def node(a):  # a per-basis array per node; one basis as is
+        return a if N == 1 else a[idx]
 
     def fits(sq):  # before a level's casts; NaN fails too
         if not sq < 2.0**90:
             raise BudgetExceeded("the search leaves the float range: the "
                                  "radius is too large for the basis")
 
-    big = not isinstance(R, np.ndarray) and not R < 2.0**511  # NaN too
-    R2 = math.inf if big else (R * (1.0 + _INFLATE)) ** 2  # arrays give inf
+    R2 = (R * (1.0 + _INFLATE)) ** 2 if R < 2.0**511 else math.inf  # NaN too
     top = np.sqrt(R2 / B[-1]) * (1.0 + _INFLATE)
     fits(top.dot(top))
     top = top.astype(np.int64)
@@ -326,7 +324,7 @@ def _enum(W: np.ndarray, R):
         cols = [c.repeat(cnt) for c in cols]
         idx = idx.repeat(cnt) if N > 1 else idx
         if i == d - 1:
-            rem = node(R2) - node(B[i]) * (x * x)
+            rem = R2 - node(B[i]) * (x * x)
         elif i:
             y = x + cen.repeat(cnt)
             rem = rem.repeat(cnt) - node(B[i]) * (y * y)
@@ -334,7 +332,7 @@ def _enum(W: np.ndarray, R):
     X = np.array(cols[::-1]).T
     # BLAS dots either way, so both are bit-equal to X @ W.T of one basis
     xy = X @ W[0].T if N == 1 else np.vecdot(W[idx], X[:, None, :])
-    keep = _fold(np.add, xy * xy) <= node(R2)
+    keep = _fold(np.add, xy * xy) <= R2
     X = X[keep]
     return (idx[keep] if N > 1 else np.zeros(len(X), np.int64)), X
 
@@ -397,8 +395,6 @@ def _check_cross(s: float, R: float):
     26 % by which the sqrt(2) ball exceeds the cross's sqrt(5/4) (measured
     against exact rationals, Haar lattices lost points from 2^27 on)."""
     t, R_in = math.sqrt(s * (1.0 + _INFLATE)), R * (1.0 + _INFLATE)
-    if not R_in < 2.0**511 * t:
-        raise BudgetExceeded(f"radius {R:g} needs over 1022 rectangles")
     if not R_in < 2.0**24 * t:
         raise BudgetExceeded(f"the search leaves the float range: radius "
                              f"{R:g} is 2^24 sqrt(s) or more")

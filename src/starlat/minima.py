@@ -12,7 +12,7 @@ import numpy as np
 
 from .bodies import (BoundednessCertificate, DistanceFunction,
                      boundedness_floor, hyperbolic)
-from .errors import InvariantViolation, UnboundedBody
+from .errors import DimensionMismatch, InvariantViolation, UnboundedBody
 from .lattice import (_INFLATE, Lattice, LatticePoint, _check_cross, _fold,
                       enumerate_ball_arrays, enumerate_hyperbolic_cross,
                       golden_lattice, perturb_basis)
@@ -179,8 +179,10 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
     flagged lattice takes the r0-ball and enumerate_hyperbolic_cross(L, s,
     R), as a witness at a budget b >= r0 has f <= lambda-hat_2(b) <=
     sqrt(s), or the ball when r0 >= R."""
+    if f.dim != L.dim:
+        raise DimensionMismatch(f"{f.dim}D body, {L.dim}D lattice")
     R = max(budgets)
-    if f.label == "hyperbola" and f.dim == 2 and L.dim == 2:
+    if f.label == "hyperbola" and L.dim == 2:
         w = L.U.T @ L.basis.T
         r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + _INFLATE)
         s = float(np.max(f.evaluator(w))) ** 2
@@ -216,6 +218,8 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
     the sampled estimate of :func:`boundedness_floor`, which lies above the
     true floor: then the result is not certified and has ``exact=False``.
     """
+    if f.dim != L.dim:
+        raise DimensionMismatch(f"{f.dim}D body, {L.dim}D lattice")
     exact = cert is not None or f.floor is not None
     if cert is None:
         cert = boundedness_floor(f, _RESOLUTION)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .bodies import DistanceFunction, _spec_options, boundedness_floor, \
     parse_body
-from .errors import DimensionMismatch, InvariantViolation, UnboundedBody
+from .errors import (BudgetExceeded, DimensionMismatch, InvariantViolation,
+                     UnboundedBody)
 from . import lattice
 from .lattice import (_INFLATE, Lattice, _check_budget, _fold, _gram_schmidt,
                       _reduce_planar, _windows, _zeta, primitive_mask)
@@ -82,13 +83,15 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float) -> Region:
     """{x : f(x) <= t} clipped to the disk of radius `clip` (finite area)."""
     spec = _sized(f"sublevel:body={f.label}:t={t:g}:clip={clip:g}", t=t,
                   clip=clip)
+    disk_area = math.pi * clip * clip
+    if not disk_area < math.inf:  # before f meets points beyond the floats
+        raise ValueError(f"region spec {spec!r} has no finite area")
     rng = np.random.default_rng(np.random.SeedSequence(987654321))
     u = rng.random((_MC_POINTS, 2))
     radii = clip * np.sqrt(u[:, 0])
     ang = 2.0 * math.pi * u[:, 1]
     pts = np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
     p = float(np.mean(np.asarray(f.evaluator(pts)) <= t))
-    disk_area = math.pi * clip * clip
     contains = lambda pts_: (np.asarray(f.evaluator(pts_)) <= t) \
         & (_fold(np.add, pts_ * pts_) <= clip * clip)
     return Region(kind="sublevel", spec=spec, area=p * disk_area,
@@ -215,6 +218,8 @@ def _primitive_counts(region: Region, stack) -> np.ndarray:
     B, det, W, U = stack
     R = region.bounding_radius
     _check_budget(R, 2, det.min(initial=math.inf))
+    if not -2.0**510 < B.min(initial=0) <= B.max(initial=0) < 2.0**510:
+        raise BudgetExceeded("basis entries >= 2^510 leave the float range")
     counts, flagged = np.zeros(len(B), np.int64), np.ones(len(B), bool)
     if region.kind in ("disk", "annulus"):
         counts, flagged = _interval_counts(stack, R)
@@ -242,11 +247,12 @@ def rogers_moment_report(regions: list[Region], N: int,
     z2 = _zeta(2)
     entries = []
     for region in regions:
+        if not region.area > 0:
+            raise ValueError(f"region spec {region.spec!r} has zero area")
         counts = _primitive_counts(region, stack)
         V = region.area
         center = V / z2
-        dev = counts - center
-        m2 = float(np.mean(dev * dev))
+        m2 = float(np.mean((counts - center) ** 2))
         mean = float(counts.mean())
         se = float(counts.std(ddof=1)) / math.sqrt(N)
         logv = math.log2(V) if V > 1 else 1.0

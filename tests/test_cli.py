@@ -1,11 +1,16 @@
 import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import starlat as sl
+from starlat import lattice
 from starlat.cli import run_cli
 
 
@@ -142,6 +147,23 @@ def test_probe_from_config(tmp_path, capsys):
     assert all(e["upper_ok"] for e in env["result"]["entries"])
 
 
+@pytest.mark.parametrize("extra", [{}, {"dim": 2}, {"dim": 0}])
+def test_probe_body_takes_the_basis_dimension(tmp_path, capsys, extra):
+    # a "dim" key is ignored: the body lives in the space of the basis
+    basis = ("0.626927,-0.2816,0.438389;0.855378,0.485985,0.199299;"
+             "-0.449946,-0.90878,-0.674933")
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"body": "ball:p=8", "basis": basis,
+                                "n_max": 1, **extra}))
+    code, out, err = run(capsys, "probe", "--config", str(path), "--json")
+    assert (code, err) == (0, "")
+    want = sl.successive_minima_exact(sl.pnorm_ball(3, 8),
+                                      sl.make_lattice(sl.parse_basis(basis)))
+    got = json.loads(out)["result"]
+    assert got["reference"] == list(want.values)
+    assert got["reference_exact"] is True
+
+
 def test_probe_missing_config_errors(capsys):
     code, _, err = run(capsys, "probe", "--config", "/nonexistent.json")
     assert code == 2 and "error" in err
@@ -247,6 +269,12 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
      "spec 'disk:r=2:r=3' repeats the option r="),
     (("witness", "--body", "sublevel:body=ball:p=2:t=1:t=2"),
      "repeats the option t="),
+    (("rogers", "--region", "disk:r=1e-300", "--count", "1000"),
+     "region spec 'disk:r=1e-300' has zero area"),
+    (("rogers", "--region", "annulus:r0=0:r1=1e-300", "--count", "1000"),
+     "region spec 'annulus:r0=0:r1=1e-300' has zero area"),
+    (("rogers", "--region", "box:a=1e-300", "--count", "1000"),
+     "region spec 'box:a=1e-300' has zero area"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
@@ -263,7 +291,7 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("theorem2", "--budgets", "1e308"), "needs over 1022 rectangles"),
+    (("theorem2", "--budgets", "1e308"), "leaves the float range"),
     (("minima", "--basis", "1,0;0,1", "--body", "hyperbola", "--budget",
       "1e300"), "predicted point count inf exceeds cap"),
     (("count", "--basis", "1e-150,0;0,1e-150", "--region", "disk:r=1e100"),
@@ -277,6 +305,9 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
     # R >= 2^24 sqrt(s): the rectangles (and the chain) stop there
     (("minima", "--basis", "1,1;1.618033988749895,-0.618033988749895",
       "--body", "hyperbola", "--budget", "1e9"), "leaves the float range"),
+    # Gram entries of the basis overflow (numpy warnings before)
+    (("count", "--basis", "1.35e154,0;0,1e154", "--region", "disk:r=40"),
+     "basis entries >= 2^510 leave the float range"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_sizes_are_one_budget_error_line(capsys, argv, message):
@@ -369,3 +400,174 @@ def test_byte_identical_reruns(capsys):
     _, a, _ = run(capsys, *argv)
     _, b, _ = run(capsys, *argv)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# fuzz: hostile tokens through every subcommand
+
+_GOLDEN = "1,1;1.618033988749895,-0.618033988749895"
+_BASIS_3D = ("0.626927,-0.2816,0.438389;0.855378,0.485985,0.199299;"
+             "-0.449946,-0.90878,-0.674933")
+_NUMS = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300",
+         "1e-320", "", "0.5", "1", "2.5", "12")
+_BASES = ("1,0;0,1", _GOLDEN, "1", "1,0,0;0,1,0;0,0,1", _BASIS_3D, "1,1;1,1",
+          "1e200,0;0,1e200", "1e-200,0;0,1e-200", "1e200,1e200;1e200,1e200",
+          "1.35e154,0;0,1e154", "nan,0;0,1", "inf,0;0,1", "", "1,0;1",
+          "1,0;;0,1", "1e-320,0;0,1")
+
+_num = st.sampled_from(_NUMS)
+_body = st.one_of(
+    st.sampled_from(("ball:p=2", "box", "hyperbola", "plane", "ball",
+                     "scale:c=2", "ball:p=2:p=3", "", "cube")),
+    _num.map("ball:p={}".format), _num.map("scale:c={}:ball:p=2".format),
+    _num.map("scale:c={}:hyperbola".format))
+_region = st.one_of(
+    st.sampled_from(("disk", "disk:r=2:r=3", "", "box:a=2")),
+    _num.map("disk:r={}".format), _num.map("box:a={}".format),
+    st.tuples(_num, _num).map(lambda t: "annulus:r0={}:r1={}".format(*t)),
+    st.tuples(_body, _num, _num).map(
+        lambda t: "sublevel:body={}:t={}:clip={}".format(*t)))
+
+
+def _opts(required, optional):
+    """argv tail: every required option once, then optional (flag, value)
+    pairs that may repeat any option."""
+    options = {**required, **optional}
+    pairs = st.lists(st.one_of(*(st.tuples(st.just(k), v)
+                                 for k, v in options.items())), max_size=3)
+    return st.tuples(st.fixed_dictionaries(required), pairs).map(
+        lambda t: [a for kv in (*t[0].items(), *t[1]) for a in kv])
+
+
+_common = {"--seed": st.sampled_from(("0", "7", "-1", "nan", "2e9",
+                                      "4294967296"))}
+_config = st.one_of(
+    st.sampled_from(([], "x", 1, None)),
+    st.fixed_dictionaries({}, optional={
+        "body": st.one_of(_body, st.sampled_from((5, None))),
+        "basis": st.one_of(st.sampled_from(_BASES + ("golden",)),
+                           st.sampled_from((7, ["1,0;0,1"]))),
+        "n_max": st.sampled_from((-1, 0, 1, 3, "2", "x", None, [1], 2.5,
+                                  math.nan, math.inf)),
+        "slack": st.sampled_from(("10/n", "0", "nan", "-1", "x/n", 5, None)),
+        "budget": st.one_of(_num, st.sampled_from(
+            (None, 3, 1e300, math.nan, -math.inf))),
+        "seed": st.sampled_from((0, -1, 2**70, "x", None, 1.5)),
+        "perturb_scale": st.one_of(_num,
+                                   st.sampled_from((None, [], 1e-3))),
+        "body_seq": st.sampled_from(("inflate", "fixed", "x", 1)),
+        "lattice_seq": st.sampled_from(("perturb", "fixed", "x", None)),
+        "dim": st.sampled_from((0, 2, 3, -1, "x")),
+    }))
+# an option whose default is large (rogers' 10^4 lattices, theorem2's 100,
+# witness's 3 shells and 10^5 Monte Carlo points) is always drawn
+_COMMANDS = {
+    "minima": _opts({"--basis": st.sampled_from(_BASES), "--body": _body},
+                    {"--budget": _num, **_common}),
+    "sample": _opts({}, {"--count": st.sampled_from(
+        ("-1", "0", "1", "3", "1500", "nan", "1e300", "")), **_common}),
+    "count": _opts({"--basis": st.sampled_from(_BASES), "--region": _region},
+                   _common),
+    "rogers": _opts({"--count": st.sampled_from(
+        ("1000", "1500", "999", "0", "-1", "x"))},
+        {"--areas": st.lists(_num, min_size=1, max_size=3).map(",".join),
+         "--region": _region, **_common}),
+    "witness": _opts({"--shells": st.sampled_from(("-1", "0", "1", "2")),
+                      "--samples": st.sampled_from(
+                          ("-1", "0", "1", "100", "2000")),
+                      "--mc-points": st.sampled_from(
+                          ("-1", "0", "1", "100", "2000"))},
+                     {"--body": st.one_of(_body, st.tuples(_body, _num).map(
+                         lambda t: "sublevel:body={}:t={}".format(*t))),
+                      "--basis": st.sampled_from(_BASES), **_common}),
+    "probe": _opts({"--config": _config}, _common),
+    "theorem2": _opts({"--count": st.sampled_from(
+        ("-1", "0", "1", "3", "40", "nan"))},
+        {"--body": _body, "--budgets": st.lists(_num, min_size=1,
+                                                max_size=3).map(",".join),
+         **_common}),
+}
+_argv = st.one_of(*(tail.map(lambda t, c=c: [c, *t])
+                    for c, tail in _COMMANDS.items()))
+_fmt = st.sampled_from(((), ("--json",), ("--csv",)))
+
+
+def _fuzz_examples():
+    """The inputs behind the exit-code fixes (overflowing sizes, extreme p,
+    empty results, repeated options), the CI bad-input list and the crashes
+    that fuzzing found."""
+    cases = [["minima", "--basis", b, "--body", "ball:p=2"] for b in (
+        "1e200,0;0,1e200", "1e-200,0;0,1e-200", "1,1;1,1",
+        "1e200,1e200;1e200,1e200", "1.35e154,0;0,1e154")]
+    cases += [["minima", "--basis", "1,0;0,1", "--body", b] for b in (
+        "scale:c=2", "ball:p=0", "ball:p=-1", "scale:c=nan:ball:p=2",
+        "hyperbola")]
+    cases += [["minima", "--basis", basis, "--body", f"ball:p={p}"]
+           for basis, p in (("0.5,0;0,0.5", "1e-300"), ("2,0;0,2", "2000"),
+                            ("2,0;0,2", "1e300"), (_GOLDEN, "1e-300"))]
+    cases += [["minima", "--basis", "1,0;0,1", "--body", "hyperbola",
+            "--budget", "1e300"],
+           ["minima", "--basis", _GOLDEN, "--body", "hyperbola",
+            "--budget", "1e9"],
+           ["minima", "--basis", _GOLDEN, "--body", "hyperbola",
+            "--budget", "50"]]
+    cases += [["count", "--basis", b, "--region", r] for b, r in (
+        ("1,0;0,1", "disk:r=1e308"), ("1,0;0,1", "annulus:r0=1e200:r1=1e300"),
+        ("1,0,0;0,1,0;0,0,1", "box:a=2"), ("1,0;0,1", "disk:r=2:r=3"),
+        ("1,0;0,1", "disk:r=2.5"), ("1.35e154,0;0,1e154", "disk:r=40"))]
+    cases += [["rogers", "--region", r, "--count", "1000"] for r in (
+        "box:a=1e300", "disk:r=1e-300", "annulus:r0=0:r1=1e-300",
+        "box:a=1e-300", "box:a=1e3", "sublevel:body=hyperbola:t=1e-300:"
+        "clip=1")]
+    cases += [["rogers", "--areas", "5,10,20,40", "--count", "1000"],
+           ["witness", "--shells", "0"], ["witness", "--shells", "-1"],
+           ["witness", "--body", "ball:p=2", "--mc-points", "0"],
+           ["witness", "--body", "plane", "--shells", "2", "--samples",
+            "2000", "--mc-points", "2000", "--seed", "1"],
+           ["theorem2", "--budgets", "1e308"],
+           ["theorem2", "--budgets", "1e40"],
+           ["theorem2", "--budgets", "10,100,1000", "--count", "40"],
+           ["sample", "--count", "10", "--seed", "7"]]
+    for cfg in ({"body": "ball:p=2", "basis": 7},
+                {"body": "ball:p=8", "basis": "1,0;0,1", "dim": 0},
+                {"body": "ball:p=8", "basis": _BASIS_3D, "n_max": 1},
+                {"body": "ball:p=2", "basis": "1,0;0,1", "n_max": 3,
+                 "slack": "10/n", "body_seq": "inflate",
+                 "lattice_seq": "perturb", "perturb_scale": 0.5},
+                {"body": "hyperbola", "basis": "golden", "n_max": 2}):
+        cases.append(["probe", "--config", cfg])
+    return cases
+
+
+def _with_examples(test):
+    for argv in _fuzz_examples():
+        test = example(argv=argv, fmt=())(test)
+    return test
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=600, deadline=None)
+@given(argv=_argv, fmt=_fmt)
+@_with_examples
+def test_cli_fuzz_ends_in_an_exit_code_and_at_most_one_error_line(
+        tmp_path_factory, argv, fmt):
+    # any input ends with exit code 0, 2 or 3 and at most one error line,
+    # never a traceback; a smaller point cap keeps every draw small
+    argv = list(argv)
+    for i in range(1, len(argv)):
+        if argv[i - 1] == "--config":  # a probe config file holding argv[i]
+            path = tmp_path_factory.mktemp("probe") / "probe.json"
+            path.write_text(json.dumps(argv[i]))
+            argv[i] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), \
+            redirect_stderr(err):
+        mp.setattr(lattice, "DEFAULT_POINT_CAP", 10**5)
+        try:
+            code = run_cli(argv + list(fmt))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert err.getvalue().count("error:") <= 1, err.getvalue()
+    if code:
+        assert "error:" in err.getvalue()

@@ -471,28 +471,13 @@ def test_hyperbolic_cross_refuses_radii_that_lose_the_lattice():
         sl.minima_upper_bound(sl.hyperbolic(2), sl.golden_lattice(), 1e9)
 
 
-def test_enum_takes_one_radius_per_basis(rng):
-    # a stack with one radius per basis lists, bit for bit, what each basis
-    # lists on its own at its radius
-    W = lattice._reduce_planar(sl.sample_unimodular_2d_arrays(12, 5)[3])[2]
-    W[3] *= 0.3  # a denser lattice in the stack
-    R = rng.uniform(0.5, 6.0, len(W))
-    idx, X = lattice._enum(W, R)
-    assert np.all(np.diff(idx) >= 0)
-    for k in range(len(W)):
-        want = lattice._enum(W[k:k + 1], float(R[k]))[1]
-        assert X[idx == k].tobytes() == want.tobytes()
-        norms = np.linalg.norm(X[idx == k] @ W[k].T, axis=1)
-        assert np.all(norms <= R[k] * (1 + 1e-8))
-
-
 @pytest.mark.parametrize("W,R", [
     (np.eye(2)[None], 1e200),  # R^2 overflows
     (np.eye(2)[None], math.nan),
     (np.array([[[1.0, 1.0], [0.0, 1e-300]]]), 1.0),  # B_1 underflows to 0
     (np.array([[[1.0, 0.0], [0.0, 1e-30]]]), 1.0),  # x_1 up to 1e30
-    (np.stack([np.eye(2), np.diag([1e-30, 1.0])]), np.array([1.0, 1.0])),
-    (np.stack([np.eye(2), np.eye(2)]), np.array([1.0, 1e200])),
+    (np.stack([np.eye(2), np.diag([1e-30, 1.0])]), 1.0),  # one basis of two
+    (np.stack([np.eye(2), np.eye(2)]), 1e200),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_enum_refuses_bounds_beyond_floats(W, R):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import starlat as sl
 from starlat import bodies, minima
-from starlat.errors import InvariantViolation, SingularBasis, UnboundedBody
+from starlat.errors import (DimensionMismatch, InvariantViolation,
+                            SingularBasis, UnboundedBody)
 
 from conftest import (
     ball_candidates,
@@ -103,6 +104,23 @@ def test_exact_minima_rejects_unbounded():
     with pytest.raises(UnboundedBody):
         sl.successive_minima_exact(sl.hyperbolic(2),
                                    sl.make_lattice([[1, 0], [0, 1]]))
+
+
+def test_body_and_lattice_dimensions_must_agree():
+    # a planar ball evaluated on 3D points gave a wrong certified lambda_3
+    # (0.7676 for 0.7445 on this basis), and hyperbolic(3) on planar points
+    # |x1 x2|^(1/3)
+    L3 = sl.make_lattice(sl.parse_basis(
+        "0.626927,-0.2816,0.438389;0.855378,0.485985,0.199299;"
+        "-0.449946,-0.90878,-0.674933"))
+    with pytest.raises(DimensionMismatch):
+        sl.successive_minima_exact(sl.pnorm_ball(2, 8), L3)
+    with pytest.raises(DimensionMismatch):
+        sl.minima_upper_bound(sl.pnorm_ball(2, 8), L3, 3.0)
+    with pytest.raises(DimensionMismatch):
+        sl.minima_upper_bound(sl.hyperbolic(3), sl.golden_lattice(), 50.0)
+    with pytest.raises(DimensionMismatch):
+        sl.theorem2_experiment(sl.hyperbolic(3), [10.0], N=3, seed=0)
 
 
 def test_minkowski_second_theorem_bound(rng):

@@ -348,6 +348,17 @@ def test_rogers_rejects_small_sample():
         sl.rogers_moment_report([sl.disk_region(1.0)], N=10, seed=0)
 
 
+@pytest.mark.parametrize("region", [sl.disk_region(1e-300),
+                                    sl.annulus_region(0.0, 1e-300),
+                                    sl.box_region(1e-300)])
+def test_rogers_rejects_regions_of_zero_area(region):
+    # the area underflows to 0, and the moment ratios divide by it
+    assert region.area == 0.0
+    assert sl.count_primitive(sl.make_lattice(np.eye(2)), region) == 0
+    with pytest.raises(ValueError, match="has zero area"):
+        sl.rogers_moment_report([region], N=1000, seed=0)
+
+
 def test_theorem2_requires_unbounded_body():
     with pytest.raises(UnboundedBody):
         sl.theorem2_experiment(sl.pnorm_ball(2, 2), [1.0, 2.0], N=5, seed=0)
