@@ -8,10 +8,9 @@ from .bodies import (BoundednessCertificate, DistanceFunction, body_distance,
                      boundedness_floor, box, evaluate, hyperbolic,
                      inflate_body, linear_image, parse_body, pnorm_ball,
                      scale_body, sphere_samples)
-from .errors import (BudgetExceeded, DegenerateMass, DimensionMismatch,
-                     DimensionTooSmall, InvariantViolation, NoConvergence,
-                     NotLatticePoint, SingularBasis, StarlatError,
-                     UnboundedBody, VolumeStall)
+from .errors import (BudgetExceeded, DimensionMismatch, DimensionTooSmall,
+                     InvariantViolation, NoConvergence, NotLatticePoint,
+                     SingularBasis, StarlatError, UnboundedBody, VolumeStall)
 from .haar import (HaarSample2D, sample_unimodular_2d,
                    sample_unimodular_2d_arrays, sample_unimodular_2d_batch,
                    scale_lattice)

@@ -257,25 +257,25 @@ def _sphere_min(func, dim: int, resolution: int) -> float:
 
 def boundedness_floor(f: DistanceFunction,
                       resolution: int = 1024) -> BoundednessCertificate:
-    """Floor of f on the unit sphere; the body is bounded when it exceeds
-    DEFAULT_BOUNDED_TOL.  The floor is the closed form ``f.floor`` when the
-    body has one, as every catalog body does.  Otherwise it is the refined
-    minimum over the sphere sample of this resolution and the points +-e_i:
-    an estimate from above of the true minimum, which certifies nothing."""
+    """Floor of f on the unit sphere.  It is the closed form ``f.floor`` when
+    the body has one, as every catalog body does, and then the body is
+    bounded when it is positive, at any scale.  Otherwise it is the refined
+    minimum over the sphere sample of this resolution and the points +-e_i,
+    an estimate from above of the true minimum that certifies nothing, and
+    the body counts as bounded when it exceeds DEFAULT_BOUNDED_TOL."""
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    floor = f.floor
+    floor, tol = f.floor, 0.0
     if floor is None:
         axes = np.concatenate([np.eye(f.dim), -np.eye(f.dim)])
         floor = min(_sphere_min(f.evaluator, f.dim, resolution),
                     float(np.min(f.evaluator(axes))))
-    return BoundednessCertificate(floor=floor,
-                                  bounded=floor > DEFAULT_BOUNDED_TOL)
+        tol = DEFAULT_BOUNDED_TOL
+    return BoundednessCertificate(floor=floor, bounded=floor > tol)
 
 
-def body_distance(f: DistanceFunction, g: DistanceFunction,
-                  resolution: int = 1024) -> float:
-    """sup |f - g| over the deterministic sphere sample (refined for d=2).
+def body_distance(f: DistanceFunction, g: DistanceFunction) -> float:
+    """sup |f - g| over the sphere sample of resolution 1024 (refined).
 
     Homogeneity reduces the sup over the solid unit ball to the sphere.
     """
@@ -283,4 +283,4 @@ def body_distance(f: DistanceFunction, g: DistanceFunction,
         raise DimensionMismatch(f"{f.dim} != {g.dim}")
     neg = lambda x: -np.abs(np.asarray(f.evaluator(x))
                             - np.asarray(g.evaluator(x)))
-    return -_sphere_min(neg, f.dim, resolution)
+    return -_sphere_min(neg, f.dim, 1024)

@@ -32,11 +32,9 @@ from .stats import (count_primitive, disk_region, parse_region,
 def _plain(obj):
     """Recursively convert reports to JSON-safe plain data."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()
-                if not callable(v)}
+        return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()
-                if not callable(v)}
+        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, (np.generic, np.ndarray)):
@@ -46,9 +44,6 @@ def _plain(obj):
             return "inf" if obj > 0 else "-inf"
         if math.isnan(obj):
             return "nan"
-        return obj
-    if callable(obj):
-        return getattr(obj, "label", repr(type(obj).__name__))
     return obj
 
 

@@ -29,10 +29,6 @@ class UnboundedBody(StarlatError):
     """Exact minima requested for a star body that is not bounded."""
 
 
-class DegenerateMass(StarlatError):
-    """More than half of the sample weight sits on a single point."""
-
-
 class NoConvergence(StarlatError):
     """Equipartition bisection stalled above the requested tolerance."""
 

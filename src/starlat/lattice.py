@@ -138,12 +138,12 @@ def golden_lattice() -> Lattice:
     return make_lattice([[1.0, (1.0 + s) / 2.0], [1.0, (1.0 - s) / 2.0]])
 
 
-def is_primitive(L: Lattice, p: LatticePoint, tol: float = 1e-9) -> bool:
+def is_primitive(L: Lattice, p: LatticePoint) -> bool:
     """True iff p is nonzero and its integer coefficients are coprime."""
     c = np.asarray(p.coeffs, dtype=np.int64)
     x = L.basis @ c
     err = float(np.linalg.norm(x - np.asarray(p.coords)))
-    if err > tol * (1.0 + float(np.linalg.norm(p.coords))):
+    if err > 1e-9 * (1.0 + float(np.linalg.norm(p.coords))):
         raise NotLatticePoint(
             f"coords {p.coords} do not match basis * {p.coeffs}")
     return reduce(math.gcd, (abs(int(v)) for v in p.coeffs)) == 1

@@ -227,7 +227,7 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
         raise UnboundedBody(f"body {f.label!r} has no positive sphere floor")
     alpha = cert.floor
     d = L.dim
-    R = max(L.det ** (1.0 / d) / alpha, 1e-9)
+    R = max(L.det ** (1.0 / d) / alpha, 2.0**-500)  # R * R is a normal float
     while True:
         coeffs, coords = enumerate_ball_arrays(L, R, sort=False)
         fvals = np.asarray(f.evaluator(coords), dtype=float)
@@ -281,9 +281,8 @@ class ProbeReport:
     reference_exact: bool
     entries: tuple[ProbeEntry, ...]
 
-    def eventually_upper(self, from_n: int = 1) -> bool:
-        return all(e.upper_ok for e in self.entries
-                   if e.error is None and e.n >= from_n)
+    def eventually_upper(self) -> bool:
+        return all(e.upper_ok for e in self.entries if e.error is None)
 
 
 def semicontinuity_probe(f_seq: Callable[[int], DistanceFunction],

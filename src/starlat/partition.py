@@ -1,9 +1,9 @@
-"""Shells, the two-line mass equipartition, and witness extraction.
+"""Shells, the two-line equipartition, and witness extraction.
 
 This is the executable core of the witness pipeline in the plane: annular
 shells of an infinite-volume Borel set are built so each holds volume
 exceeding 2^d * zeta(d) * n, a two-orthogonal-line dissection splits each
-shell's Monte Carlo mass into four equal parts that no affine line can
+shell's Monte Carlo sample into four equal parts that no affine line can
 meet simultaneously, and per-quadrant primitive lattice points yield
 linearly independent witness pairs, one tuple per shell.
 """
@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DegenerateMass, InvariantViolation, NoConvergence,
-                     VolumeStall)
+from .errors import InvariantViolation, NoConvergence, VolumeStall
 from .haar import sample_unimodular_2d_arrays
 from .lattice import (Lattice, LatticePoint, _fold, _planar_points,
                       _reduce_planar, _unit_ball_volume, _zeta,
@@ -100,15 +99,11 @@ _MAX_BATCHES = 10**4  # rejection batches before sample_shell_points gives up
 _SPAN = 10.0  # transversal_check's line anchors: center +- _SPAN per axis
 
 
-def _median_cut(vals: np.ndarray, weights: np.ndarray) -> float:
-    """Cut position so the mass strictly below it is as close to half as the
-    atoms allow; between atoms whenever possible."""
-    o = np.argsort(vals, kind="stable")
-    v = vals[o]
-    cw = np.cumsum(weights[o])
-    half = cw[-1] / 2.0
-    i = int(np.searchsorted(cw, half))
-    i = min(i, len(v) - 1)
+def _median_cut(vals: np.ndarray) -> float:
+    """Cut just above the ceil(n/2)-th smallest value v: midway to the next
+    larger value, or v itself when there is none."""
+    v = np.sort(vals, kind="stable")
+    i = (len(v) + 1) // 2 - 1
     k = int(np.searchsorted(v, v[i], side="right"))
     if k < len(v):
         return 0.5 * (v[i] + v[k])
@@ -120,19 +115,20 @@ def _turned(c, s, x, y):
     return x * c + y * s, -x * s + y * c
 
 
-def _masses_at(pts: np.ndarray, w: np.ndarray, theta: float):
+def _masses_at(pts: np.ndarray, theta: float):
     c, s = math.cos(theta), math.sin(theta)
     uu, vv = _turned(c, s, pts[:, 0], pts[:, 1])
-    cx = _median_cut(uu, w)
-    cy = _median_cut(vv, w)
+    cx = _median_cut(uu)
+    cy = _median_cut(vv)
     q = _QUADRANT_BY_SIGNS[2 * ((uu - cx) >= 0.0) + ((vv - cy) >= 0.0)]
     center = tuple(map(float, _turned(c, -s, cx, cy)))  # turned back
-    return center, tuple(float(w[q == i].sum()) for i in (1, 2, 3, 4))
+    return center, tuple(map(float, np.bincount(q, minlength=5)[1:]))
 
 
-def two_line_equipartition(points, tol: float, weights=None) -> Partition2D:
-    """Split a weighted planar sample into four parts of mass total/4 by two
-    orthogonal lines, each line halving the mass.
+def two_line_equipartition(points, tol: float) -> Partition2D:
+    """Split a planar sample of n points into four parts of about n/4 points
+    (masses within tol of n/4) by two orthogonal lines, each line halving
+    the sample.
 
     Bisection runs on g(theta) = m1 - m2; since a quarter turn permutes the
     quadrants cyclically, g(theta + pi/2) = -g(theta) and a sign change is
@@ -141,17 +137,10 @@ def two_line_equipartition(points, tol: float, weights=None) -> Partition2D:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 8:
         raise ValueError("need at least 8 planar sample points")
-    w = (np.ones(len(pts)) if weights is None
-         else np.asarray(weights, dtype=float))
-    total = float(w.sum())
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    if float(w.max()) > total / 2.0:
-        raise DegenerateMass("one atom carries more than half the mass")
-    quarter = total / 4.0
+    quarter = len(pts) / 4.0
     lo, hi, mid, g0 = 0.0, math.pi / 2.0, 0.0, None
     while hi - lo >= 1e-15:  # theta = 0, then about 51 halvings
-        center, m = _masses_at(pts, w, mid)
+        center, m = _masses_at(pts, mid)
         if max(abs(v - quarter) for v in m) <= tol:
             return Partition2D(center=center, angle=mid, masses=m)
         g = m[0] - m[1]
@@ -351,22 +340,20 @@ def _classify_rows(shells: list[Shell], partitions: list[Partition2D],
 
 
 def extract_witnesses(L: Lattice, shells: list[Shell],
-                      partitions: list[Partition2D],
-                      budget: float = math.inf) -> WitnessReport:
+                      partitions: list[Partition2D]) -> WitnessReport:
     """Per shell: find one primitive lattice point per partition quadrant and
     select two linearly independent representatives.
 
     A point x belongs to the shell with inner < ||x|| <= outer, so tuples of
     distinct shells are disjoint; shells out of order or overlapping raise
-    ValueError.  One unsorted ball of radius min(outermost outer, budget)
-    serves every shell: the lex-least row of each (shell, quadrant) is its
-    representative.  A shell with an unpopulated quadrant is a failure
-    event: the lattice is in the exceptional set for that n.
+    ValueError.  One unsorted ball, the outermost shell's, serves every
+    shell: the lex-least row of each (shell, quadrant) is its representative.
+    A shell with an unpopulated quadrant is a failure event: the lattice is
+    in the exceptional set for that n.
     """
     if not shells:
         return WitnessReport(tuples=(), failures=())
-    coeffs, coords = enumerate_ball_arrays(L, min(shells[-1].outer, budget),
-                                           sort=False)
+    coeffs, coords = enumerate_ball_arrays(L, shells[-1].outer, sort=False)
     k, q = _classify_rows(shells, partitions, coeffs, coords)
     rows = np.flatnonzero(q)
     key = 4 * k[rows] + q[rows] - 1
@@ -408,7 +395,6 @@ class PipelineConfig:
     body: BodyPredicate = field(default_factory=plane_body)
     mc_points: int = 10**5
     partition_points: int = 10**4
-    budget: float = math.inf
 
 
 def build_partitions(shells: list[Shell], config: PipelineConfig,
@@ -436,7 +422,7 @@ def part_miss_rate(n: int, samples: int, config: PipelineConfig,
     # together in chunks
     occupancy = np.zeros(4 * samples, dtype=np.int64)
     for idx, coeffs, coords in _planar_points(
-            _reduce_planar(bases), min(shell.outer, config.budget)):
+            _reduce_planar(bases), shell.outer):
         q = _classify_rows([shell], [part], coeffs, coords)[1]
         hit = q > 0
         occupancy += np.bincount(4 * idx[hit] + q[hit] - 1,

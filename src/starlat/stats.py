@@ -80,7 +80,10 @@ def box_region(a: float) -> Region:
 
 
 def sublevel_region(f: DistanceFunction, t: float, clip: float) -> Region:
-    """{x : f(x) <= t} clipped to the disk of radius `clip` (finite area)."""
+    """{x : f(x) <= t} clipped to the disk of radius `clip` (finite area);
+    f must be planar."""
+    if f.dim != 2:
+        raise DimensionMismatch(f"regions are planar, got a {f.dim}D body")
     spec = _sized(f"sublevel:body={f.label}:t={t:g}:clip={clip:g}", t=t,
                   clip=clip)
     disk_area = math.pi * clip * clip

@@ -130,8 +130,7 @@ def loop_miss_count(n, samples, config, seed):
     part = partition.build_partitions([shell], config, seed)[0]
     misses = 0
     for B in sample_unimodular_2d_arrays(samples, seed)[3]:
-        coeffs, coords = enumerate_ball_arrays(
-            make_lattice(B), min(shell.outer, config.budget))
+        coeffs, coords = enumerate_ball_arrays(make_lattice(B), shell.outer)
         keep = (np.gcd(coeffs[:, 0], coeffs[:, 1]) == 1) \
             & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
             & shell.body(coords)
@@ -150,9 +149,9 @@ def norm_annulus_samples(rng, d, r_in, r_out, count):
     return dirs * radii[:, None]
 
 
-def loop_witnesses(L, shells, partitions, budget=math.inf):
+def loop_witnesses(L, shells, partitions):
     """extract_witnesses by the per-shell loop it replaced: one ball per
-    shell of radius min(outer, budget), its primitive points above the
+    shell of radius outer, its primitive points above the
     inner radius and inside the body, the lex-least point per quadrant,
     then quadrant 1's point with the first of quadrants 2-4 independent
     of it."""
@@ -160,8 +159,7 @@ def loop_witnesses(L, shells, partitions, budget=math.inf):
                          enumerate_ball_arrays, partition)
     tuples, failures = [], []
     for shell, part in zip(shells, partitions):
-        coeffs, coords = enumerate_ball_arrays(L, min(shell.outer, budget),
-                                               sort=False)
+        coeffs, coords = enumerate_ball_arrays(L, shell.outer, sort=False)
         keep = (np.gcd(coeffs[:, 0], coeffs[:, 1]) == 1) \
             & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
             & shell.body(coords)
@@ -184,6 +182,36 @@ def loop_witnesses(L, shells, partitions, budget=math.inf):
         tuples.append(WitnessTuple(shell_index=shell.index, points=pts,
                                    quadrants=(1, qb)))
     return WitnessReport(tuples=tuple(tuples), failures=tuple(failures))
+
+
+def weighted_median_cut(vals, weights):
+    """The weighted cut that partition._median_cut replaced: the cut so the
+    mass strictly below it is as close to half as the atoms allow, between
+    atoms whenever possible."""
+    o = np.argsort(vals, kind="stable")
+    v = vals[o]
+    cw = np.cumsum(weights[o])
+    half = cw[-1] / 2.0
+    i = int(np.searchsorted(cw, half))
+    i = min(i, len(v) - 1)
+    k = int(np.searchsorted(v, v[i], side="right"))
+    if k < len(v):
+        return 0.5 * (v[i] + v[k])
+    return float(v[i])
+
+
+def weighted_masses_at(pts, w, theta):
+    """The weighted (center, quadrant masses) that partition._masses_at
+    replaced: weighted cuts along the axes turned by theta, the weight of
+    each quadrant summed by a mask per quadrant."""
+    c, s = math.cos(theta), math.sin(theta)
+    uu, vv = pts[:, 0] * c + pts[:, 1] * s, -pts[:, 0] * s + pts[:, 1] * c
+    cx = weighted_median_cut(uu, w)
+    cy = weighted_median_cut(vv, w)
+    by_signs = np.array([3, 2, 4, 1])
+    q = by_signs[2 * ((uu - cx) >= 0.0) + ((vv - cy) >= 0.0)]
+    center = tuple(map(float, (cx * c - cy * s, cx * s + cy * c)))
+    return center, tuple(float(w[q == i].sum()) for i in (1, 2, 3, 4))
 
 
 def cross_by_rectangles(L, s, R):

@@ -82,6 +82,16 @@ def test_boundedness_floor_hyperbolic():
     assert not cert.bounded and cert.floor < 1e-6
 
 
+@pytest.mark.parametrize("c", [1e-7, 1e7, 1e100, 2.0**-600])
+def test_closed_form_floor_bounds_a_body_at_any_scale(c):
+    # a positive closed-form floor certifies boundedness, however small
+    for f in (sl.pnorm_ball(2, 2), sl.box(3)):
+        for g in (sl.scale_body(f, c), sl.inflate_body(f, c)):
+            cert = sl.boundedness_floor(g)
+            assert cert.bounded and cert.floor == g.floor > 0.0
+    assert not sl.boundedness_floor(sl.scale_body(sl.hyperbolic(2), c)).bounded
+
+
 def test_boundedness_floor_3d():
     cert = sl.boundedness_floor(sl.pnorm_ball(3, math.inf), resolution=128)
     assert cert.bounded
@@ -109,14 +119,14 @@ def test_body_distance_pseudometric(rng):
     fs = catalog()[:4]
     for f in fs:
         for g in fs:
-            assert sl.body_distance(f, g, resolution=256) == pytest.approx(
-                sl.body_distance(g, f, resolution=256), abs=0)
+            assert sl.body_distance(f, g) == pytest.approx(
+                sl.body_distance(g, f), abs=0)
     for f in fs:
         for g in fs:
             for h in fs:
-                dfg = sl.body_distance(f, g, resolution=256)
-                dgh = sl.body_distance(g, h, resolution=256)
-                dfh = sl.body_distance(f, h, resolution=256)
+                dfg = sl.body_distance(f, g)
+                dgh = sl.body_distance(g, h)
+                dfh = sl.body_distance(f, h)
                 assert dfh <= dfg + dgh + 1e-12
 
 

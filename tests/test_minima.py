@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import starlat as sl
 from starlat import bodies, minima
-from starlat.errors import (DimensionMismatch, InvariantViolation,
-                            SingularBasis, UnboundedBody)
+from starlat.errors import (BudgetExceeded, DimensionMismatch,
+                            InvariantViolation, SingularBasis, UnboundedBody)
 
 from conftest import (
     ball_candidates,
@@ -104,6 +104,28 @@ def test_exact_minima_rejects_unbounded():
     with pytest.raises(UnboundedBody):
         sl.successive_minima_exact(sl.hyperbolic(2),
                                    sl.make_lattice([[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-100, 2.0**-400])
+def test_exact_minima_scale_with_a_tiny_lattice(c):
+    # the start radius had an absolute floor of 1e-9: at c = 1e-13 its ball
+    # held about 3e8 points, over the point cap
+    for f in (EUCLID, sl.pnorm_ball(2, 1), sl.box(2)):
+        for cols in ([[1, 0], [0, 1]], [[1, 0.5], [0, math.sqrt(3) / 2]],
+                     [[1.3, 0.4], [-0.2, 1.1]]):
+            ref = sl.successive_minima_exact(f, sl.make_lattice(cols))
+            res = sl.successive_minima_exact(
+                f, sl.make_lattice(c * np.array(cols)))
+            assert res.exact
+            assert res.values == pytest.approx(
+                [c * v for v in ref.values], rel=1e-12)
+
+
+def test_exact_minima_below_the_start_radius_floor_exceed_the_cap():
+    # the start radius is at least 2^-500; at scale 1e-160 that ball holds
+    # about 3e19 points
+    with pytest.raises(BudgetExceeded):
+        sl.successive_minima_exact(EUCLID, sl.make_lattice(1e-160 * np.eye(2)))
 
 
 def test_body_and_lattice_dimensions_must_agree():
@@ -228,7 +250,8 @@ def test_probe_perturbed_lattices_upper_semicontinuous():
         f=sl.hyperbolic(2), L=L, n_max=6,
         slack=lambda n: 10.0 / n, budget=30.0)
     # budgeted values along the schedule stay below reference + slack
-    assert report.eventually_upper(from_n=2)
+    assert all(e.upper_ok for e in report.entries
+               if e.error is None and e.n >= 2)
     assert not report.reference_exact
 
 

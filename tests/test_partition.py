@@ -8,9 +8,10 @@ from scipy.special import zeta
 
 import starlat as sl
 from starlat import partition
-from starlat.errors import DegenerateMass, InvariantViolation, VolumeStall
+from starlat.errors import InvariantViolation, VolumeStall
 
-from conftest import loop_miss_count, loop_witnesses, norm_annulus_samples
+from conftest import (loop_miss_count, loop_witnesses, norm_annulus_samples,
+                      weighted_masses_at, weighted_median_cut)
 
 
 def test_equipartition_symmetric_grid():
@@ -32,15 +33,6 @@ def test_equipartition_random_clouds(rng):
             assert abs(m - 1000.0) <= 10.0
 
 
-def test_equipartition_weighted(rng):
-    pts = rng.normal(0, 1, (5000, 2))
-    w = rng.uniform(0.1, 1.0, 5000)
-    part = sl.two_line_equipartition(pts, tol=0.02 * w.sum(), weights=w)
-    quarter = w.sum() / 4.0
-    for m in part.masses:
-        assert abs(m - quarter) <= 0.02 * w.sum()
-
-
 def test_equipartition_masses_match_quadrant_assignment(rng):
     pts = rng.normal(1.0, 1.5, (3000, 2))
     part = sl.two_line_equipartition(pts, tol=8.0)
@@ -51,13 +43,50 @@ def test_equipartition_masses_match_quadrant_assignment(rng):
         int(round(m)) for m in part.masses)
 
 
-def test_equipartition_rejects_dominant_atom():
-    pts = np.zeros((10, 2))
-    pts[1:] = np.random.default_rng(0).normal(0, 1, (9, 2))
-    w = np.ones(10)
-    w[0] = 100.0
-    with pytest.raises(DegenerateMass):
-        sl.two_line_equipartition(pts, tol=1.0, weights=w)
+def _samples_with_ties(rng, n):
+    """n planar points with repeated coordinates and repeated points."""
+    pts = np.round(rng.normal(0, 1, (n, 2)), 1)
+    pts[n // 3: n // 2] = pts[0]
+    return pts
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 64, 101, 3000])
+def test_median_cut_and_masses_match_the_weighted_path(rng, n):
+    # the unit-weight cut, center and quadrant counts equal the weighted
+    # path's on unit weights, with ties, repeated points, odd and even n
+    ones = np.ones(n)
+    for pts in (rng.normal(0, 1, (n, 2)), _samples_with_ties(rng, n),
+                np.zeros((n, 2)), np.repeat(rng.normal(0, 1, (2, 2)),
+                                            [n // 2, n - n // 2], axis=0)):
+        for vals in pts.T:
+            assert partition._median_cut(vals) == weighted_median_cut(vals,
+                                                                      ones)
+        for theta in (0.0, 0.3, math.pi / 4, 1.2):
+            assert partition._masses_at(pts, theta) == weighted_masses_at(
+                pts, ones, theta)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_equipartition_matches_the_weighted_path(monkeypatch, seed):
+    # equal partitions, or NoConvergence on both paths
+    rng = np.random.default_rng(seed)
+    samples = [rng.normal(rng.uniform(-3, 3, 2), 1.5, (n, 2))
+               for n in (8, 9, 200, 3001)]
+    samples += [np.round(rng.normal(0, 1, (500, 2)), 1),
+                _samples_with_ties(rng, 400)]
+
+    def outcome(pts):
+        try:
+            return sl.two_line_equipartition(
+                pts, tol=max(0.01 * len(pts) / 4, 1.0))
+        except sl.NoConvergence:
+            return "NoConvergence"
+
+    got = [outcome(p) for p in samples]
+    assert any(isinstance(g, sl.Partition2D) for g in got)
+    monkeypatch.setattr(partition, "_masses_at", lambda pts, theta:
+                        weighted_masses_at(pts, np.ones(len(pts)), theta))
+    assert got == [outcome(p) for p in samples]
 
 
 def test_equipartition_rejects_tiny_input():
@@ -166,16 +195,6 @@ def test_extract_witnesses_z2_plane():
             seen.add(p.coeffs)
 
 
-def test_extract_witnesses_budget_truncation():
-    L = sl.make_lattice([[1, 0], [0, 1]])
-    shells = sl.build_shells(sl.plane_body(), 2, 2, mc_points=2 * 10**4,
-                             seed=4)
-    parts = sl.build_partitions(shells, sl.PipelineConfig(), seed=4)
-    rep = sl.extract_witnesses(L, shells, parts, budget=shells[0].inner + 0.1)
-    # a budget below the second shell forces a failure event there
-    assert any(f[0] == 2 for f in rep.failures)
-
-
 def test_extract_witnesses_collinear_representatives_raise(monkeypatch):
     # distinct primitive rows in four quadrants cannot be collinear; force
     # it to check that the pipeline stops instead of recording a failure
@@ -202,16 +221,14 @@ def test_extract_witnesses_match_per_shell_loop(t, n, seed):
                                partition_points=3000)
     shells = sl.build_shells(body, 2, n, config.mc_points, seed)
     parts = sl.build_partitions(shells, config, seed)
-    mid = 0.5 * (shells[n // 2].inner + shells[n // 2].outer)
     bases = [np.eye(2), *sl.sample_unimodular_2d_arrays(60, seed)[3]]
     tuples = failures = 0
     for B in bases:
         L = sl.make_lattice(B)
-        for budget in (math.inf, mid):
-            rep = sl.extract_witnesses(L, shells, parts, budget)
-            assert rep == loop_witnesses(L, shells, parts, budget)
-            tuples, failures = (tuples + len(rep.tuples),
-                                failures + len(rep.failures))
+        rep = sl.extract_witnesses(L, shells, parts)
+        assert rep == loop_witnesses(L, shells, parts)
+        tuples, failures = (tuples + len(rep.tuples),
+                            failures + len(rep.failures))
     assert tuples and failures
 
 
@@ -245,14 +262,13 @@ def test_part_miss_rate_runs_and_bounds():
     assert rep.misses == round(rep.rate * rep.samples)
 
 
-@pytest.mark.parametrize("n,budget", [(1, math.inf), (3, math.inf),
-                                      (3, 2.5)])
-def test_part_miss_rate_matches_per_lattice_loop(n, budget):
-    config = sl.PipelineConfig(mc_points=2 * 10**4, budget=budget)
+@pytest.mark.parametrize("n", [1, 3])
+def test_part_miss_rate_matches_per_lattice_loop(n):
+    config = sl.PipelineConfig(mc_points=2 * 10**4)
     rep = sl.part_miss_rate(n, samples=400, config=config, seed=13)
     assert rep.misses == loop_miss_count(n, 400, config, 13)
     body = sl.sublevel_body(sl.hyperbolic(2), 2.0)
-    config = sl.PipelineConfig(body=body, mc_points=2 * 10**4, budget=budget)
+    config = sl.PipelineConfig(body=body, mc_points=2 * 10**4)
     rep = sl.part_miss_rate(n, samples=200, config=config, seed=14)
     assert rep.misses == loop_miss_count(n, 200, config, 14)
 
@@ -341,12 +357,12 @@ def test_extract_witnesses_two_bodies_match_per_shell_loop():
     tuples = failures = 0
     for B in [np.eye(2), *sl.sample_unimodular_2d_arrays(60, 3)[3]]:
         L = sl.make_lattice(B)
-        for budget in (math.inf, shells[3].outer):
+        for k in (6, 4):  # all shells, then the first four
             for calls in seen.values():
                 calls.clear()
-            rep = sl.extract_witnesses(L, mixed, parts, budget)
+            rep = sl.extract_witnesses(L, mixed[:k], parts[:k])
             assert [len(v) for v in seen.values()] == [1, 1]
-            assert rep == loop_witnesses(L, mixed, parts, budget)
+            assert rep == loop_witnesses(L, mixed[:k], parts[:k])
             tuples += len(rep.tuples)
             failures += len(rep.failures)
     assert tuples and failures

@@ -95,6 +95,13 @@ def test_sublevel_region_area_estimate():
     assert region.contains(pts).tolist() == [True, False]
 
 
+def test_sublevel_region_body_is_planar():
+    # hyperbolic(3) on planar points is |x1 x2|^(1/3): an area of 28.27
+    # under the spec of the planar hyperbola's 27.62
+    with pytest.raises(DimensionMismatch, match="regions are planar"):
+        sl.sublevel_region(sl.hyperbolic(3), 2.0, 3.0)
+
+
 def test_rogers_means_near_centering():
     region = sl.disk_region(math.sqrt(10.0 / math.pi))   # area 10
     report = sl.rogers_moment_report([region], N=2000, seed=17)
@@ -362,6 +369,10 @@ def test_rogers_rejects_regions_of_zero_area(region):
 def test_theorem2_requires_unbounded_body():
     with pytest.raises(UnboundedBody):
         sl.theorem2_experiment(sl.pnorm_ball(2, 2), [1.0, 2.0], N=5, seed=0)
+    # a closed-form floor of 1e-7 bounds the body as well
+    with pytest.raises(UnboundedBody):
+        sl.theorem2_experiment(sl.scale_body(sl.pnorm_ball(2, 2), 1e7),
+                               [10.0], N=5, seed=0)
 
 
 def test_theorem2_monotone_and_decaying():
