@@ -4,10 +4,10 @@ shell/equipartition witness pipeline."""
 
 __version__ = "0.1.0"
 
-from .bodies import (BoundednessCertificate, DistanceFunction, body_distance,
-                     boundedness_floor, box, evaluate, hyperbolic,
-                     inflate_body, linear_image, parse_body, pnorm_ball,
-                     scale_body, sphere_samples)
+from .bodies import (BoundednessCertificate, DistanceFunction, Sublevel,
+                     body_distance, boundedness_floor, box, evaluate,
+                     hyperbolic, inflate_body, linear_image, parse_body,
+                     parse_witness_set, pnorm_ball, scale_body, sphere_samples)
 from .errors import (BudgetExceeded, DimensionMismatch, DimensionTooSmall,
                      InvariantViolation, NoConvergence, NotLatticePoint,
                      SingularBasis, StarlatError, UnboundedBody, VolumeStall)

@@ -1,4 +1,4 @@
-"""Distance functions and the star-body catalog.
+"""Distance functions, the star-body catalog and the one spec reader.
 
 A star body S = {x : f(x) <= 1} is represented by its distance function f
 (nonnegative, continuous, positively homogeneous of degree 1).  Evaluators
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -23,10 +23,12 @@ DEFAULT_BOUNDED_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DistanceFunction:
+    """Bodies compare by dim, label, floor and node, not by evaluator."""
     dim: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     label: str
     floor: float | None = None  # lower bound of f on the sphere; None: unknown
+    node: tuple = ()  # ("scale", 2.0, ("ball", 2.0)); () for an opaque body
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float))
@@ -80,7 +82,8 @@ def pnorm_ball(dim: int = 2, p: float = 2) -> DistanceFunction:
             return m * _fold(np.add, y ** p) ** (1.0 / p)
     return DistanceFunction(dim=dim, evaluator=ev, label=f"ball:p={p:g}",
                             floor=1.0 if p <= 2 else
-                            _floor_times(1.0, dim ** (1.0 / p - 0.5)))
+                            _floor_times(1.0, dim ** (1.0 / p - 0.5)),
+                            node=("ball", p))
 
 
 def box(dim: int = 2) -> DistanceFunction:
@@ -93,7 +96,7 @@ def hyperbolic(dim: int = 2) -> DistanceFunction:
     the product of points (..., d) or (d,) is a column fold (lattice._fold)."""
     ev = lambda x: np.abs(_fold(np.multiply, np.asarray(x))) ** (1.0 / dim)
     return DistanceFunction(dim=dim, evaluator=ev, label="hyperbola",
-                            floor=0.0)
+                            floor=0.0, node=("hyperbola",))
 
 
 def scale_body(f: DistanceFunction, c: float) -> DistanceFunction:
@@ -102,7 +105,8 @@ def scale_body(f: DistanceFunction, c: float) -> DistanceFunction:
     ev = np.errstate(over="ignore")(lambda x: f.evaluator(x) / c)
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"scale:c={c:g}:{f.label}",
-                            floor=_floor_times(f.floor, 1.0 / c))
+                            floor=_floor_times(f.floor, 1.0 / c),
+                            node=("scale", c, f.node))
 
 
 def inflate_body(f: DistanceFunction, c: float) -> DistanceFunction:
@@ -126,50 +130,88 @@ def linear_image(f: DistanceFunction, A) -> DistanceFunction:
                                 f.floor, 1.0 / float(np.linalg.norm(A, 2))))
 
 
-def _spec_options(spec: str, keys: tuple[str, ...]) -> list[str]:
-    """Values of the options `keys` of a spec "head:k1=v1:k2=v2...", in the
-    order of `keys`; each must appear once.  A token starts an option only
-    when it reads `key=` with `key` in `keys`; other tokens continue the
-    value before them, colon included, so a nested body spec keeps its
-    colons ("sublevel:body=scale:c=2:ball:p=2:t=1")."""
-    opts: dict[str, str] = {}
-    key = None
-    for tok in spec.split(":")[1:]:
-        k, eq, v = tok.partition("=")
-        if eq and k in keys:
-            if k in opts:
+@dataclass(frozen=True)
+class Sublevel:
+    """Membership predicate, points (N, d) -> bool mask, of the Borel set
+    {x : f(x) <= t}; f = None is the whole plane."""
+    f: DistanceFunction | None
+    t: float
+
+    def __call__(self, pts) -> np.ndarray:
+        if self.f is None:
+            return np.ones(len(pts), dtype=bool)
+        return np.asarray(self.f.evaluator(pts)) <= self.t
+
+
+def plane_body() -> Sublevel:
+    """The whole plane.  build_shells gives its shells their volume without
+    draws, also behind a wrapper that sets ``__wrapped__``."""
+    return Sublevel(None, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# specs "head:key=value:...": options in any order, each once, as numbers
+# ("oo" is inf) or, for "body", a body spec; a body spec may stand without
+# "body=" (scale:c=2:ball:p=2) and ends at a token not among its options.
+
+_BODY_HEADS = {"ball": ("p",), "box": (), "hyperbola": (), "hyperbolic": (),
+               "scale": ("c", "body")}
+_WITNESS_HEADS = {"plane": (), "sublevel": ("body", "t")}
+
+
+def _parse(spec: str, heads: dict, kind: str, dim: int):
+    """What the spec names: a body of dimension dim for a head of
+    _BODY_HEADS, else the node (head, values in the order of heads[head])."""
+    toks = spec.split(":")
+
+    def read(heads, kind):  # the construction at the front of toks
+        head, opts = toks.pop(0), {}
+        if head not in heads:
+            raise ValueError(f"unknown {kind} spec {spec!r}")
+        while toks:
+            k, eq, v = toks[0].partition("=")
+            if not eq and "body" in heads[head] and "body" not in opts:
+                k, v = "body", toks[0]
+            elif not (eq and k in heads[head]):
+                break
+            elif k in opts:
                 raise ValueError(f"spec {spec!r} repeats the option {k}=")
-            key, opts[k] = k, v
-        elif key is None:
-            raise ValueError(f"unexpected {tok!r} in spec {spec!r}")
-        else:
-            opts[key] += ":" + tok
-    missing = [k for k in keys if k not in opts]
-    if missing:
-        raise ValueError(f"spec {spec!r} is missing the option {missing[0]}=")
-    return [opts[k] for k in keys]
+            if k == "body":
+                toks[0] = v  # the nested body's head
+                opts[k] = read(_BODY_HEADS, "body")
+            else:
+                toks.pop(0)
+                opts[k] = math.inf if v == "oo" else float(v)
+        for k in heads[head]:
+            if k not in opts:
+                what = "inner body" if k == "body" else f"option {k}="
+                raise ValueError(f"spec {spec!r} is missing the {what}")
+        vals = [opts[k] for k in heads[head]]
+        if heads is not _BODY_HEADS:
+            return (head, *vals)
+        return {"ball": pnorm_ball, "box": box, "hyperbola": hyperbolic,
+                "hyperbolic": hyperbolic,
+                "scale": lambda d, c, f: scale_body(f, c)}[head](dim, *vals)
+
+    made = read(heads, kind)
+    if toks:
+        raise ValueError(f"unexpected {toks[0]!r} in spec {spec!r}")
+    return made
 
 
 def parse_body(spec: str, dim: int = 2) -> DistanceFunction:
     """Parse body spec strings: "ball:p=2", "box", "hyperbola",
     "scale:c=2:ball:p=2"."""
-    if spec.startswith("scale:"):
-        copt, _, inner = spec[len("scale:"):].partition(":")
-        if not copt.startswith("c="):
-            raise ValueError(f"malformed scale spec {spec!r}")
-        if not inner:
-            raise ValueError(f"spec {spec!r} is missing the inner body "
-                             "(scale:c=<factor>:<body>)")
-        return scale_body(parse_body(inner, dim), float(copt[2:]))
-    if spec == "box":
-        return box(dim)
-    if spec in ("hyperbola", "hyperbolic"):
-        return hyperbolic(dim)
-    if spec.partition(":")[0] == "ball":
-        (ptok,) = _spec_options(spec, ("p",))
-        p = math.inf if ptok in ("inf", "oo") else float(ptok)
-        return pnorm_ball(dim, p)
-    raise ValueError(f"unknown body spec {spec!r}")
+    return _parse(spec, _BODY_HEADS, "body", dim)
+
+
+def parse_witness_set(spec: str) -> Sublevel:
+    """Parse a planar witness set: "plane", "sublevel:body=B:t=T", or a body
+    spec B for its set at t = 1."""
+    if spec.partition(":")[0] not in _WITNESS_HEADS:
+        return Sublevel(parse_body(spec), 1.0)
+    head, *vals = _parse(spec, _WITNESS_HEADS, "witness set", 2)
+    return plane_body() if head == "plane" else Sublevel(*vals)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bodies import _spec_options, inflate_body, parse_body
+from .bodies import inflate_body, parse_body, parse_witness_set
 from .errors import BudgetExceeded, StarlatError
 from .haar import sample_unimodular_2d_arrays, sample_unimodular_2d
 from .lattice import golden_lattice, make_lattice, parse_basis, perturb_basis
 from .minima import minima_upper_bound, semicontinuity_probe, \
     successive_minima_exact
 from .partition import (PipelineConfig, build_partitions, build_shells,
-                        extract_witnesses, plane_body, sublevel_body)
+                        extract_witnesses)
 from .stats import (count_primitive, disk_region, parse_region,
                     rogers_moment_report, theorem2_experiment)
 
@@ -135,18 +135,8 @@ def _cmd_rogers(args):
     return rep, _csv_rows(rows), rows
 
 
-def _parse_witness_body(spec: str):
-    if spec == "plane":
-        return plane_body()
-    if spec.partition(":")[0] == "sublevel":
-        inner, t = _spec_options(spec, ("body", "t"))
-        return sublevel_body(parse_body(inner), float(t))
-    f = parse_body(spec)
-    return sublevel_body(f, 1.0)
-
-
 def _cmd_witness(args):
-    body = _parse_witness_body(args.body)
+    body = parse_witness_set(args.body)
     L = (make_lattice(parse_basis(args.basis)) if args.basis
          else sample_unimodular_2d(args.seed).lattice)
     config = PipelineConfig(body=body, mc_points=args.mc_points,
@@ -179,15 +169,6 @@ def _cmd_witness(args):
         rows
 
 
-def _parse_slack(spec):
-    spec = str(spec)
-    if spec.endswith("/n"):
-        c = float(spec[:-2])
-        return lambda n: c / n
-    c = float(spec)
-    return lambda n: c
-
-
 def _cmd_probe(args):
     with open(args.config) as fh:
         cfg = json.load(fh)
@@ -209,7 +190,9 @@ def _cmd_probe(args):
          else make_lattice(parse_basis(cfg["basis"])))
     f = parse_body(cfg["body"], L.dim)
     n_max = value("n_max", int, 16)
-    slack = _parse_slack(value("slack", str, "10/n"))
+    spec = value("slack", str, "10/n")  # "C/n" or a constant "C"
+    c = float(spec.removesuffix("/n"))
+    slack = (lambda n: c / n) if spec.endswith("/n") else (lambda n: c)
     budget = value("budget", float, 50.0)
     seed = value("seed", int, args.seed)
     scale = value("perturb_scale", float, 1.0)

@@ -25,19 +25,14 @@ class HaarSample2D:
     lattice: Lattice
 
 
-def _uniforms(count: int, seed: int) -> np.ndarray:
-    # Philox is counter-based: one bulk draw is reproducible independently
-    # of any worker split
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((count, 3))
-
-
 def sample_unimodular_2d_arrays(count: int, seed: int):
     """Vectorized sampler. Returns (x, y, rotation, bases) with bases of
     shape (count, 2, 2); every basis has determinant 1."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    u = _uniforms(count, seed)
+    # Philox is counter-based: one bulk draw is reproducible independently
+    # of any worker split
+    u = np.random.Generator(np.random.Philox(key=seed)).random((count, 3))
     phi = (u[:, 0] - 0.5) * (math.pi / 3.0)   # uniform on [-pi/6, pi/6]
     x = np.sin(phi)
     ymin = np.sqrt(1.0 - x * x)

@@ -182,7 +182,7 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
     if f.dim != L.dim:
         raise DimensionMismatch(f"{f.dim}D body, {L.dim}D lattice")
     R = max(budgets)
-    if f.label == "hyperbola" and L.dim == 2:
+    if f.node == ("hyperbola",) and L.dim == 2:
         w = L.U.T @ L.basis.T
         r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + _INFLATE)
         s = float(np.max(f.evaluator(w))) ** 2

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bodies import Sublevel as sublevel_body, plane_body  # public here too
 from .errors import InvariantViolation, NoConvergence, VolumeStall
 from .haar import sample_unimodular_2d_arrays
 from .lattice import (Lattice, LatticePoint, _fold, _planar_points,
@@ -24,21 +25,6 @@ from .lattice import (Lattice, LatticePoint, _fold, _planar_points,
                       enumerate_ball_arrays, primitive_mask)
 
 BodyPredicate = Callable[[np.ndarray], np.ndarray]  # (N, d) -> bool mask
-
-
-def _whole_plane(pts: np.ndarray) -> np.ndarray:
-    return np.ones(len(pts), dtype=bool)
-
-
-def plane_body() -> BodyPredicate:
-    """Membership predicate of the entire plane; its shells (also through a
-    wrapper that sets ``__wrapped__``) get their volume without draws."""
-    return _whole_plane
-
-
-def sublevel_body(f, t: float) -> BodyPredicate:
-    """Membership predicate of {x : f(x) <= t}."""
-    return lambda pts: np.asarray(f.evaluator(pts)) <= t
 
 
 @dataclass(frozen=True)
@@ -219,7 +205,7 @@ def _estimate_annulus_volume(body: BodyPredicate, d: int, r_in: float,
                              r_out: float, mc_points: int,
                              ss: np.random.SeedSequence):
     shell_vol = _unit_ball_volume(d) * (r_out**d - r_in**d)
-    if inspect.unwrap(body) is _whole_plane:
+    if inspect.unwrap(body) == plane_body():
         return shell_vol, 0.0  # what a draw gives: a mean of exactly 1
     rng = np.random.default_rng(ss)
     pts = _annulus_samples(rng, d, r_in, r_out, mc_points)
@@ -230,7 +216,7 @@ def _estimate_annulus_volume(body: BodyPredicate, d: int, r_in: float,
 
 
 def build_shells(body: BodyPredicate, d: int, n_max: int,
-                 mc_points: int = 10**5, seed: int = 0) -> list[Shell]:
+                 mc_points: int, seed: int) -> list[Shell]:
     """Greedy annular shells with Monte Carlo volume certification.
 
     The n-th outer radius is the (bisected) smallest radius whose annulus

@@ -12,8 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import DistanceFunction, _spec_options, boundedness_floor, \
-    parse_body
+from .bodies import DistanceFunction, Sublevel, _parse, boundedness_floor
 from .errors import (BudgetExceeded, DimensionMismatch, InvariantViolation,
                      UnboundedBody)
 from . import lattice
@@ -26,6 +25,8 @@ _MC_POINTS = 10**6  # Monte Carlo points behind a sublevel region's area
 _INTERVAL_CHUNK = 2**17  # ball nodes per chunk, for 5-8x fewer interval rows
 _MOBIUS_MAX = 2**16   # lattices needing more terms k are listed
 _THRESHOLDS = (1.0, 0.5, 0.2)  # of lambda-hat_2, for fraction_below
+_REGION_HEADS = {"disk": ("r",), "annulus": ("r0", "r1"), "box": ("a",),
+                 "sublevel": ("body", "t", "clip")}  # see bodies._parse
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,9 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float) -> Region:
     radii = clip * np.sqrt(u[:, 0])
     ang = 2.0 * math.pi * u[:, 1]
     pts = np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
-    p = float(np.mean(np.asarray(f.evaluator(pts)) <= t))
-    contains = lambda pts_: (np.asarray(f.evaluator(pts_)) <= t) \
-        & (_fold(np.add, pts_ * pts_) <= clip * clip)
+    inside = Sublevel(f, t)
+    p = float(np.mean(inside(pts)))
+    contains = lambda q: inside(q) & (_fold(np.add, q * q) <= clip * clip)
     return Region(kind="sublevel", spec=spec, area=p * disk_area,
                   area_stderr=disk_area
                   * math.sqrt(max(p * (1 - p), 0.0) / _MC_POINTS),
@@ -106,17 +107,9 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float) -> Region:
 def parse_region(spec: str) -> Region:
     """Parse "disk:r=2.5", "annulus:r0=1:r1=2", "box:a=2",
     "sublevel:body=hyperbola:t=1:clip=10" (regions are planar)."""
-    head = spec.partition(":")[0]
-    if head == "disk":
-        return disk_region(*map(float, _spec_options(spec, ("r",))))
-    if head == "annulus":
-        return annulus_region(*map(float, _spec_options(spec, ("r0", "r1"))))
-    if head == "box":
-        return box_region(*map(float, _spec_options(spec, ("a",))))
-    if head == "sublevel":
-        body, t, clip = _spec_options(spec, ("body", "t", "clip"))
-        return sublevel_region(parse_body(body), float(t), float(clip))
-    raise ValueError(f"unknown region spec {spec!r}")
+    head, *vals = _parse(spec, _REGION_HEADS, "region", 2)
+    return {"disk": disk_region, "annulus": annulus_region, "box": box_region,
+            "sublevel": sublevel_region}[head](*vals)
 
 
 def count_primitive(L: Lattice, region: Region) -> int:

@@ -1,10 +1,14 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starlat as sl
+from starlat import stats
 from starlat.errors import DimensionMismatch
 
 GOLDEN = ((1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2)
@@ -224,3 +228,52 @@ def test_sampled_floor_takes_the_axes(d):
 def test_body_parameters_are_validated(make):
     with pytest.raises(ValueError, match="p > 0|finite and > 0"):
         make()
+
+
+# numbers that :g prints back as they are written
+SIZES = st.sampled_from(["0.5", "2", "12", "0.25", "1.5", "0.001", "1e+06"])
+BODIES = st.recursive(
+    st.sampled_from(["box", "hyperbola"])
+    | st.builds("ball:p={}".format, SIZES | st.just("inf")),
+    lambda inner: st.builds("scale:c={}:{}".format, SIZES, inner),
+    max_leaves=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=BODIES, t=SIZES, clip=st.sampled_from(["1", "3", "12"]),
+       r=st.sampled_from([("1", "2"), ("0", "0.5"), ("2", "12")]))
+def test_specs_round_trip(spec, t, clip, r):
+    f = sl.parse_body(spec)
+    assert f.label == spec
+    assert sl.parse_body(f.label).node == f.node
+    assert f.node[0] in ("ball", "hyperbola", "scale")
+    region = f"sublevel:body={spec}:t={t}:clip={clip}"
+    with mock.patch.object(stats, "_MC_POINTS", 1000):  # the area's sample
+        assert sl.parse_region(region).spec == region
+        assert sl.parse_region(f"sublevel:clip={clip}:t={t}:body={spec}"
+                               ).spec == region
+    annulus = f"annulus:r0={r[0]}:r1={r[1]}"
+    assert sl.parse_region(annulus).spec == annulus
+    assert sl.parse_region(f"annulus:r1={r[1]}:r0={r[0]}").spec == annulus
+    w = sl.parse_witness_set(f"sublevel:body={spec}:t={t}")
+    assert w == sl.parse_witness_set(f"sublevel:t={t}:body={spec}")
+    assert w == sl.Sublevel(f, float(t))
+    assert sl.parse_witness_set(spec) == sl.sublevel_body(f, 1.0)
+
+
+def test_witness_sets_and_their_errors():
+    plane = sl.parse_witness_set("plane")
+    assert plane == sl.plane_body() and plane.f is None
+    assert plane(np.zeros((3, 2))).tolist() == [True] * 3
+    w = sl.parse_witness_set("sublevel:body=scale:c=2:hyperbola:t=2")
+    assert w.f.node == ("scale", 2.0, ("hyperbola",)) and w.t == 2.0
+    assert w(np.array([[4.0, 4.0], [5.0, 4.0]])).tolist() == [True, False]
+    assert sl.parse_body("scale:c=2:scale:c=3:ball:p=2").node == \
+        ("scale", 2.0, ("scale", 3.0, ("ball", 2.0)))
+    assert sl.parse_body("scale:ball:p=2:c=3").label == "scale:c=3:ball:p=2"
+    with pytest.raises(ValueError, match="^spec 'sublevel:t=1' is missing "
+                       "the inner body$"):
+        sl.parse_witness_set("sublevel:t=1")
+    # a body spec stands for its unit sublevel set
+    assert sl.parse_witness_set("hyperbola") == \
+        sl.sublevel_body(sl.hyperbolic(2), 1.0)

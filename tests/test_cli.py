@@ -275,6 +275,11 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
      "region spec 'annulus:r0=0:r1=1e-300' has zero area"),
     (("rogers", "--region", "box:a=1e-300", "--count", "1000"),
      "region spec 'box:a=1e-300' has zero area"),
+    (("minima", "--basis", "1,0;0,1", "--body", "ball:p=2:x"),
+     "unexpected 'x' in spec 'ball:p=2:x'"),
+    (("minima", "--basis", "1,0;0,1", "--body", "scale:x=1:ball:p=2"),
+     "spec 'scale:x=1:ball:p=2' is missing the option c="),
+    (("witness", "--body", "plane:x"), "unexpected 'x' in spec 'plane:x'"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):

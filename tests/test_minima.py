@@ -535,3 +535,22 @@ def test_probe_samples_a_floorless_floor_once_per_entry(monkeypatch):
     assert len(calls) == 4
     assert not rep.reference_exact
     assert [e.values for e in rep.entries] == [rep.reference] * 3
+
+
+def test_budgeted_minima_dispatch_on_the_record_not_the_label():
+    # a Euclidean evaluator named "hyperbola" is an opaque body: it takes the
+    # ball, not the hyperbola's continued-fraction chain, which read
+    # lambda-hat_2 = 2.77099 for it here
+    L = sl.sample_unimodular_2d(1).lattice
+    named = sl.DistanceFunction(2, EUCLID.evaluator, "hyperbola")
+    assert named.node == ()
+    got = sl.minima_upper_bound(named, L, 3).values
+    assert got == sl.minima_upper_bound(EUCLID, L, 3).values
+    assert got == pytest.approx((0.39313, 2.54497), abs=1e-5)
+    # a copy with a wrapped evaluator, as the benchmark traces bodies, keeps
+    # the record and so the chain
+    h = sl.hyperbolic(2)
+    traced = dataclasses.replace(h, evaluator=lambda x: h.evaluator(x))
+    assert traced.node == ("hyperbola",)
+    assert minima._budget_candidates(traced, L, (50.0,))[0].tolist() == \
+        minima._budget_candidates(h, L, (50.0,))[0].tolist()
