@@ -11,8 +11,7 @@ from .bodies import (BoundednessCertificate, DistanceFunction, Sublevel,
 from .errors import (BudgetExceeded, DimensionMismatch, DimensionTooSmall,
                      InvariantViolation, NoConvergence, NotLatticePoint,
                      SingularBasis, StarlatError, UnboundedBody, VolumeStall)
-from .haar import (HaarSample2D, sample_unimodular_2d,
-                   sample_unimodular_2d_arrays, sample_unimodular_2d_batch,
+from .haar import (sample_unimodular_2d, sample_unimodular_2d_arrays,
                    scale_lattice)
 from .lattice import (Lattice, LatticePoint, enumerate_ball,
                       enumerate_ball_arrays, enumerate_hyperbolic_cross,

@@ -115,7 +115,8 @@ def inflate_body(f: DistanceFunction, c: float) -> DistanceFunction:
     ev = lambda x: c * f.evaluator(x)
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"inflate:c={c:g}:{f.label}",
-                            floor=_floor_times(f.floor, c))
+                            floor=_floor_times(f.floor, c),
+                            node=("inflate", c, f.node))
 
 
 def linear_image(f: DistanceFunction, A) -> DistanceFunction:
@@ -127,7 +128,9 @@ def linear_image(f: DistanceFunction, A) -> DistanceFunction:
     return DistanceFunction(dim=f.dim, evaluator=ev,
                             label=f"image:{f.label}",
                             floor=_floor_times(
-                                f.floor, 1.0 / float(np.linalg.norm(A, 2))))
+                                f.floor, 1.0 / float(np.linalg.norm(A, 2))),
+                            node=("image", tuple(map(tuple, A.tolist())),
+                                  f.node))
 
 
 @dataclass(frozen=True)
@@ -184,6 +187,9 @@ def _parse(spec: str, heads: dict, kind: str, dim: int):
                 opts[k] = math.inf if v == "oo" else float(v)
         for k in heads[head]:
             if k not in opts:
+                if any(t.startswith(f"{k}=") for t in toks):
+                    raise ValueError(f"unexpected {toks[0]!r} in spec "
+                                     f"{spec!r}")
                 what = "inner body" if k == "body" else f"option {k}="
                 raise ValueError(f"spec {spec!r} is missing the {what}")
         vals = [opts[k] for k in heads[head]]

@@ -138,7 +138,7 @@ def _cmd_rogers(args):
 def _cmd_witness(args):
     body = parse_witness_set(args.body)
     L = (make_lattice(parse_basis(args.basis)) if args.basis
-         else sample_unimodular_2d(args.seed).lattice)
+         else sample_unimodular_2d(args.seed))
     config = PipelineConfig(body=body, mc_points=args.mc_points,
                             partition_points=args.samples)
     shells = build_shells(body, 2, args.shells, args.mc_points, args.seed)

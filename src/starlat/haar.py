@@ -10,19 +10,10 @@ rejection-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import Lattice, _reduce_planar, make_lattice
-
-
-@dataclass(frozen=True)
-class HaarSample2D:
-    x: float          # in [-1/2, 1/2]
-    y: float          # >= sqrt(1 - x^2)
-    rotation: float   # in [0, 2*pi)
-    lattice: Lattice
 
 
 def sample_unimodular_2d_arrays(count: int, seed: int):
@@ -48,15 +39,10 @@ def sample_unimodular_2d_arrays(count: int, seed: int):
     return x, y, rot, bases
 
 
-def sample_unimodular_2d_batch(count: int, seed: int) -> list[HaarSample2D]:
-    x, y, rot, bases = sample_unimodular_2d_arrays(count, seed)
-    return [HaarSample2D(*map(float, v), Lattice(2, B, float(det), W, U))
-            for *v, B, det, W, U in zip(x, y, rot, *_reduce_planar(bases))]
-
-
-def sample_unimodular_2d(seed: int) -> HaarSample2D:
+def sample_unimodular_2d(seed: int) -> Lattice:
     """One Haar-random unimodular planar lattice, deterministic in the seed."""
-    return sample_unimodular_2d_batch(1, seed)[0]
+    B, det, W, U = _reduce_planar(sample_unimodular_2d_arrays(1, seed)[3])
+    return Lattice(2, B[0], float(det[0]), W[0], U[0])
 
 
 def scale_lattice(L: Lattice, target_det: float) -> Lattice:

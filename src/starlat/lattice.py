@@ -71,43 +71,32 @@ def _abs_det(B: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(B))
 
 
-@np.errstate(all="ignore")
-def _admitted_det(B: np.ndarray):
-    """|det| of each basis of a stack (..., d, d); SingularBasis unless all
-    entries are finite and |det| / (longest column)^d > 1e-12 for each.
-    Where (longest column)^d is no normal float, the ratio is judged on the
-    basis scaled exactly by a power of two to largest entry in [1/2, 1)."""
-    if not np.all(np.isfinite(B)):
-        raise SingularBasis("basis entries must be finite")
-    d = B.shape[-1]
-    det = _abs_det(B)
-    vol = np.linalg.norm(B, axis=-2).max(axis=-1) ** d
-    ratio = np.asarray(det / vol)
-    odd = ~((vol >= 2.0 ** -1022) & (vol < math.inf))  # normal floats
-    if odd.any():
-        _, e = np.frexp(np.abs(B[odd]).max(axis=(-2, -1)))
-        Bs = np.ldexp(B[odd], -e[:, None, None])
-        ratio[odd] = _abs_det(Bs) / np.linalg.norm(Bs, axis=-2).max(-1) ** d
-    if not np.all(ratio > _SCALED_DET_TOL):
-        raise SingularBasis("basis columns are numerically dependent")
-    if not np.all((det > 0) & (det < math.inf)):
-        raise SingularBasis("det(B) is not representable in float64")
-    return det
-
-
+@np.errstate(all="ignore")  # det may overflow; a zero basis gives 0 / 0
 def make_lattice(columns) -> Lattice:
-    """Admit basis columns (no degenerate input); reduce them once."""
+    """Admit basis columns, then reduce them once.  A basis is admitted when
+    its entries are finite, |det| / (longest column)^d > 1e-12 on the copy
+    scaled exactly by 2^-e to largest entry in [1/2, 1) (no power there
+    leaves the normal floats; the planar Gauss pass reduces that copy), and
+    |det| is a positive finite float."""
     B = np.array(columns, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise SingularBasis(f"basis must be square, got shape {B.shape}")
     d = B.shape[0]
     if d < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {d}")
-    det = float(_admitted_det(B))
+    if not np.all(np.isfinite(B)):
+        raise SingularBasis("basis entries must be finite")
+    e = np.frexp(np.abs(B).max())[1]  # exact scale: no Gram entry overflows
+    Bs = np.ldexp(B, -e)
+    if not _abs_det(Bs) / np.linalg.norm(Bs, axis=0).max() ** d \
+            > _SCALED_DET_TOL:
+        raise SingularBasis("basis columns are numerically dependent")
+    det = float(_abs_det(B))
+    if not 0 < det < math.inf:
+        raise SingularBasis("det(B) is not representable in float64")
     if d > 2:
         return Lattice(d, B, det, *_size_reduce(B))
-    e = np.frexp(np.abs(B).max())[1]  # exact scale: no Gram entry overflows
-    W, U = (M[0] for M in _gauss_reduce_2d(np.ldexp(B, -e)[None]))
+    W, U = (M[0] for M in _gauss_reduce_2d(Bs[None]))
     return Lattice(d, B, det, np.ldexp(W, e), U)
 
 
@@ -338,11 +327,12 @@ def _enum(W: np.ndarray, R: float):
 
 
 def _reduce_planar(bases):
-    """(B, det, W, U) of a planar stack (N, 2, 2): the bases admitted as by
-    make_lattice, det their |det|, and W = B @ U Gauss-reduced, make_lattice's
-    bit for bit where no Gram entry leaves the normal floats (Haar bases)."""
+    """(B, det, W, U) of a planar stack (N, 2, 2) of trusted bases, such as
+    the sampler's (finite, as u < 1 gives y <= 2^53, and unimodular), which
+    are not admitted: det their |det| and W = B @ U Gauss-reduced,
+    make_lattice's bit for bit where no Gram entry leaves the normal floats."""
     B = np.asarray(bases, dtype=float)
-    return (B, _admitted_det(B), *_gauss_reduce_2d(B))
+    return (B, _abs_det(B), *_gauss_reduce_2d(B))
 
 
 def _windows(W: np.ndarray, det: np.ndarray, R: float, limit: int):

@@ -4,15 +4,15 @@ bounds for unbounded ones, and the semicontinuity probe harness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bodies import (BoundednessCertificate, DistanceFunction,
-                     boundedness_floor, hyperbolic)
-from .errors import DimensionMismatch, InvariantViolation, UnboundedBody
+from .bodies import DistanceFunction, boundedness_floor, hyperbolic
+from .errors import (DimensionMismatch, InvariantViolation, SingularBasis,
+                     UnboundedBody)
 from .lattice import (_INFLATE, Lattice, LatticePoint, _check_cross, _fold,
                       enumerate_ball_arrays, enumerate_hyperbolic_cross,
                       golden_lattice, perturb_basis)
@@ -206,23 +206,19 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
     return enumerate_ball_arrays(L, R, sort=False)
 
 
-def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
-                            cert: Optional[BoundednessCertificate] = None
-                            ) -> MinimaResult:
+def successive_minima_exact(f: DistanceFunction, L: Lattice) -> MinimaResult:
     """Exact successive minima of a bounded star body.
 
     Iterative-deepening ball enumeration: the radius doubles until d
     independent points are found and the radius covers the f-sublevel set
-    at the attained lambda_d, by f >= floor * ||x||.  The floor is
-    ``cert.floor``, else the closed form ``f.floor`` of a catalog body, else
-    the sampled estimate of :func:`boundedness_floor`, which lies above the
-    true floor: then the result is not certified and has ``exact=False``.
+    at the attained lambda_d, by f >= floor * ||x||.  The floor is the
+    closed form ``f.floor`` of a catalog body, else the sampled estimate of
+    :func:`boundedness_floor`, which lies above the true floor: then the
+    result is not certified and has ``exact=False``.
     """
     if f.dim != L.dim:
         raise DimensionMismatch(f"{f.dim}D body, {L.dim}D lattice")
-    exact = cert is not None or f.floor is not None
-    if cert is None:
-        cert = boundedness_floor(f, _RESOLUTION)
+    cert = boundedness_floor(f, _RESOLUTION)
     if not cert.bounded:
         raise UnboundedBody(f"body {f.label!r} has no positive sphere floor")
     alpha = cert.floor
@@ -236,7 +232,8 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice, *,
             lam_d = float(fvals[chosen[-1]])
             # 1.001 safety factor absorbs the evaluator's rounding
             if lam_d * 1.001 <= alpha * R:
-                return _result_from(chosen, coeffs, coords, fvals, d, exact)
+                return _result_from(chosen, coeffs, coords, fvals, d,
+                                    f.floor is not None)
             R = max(2.0 * R, lam_d * 1.001 / alpha)
             continue
         R *= 2.0
@@ -295,11 +292,10 @@ def semicontinuity_probe(f_seq: Callable[[int], DistanceFunction],
     entry converges only when it and the reference are exact minima."""
 
     def minima(fn: DistanceFunction, Ln: Lattice) -> MinimaResult:
-        cert = boundedness_floor(fn, _RESOLUTION)
-        if cert.bounded:
-            res = successive_minima_exact(fn, Ln, cert=cert)
-            return replace(res, exact=fn.floor is not None)
-        return minima_upper_bound(fn, Ln, budget)
+        try:
+            return successive_minima_exact(fn, Ln)
+        except UnboundedBody:
+            return minima_upper_bound(fn, Ln, budget)
 
     ref = minima(f, L)
     entries = []
@@ -360,7 +356,7 @@ def noncontinuity_demo(epsilon: float, radius_budget: float, seed: int,
             entropy=seed, spawn_key=(k,)).generate_state(1)[0])
         try:
             Lk = perturb_basis(L, epsilon, sub)
-        except Exception:
+        except SingularBasis:
             continue  # degenerate draw; move on to the next seed
         tried += 1
         res = minima_upper_bound(f, Lk, radius_budget)

@@ -18,7 +18,7 @@ from .errors import (BudgetExceeded, DimensionMismatch, InvariantViolation,
 from . import lattice
 from .lattice import (_INFLATE, Lattice, _check_budget, _fold, _gram_schmidt,
                       _reduce_planar, _windows, _zeta, primitive_mask)
-from .haar import sample_unimodular_2d_arrays, sample_unimodular_2d_batch
+from .haar import sample_unimodular_2d_arrays
 from .minima import _budget_candidates
 
 _MC_POINTS = 10**6  # Monte Carlo points behind a sublevel region's area
@@ -320,7 +320,9 @@ def theorem2_experiment(body: DistanceFunction, budgets, N: int,
         raise UnboundedBody("minima-decay experiment requires an unbounded "
                             "body")
     rows = []
-    for L in (h.lattice for h in sample_unimodular_2d_batch(N, seed)):
+    for B, det, W, U in zip(*_reduce_planar(
+            sample_unimodular_2d_arrays(N, seed)[3])):
+        L = Lattice(2, B, float(det), W, U)
         coeffs, coords = _budget_candidates(body, L, budgets)
         fvals = np.asarray(body.evaluator(coords), dtype=float)
         norms2 = _fold(np.add, coords * coords)

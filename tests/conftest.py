@@ -73,6 +73,33 @@ def tuple_minima(basis, fvals_of, R):
     return values
 
 
+@np.errstate(all="ignore")
+def admitted_det(B):
+    """The earlier admission of a basis stack (..., d, d), kept as the
+    reference for make_lattice's verdicts: |det| of each basis, or
+    SingularBasis unless all entries are finite and |det| / (longest
+    column)^d > 1e-12 for each, the ratio judged on the basis scaled by a
+    power of two where (longest column)^d is no normal float."""
+    from starlat.errors import SingularBasis
+    from starlat.lattice import _abs_det
+    if not np.all(np.isfinite(B)):
+        raise SingularBasis("basis entries must be finite")
+    d = B.shape[-1]
+    det = _abs_det(B)
+    vol = np.linalg.norm(B, axis=-2).max(axis=-1) ** d
+    ratio = np.asarray(det / vol)
+    odd = ~((vol >= 2.0 ** -1022) & (vol < math.inf))  # normal floats
+    if odd.any():
+        _, e = np.frexp(np.abs(B[odd]).max(axis=(-2, -1)))
+        Bs = np.ldexp(B[odd], -e[:, None, None])
+        ratio[odd] = _abs_det(Bs) / np.linalg.norm(Bs, axis=-2).max(-1) ** d
+    if not np.all(ratio > 1e-12):
+        raise SingularBasis("basis columns are numerically dependent")
+    if not np.all((det > 0) & (det < math.inf)):
+        raise SingularBasis("det(B) is not representable in float64")
+    return det
+
+
 def ball_candidates(f, L, budgets):
     """The whole-ball candidate set that the hyperbola fast path replaces:
     nonzero points of the Euclidean ball of radius max(budgets)."""

@@ -170,6 +170,20 @@ def test_linear_image_evaluator():
     assert sl.evaluate(f, (0, 1)) == pytest.approx(1.0)
 
 
+def test_images_and_inflations_carry_records():
+    # same label and floor, different bodies: only the record tells them
+    # apart, and bodies compare by it
+    ball = sl.pnorm_ball(2, 2)
+    wide, tall = (sl.linear_image(ball, np.diag(v)) for v in ([2, 1], [1, 2]))
+    assert (wide.label, wide.floor) == (tall.label, tall.floor)
+    assert wide != tall
+    assert wide.node == ("image", ((2.0, 0.0), (0.0, 1.0)), ("ball", 2))
+    assert sl.linear_image(ball, [[2, 0], [0, 1]]) == wide
+    f = sl.inflate_body(sl.hyperbolic(2), 1.5)
+    assert f.node == ("inflate", 1.5, ("hyperbola",))
+    assert sl.inflate_body(wide, 2.0).node == ("inflate", 2.0, wide.node)
+
+
 def _floor_cases(d):
     """(body, tight): tight when the closed-form floor is the minimum of f
     on the sphere and not only a lower bound of it."""
@@ -274,6 +288,15 @@ def test_witness_sets_and_their_errors():
     with pytest.raises(ValueError, match="^spec 'sublevel:t=1' is missing "
                        "the inner body$"):
         sl.parse_witness_set("sublevel:t=1")
+    # an option read past by a stray token names that token
+    for spec, stray in (("sublevel:body=hyperbola:x=1:t=1", "x=1"),
+                        ("sublevel:t=1:x=2:body=ball:p=2", "x=2")):
+        with pytest.raises(ValueError, match=f"^unexpected '{stray}' in "
+                           f"spec '{spec}'$"):
+            sl.parse_witness_set(spec)
+    with pytest.raises(ValueError, match="^unexpected 'x=1' in spec "
+                       "'disk:x=1:r=2'$"):
+        sl.parse_region("disk:x=1:r=2")
     # a body spec stands for its unit sublevel set
     assert sl.parse_witness_set("hyperbola") == \
         sl.sublevel_body(sl.hyperbolic(2), 1.0)

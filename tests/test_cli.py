@@ -280,6 +280,11 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
     (("minima", "--basis", "1,0;0,1", "--body", "scale:x=1:ball:p=2"),
      "spec 'scale:x=1:ball:p=2' is missing the option c="),
     (("witness", "--body", "plane:x"), "unexpected 'x' in spec 'plane:x'"),
+    (("witness", "--body", "sublevel:body=hyperbola:x=1:t=1"),
+     "unexpected 'x=1' in spec 'sublevel:body=hyperbola:x=1:t=1'"),
+    (("rogers", "--region", "sublevel:body=hyperbola:t=1:clip=1e200"),
+     "region spec 'sublevel:body=hyperbola:t=1:clip=1e+200' has no finite "
+     "area"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):

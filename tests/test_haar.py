@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import starlat as sl
+from starlat import lattice
 
 
 def test_sample_shapes_and_domain():
@@ -43,23 +44,30 @@ def test_sample_count_bounds():
 
 
 def test_single_sample_wrapper():
-    s = sl.sample_unimodular_2d(seed=123)
-    assert isinstance(s, sl.HaarSample2D)
-    assert s.lattice.det == pytest.approx(1.0, abs=1e-12)
-    assert s.lattice.basis.shape == (2, 2)
+    L = sl.sample_unimodular_2d(seed=123)
+    assert isinstance(L, sl.Lattice)
+    assert L.det == pytest.approx(1.0, abs=1e-12)
+    assert L.basis.shape == (2, 2)
+    bases = sl.sample_unimodular_2d_arrays(1, seed=123)[3]
+    assert repr(L) == repr(sl.make_lattice(bases[0]))
+
+
+def _stack_rows(bases):
+    """The lattices of one reduced planar stack, row by row."""
+    return [sl.Lattice(2, B, float(det), W, U)
+            for B, det, W, U in zip(*lattice._reduce_planar(bases))]
 
 
 @pytest.mark.parametrize("seed", [5, 90417])
 def test_batch_reduces_its_stack_as_make_lattice_does(seed):
-    # the batch is reduced as one stack; each lattice's W, U and det equal
-    # make_lattice's bit for bit (2 x 5000 Haar bases)
+    # a Haar stack is reduced as one, without admission; each row's W, U
+    # and det equal make_lattice's bit for bit (2 x 5000 Haar bases)
     bases = sl.sample_unimodular_2d_arrays(5000, seed)[3]
-    for s, B in zip(sl.sample_unimodular_2d_batch(5000, seed), bases):
+    for M, B in zip(_stack_rows(bases), bases):
         L = sl.make_lattice(B)
-        assert repr(s.lattice) == repr(L)
-        assert type(s.lattice.det) is float and s.lattice.det == L.det
-        for a, b in ((s.lattice.basis, L.basis), (s.lattice.W, L.W),
-                     (s.lattice.U, L.U)):
+        assert repr(M) == repr(L)
+        assert type(M.det) is float and M.det == L.det
+        for a, b in ((M.basis, L.basis), (M.W, L.W), (M.U, L.U)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert not a.flags.writeable
 
@@ -91,17 +99,17 @@ def test_rotation_uniformity_chisquare():
 def test_first_minimum_never_below_fundamental_bound():
     # on the fundamental domain the shortest vector is the first column,
     # of length 1/sqrt(y) <= (4/3)^(1/4)
-    batch = sl.sample_unimodular_2d_batch(200, seed=77)
+    _, y, _, bases = sl.sample_unimodular_2d_arrays(200, seed=77)
     ball = sl.pnorm_ball(2, 2)
     bound = (4.0 / 3.0) ** 0.25
-    for s in batch:
-        res = sl.successive_minima_exact(ball, s.lattice)
+    for L, yk in zip(_stack_rows(bases), y):
+        res = sl.successive_minima_exact(ball, L)
         assert res.values[0] <= bound + 1e-9
-        assert res.values[0] == pytest.approx(1.0 / math.sqrt(s.y), rel=1e-9)
+        assert res.values[0] == pytest.approx(1.0 / math.sqrt(yk), rel=1e-9)
 
 
 def test_scale_lattice():
-    L = sl.sample_unimodular_2d(seed=8).lattice
+    L = sl.sample_unimodular_2d(seed=8)
     L10 = sl.scale_lattice(L, 10.0)
     assert L10.det == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from starlat.errors import (
 
 from starlat.lattice import _fold, _zeta
 
-from conftest import cross_by_rectangles, grid_enumerate
+from conftest import admitted_det, cross_by_rectangles, grid_enumerate
 
 
 def test_make_lattice_identity():
@@ -62,6 +62,53 @@ def test_make_lattice_admits_det_near_the_float_limit():
         pytest.approx(1e308)
     assert sl.make_lattice(np.diag([1.35e154, 1e154])).det == \
         pytest.approx(1.35e308)
+
+
+def _verdict(admit, B):
+    """(det, None) of an admitted basis, else (None, the refusal)."""
+    try:
+        return float(admit(B)), None
+    except SingularBasis as exc:
+        return None, str(exc)
+
+
+def _admission_cases():
+    # the CI bad-input bases
+    yield from map(np.array, (
+        [[1e200, 0], [0, 1e200]], [[1e-200, 0], [0, 1e-200]],
+        [[1, 1], [1, 1]], [[1e200, 1e200], [1e200, 1e200]],
+        [[1.35e154, 0], [0, 1e154]], [[1e-160, 0], [0, 1e-160]],
+        [[1, np.nan], [0, 1]], [[1, 0], [-np.inf, 1]], np.zeros((2, 2)),
+        np.zeros((3, 3))))
+    # bases whose columns are nearly dependent: ratio 10^-k near 1e-12
+    rng = np.random.default_rng(19)
+    for d in (2, 3):
+        for k in np.linspace(9.0, 15.0, 61):
+            B = rng.uniform(-1, 1, (d, d))
+            B[:, -1] = B[:, :-1].sum(axis=1) + 10.0 ** -k * B[:, -1]
+            yield B
+    # well-conditioned, skewed and nearly dependent bases scaled by 2^k
+    shapes = [np.array([[1.0, 0.3], [0.2, 0.9]]),
+              np.array([[1.0, 7.3], [0.0, 1.0]]),
+              np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]),
+              np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]),
+              np.array([[0.9, 0.1, 0.3], [0.2, 1.1, 0.0], [0.1, 0.4, 1.2]]),
+              sl.random_unimodular(3, 4, 30).astype(float)]
+    for B in shapes:
+        for k in range(-1070, 1021, 5):
+            yield np.ldexp(B, k)
+
+
+def test_make_lattice_admits_as_the_earlier_stack_admission():
+    # one scaled test in make_lattice against the earlier admission, with
+    # its unscaled and power-of-two-scaled paths: same verdict and message
+    seen = {}
+    for B in _admission_cases():
+        det, why = _verdict(admitted_det, B)
+        got = _verdict(lambda B: sl.make_lattice(B).det, B)
+        assert got == (det, why), (B.tolist(), got, (det, why))
+        seen[why] = seen.get(why, 0) + 1
+    assert len(seen) == 4 and seen[None] > 900  # three refusals, admissions
 
 
 def test_make_lattice_rejects_dim_1():
@@ -332,6 +379,24 @@ def test_hyperbolic_cross_rejects_bad_input(monkeypatch):
         sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
 
 
+def test_hyperbolic_cross_caps_the_union_of_its_rectangles(monkeypatch):
+    # a cap above every rectangle's level nodes but below their union: the
+    # search of the rectangles' stack returns, and the union is refused
+    L, enum, out = sl.golden_lattice(), lattice._enum, []
+    monkeypatch.setattr(lattice, "_enum", lambda W, R: out.append(enum(W, R))
+                        or out[-1])
+    sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
+    union = len(out[0][1])
+    assert np.bincount(out[0][0]).max() < union // 4  # 20 rectangles
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", union - 1)
+    with pytest.raises(BudgetExceeded, match=f"^{union} candidates exceed "
+                       f"cap {union - 1}$"):
+        sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
+    assert len(out) == 2  # the search itself passed the cap
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", union)
+    sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -459,7 +524,7 @@ def test_hyperbolic_cross_refuses_radii_that_lose_the_lattice():
     # against exact rationals the float rectangles of this lattice drop
     # points from R/sqrt(s) of about 1e9 on (156 rows at 1e10, 288,900 at
     # 1e20): R >= 2^24 sqrt(s) is a budget error, below it the rows hold
-    L = sl.sample_unimodular_2d(0).lattice
+    L = sl.sample_unimodular_2d(0)
     t = math.sqrt(0.5)
     rows = [len(sl.enumerate_hyperbolic_cross(L, 0.5, R)[0])
             for R in (1e4, 2.0**23 * t)]  # R grows 2^9.2-fold: 20 rectangles

@@ -290,6 +290,22 @@ def test_noncontinuity_rejects_negative_epsilon():
         sl.noncontinuity_demo(-0.1, 10.0, seed=0)
 
 
+def test_noncontinuity_skips_only_singular_draws(monkeypatch):
+    # at epsilon = 1e200 every draw's det overflows: each is skipped as a
+    # SingularBasis and the demo reports no lattice tried
+    rep = sl.noncontinuity_demo(1e200, 10.0, seed=0, attempts=20)
+    assert (rep.found, rep.attempts, rep.values) == (False, 0, ())
+    assert rep.best_lambda2 == math.inf
+    # any other error of a draw is not swallowed
+
+    def broken(L, magnitude, seed):
+        raise ZeroDivisionError("not a degenerate draw")
+
+    monkeypatch.setattr(minima, "perturb_basis", broken)
+    with pytest.raises(ZeroDivisionError):
+        sl.noncontinuity_demo(0.01, 10.0, seed=0, attempts=1)
+
+
 def _hyperbola_cases():
     gold = sl.golden_lattice()
     z2 = sl.make_lattice([[1, 0], [0, 1]])
@@ -423,7 +439,7 @@ def test_greedy_kernel_matches_reference_scan():
 
 def test_greedy_kernel_large_planar_sets_and_empty_input():
     # more than 20000 rows, with heavy ties (Z^2, hyperbola) and without
-    haar = sl.sample_unimodular_2d(seed=77).lattice
+    haar = sl.sample_unimodular_2d(seed=77)
     for L, f in ((sl.make_lattice(np.eye(2)), sl.hyperbolic(2)),
                  (haar, sl.hyperbolic(2)), (haar, sl.pnorm_ball(2, 1))):
         coeffs, coords = sl.enumerate_ball_arrays(L, 81.0, sort=False)
@@ -471,14 +487,14 @@ def _random_lattice(rng, d, smin=0.45):
 
 
 def test_closed_form_floors_match_the_sampled_floor_path():
-    # The sampled estimate at the default resolution, passed as a cert, is
-    # the floor the solver used before bodies carried closed forms.  A
-    # smaller floor enumerates a larger ball, but points farther out have
-    # larger f and cannot change the greedy pick.
+    # The sampled estimate at the default resolution, given as the body's
+    # floor, is the floor the solver used before bodies carried closed
+    # forms.  A smaller floor enumerates a larger ball, but points farther
+    # out have larger f and cannot change the greedy pick.
     def both(f, L):
         sampled = sl.boundedness_floor(dataclasses.replace(f, floor=None), 512)
-        return (sl.successive_minima_exact(f, L),
-                sl.successive_minima_exact(f, L, cert=sampled))
+        return (sl.successive_minima_exact(f, L), sl.successive_minima_exact(
+            dataclasses.replace(f, floor=sampled.floor), L))
 
     pairs = []
     balls = [sl.pnorm_ball(3, p) for p in (1.0, 2.0, math.inf)]
@@ -513,8 +529,8 @@ def test_floorless_body_is_not_certified():
     res = sl.successive_minima_exact(f, L)
     assert not res.exact
     assert _same_minima(res, sl.successive_minima_exact(EUCLID, L))
-    cert = sl.BoundednessCertificate(floor=1.0, bounded=True)
-    assert sl.successive_minima_exact(f, L, cert=cert).exact
+    assert sl.successive_minima_exact(dataclasses.replace(f, floor=1.0),
+                                      L).exact
     rep = sl.semicontinuity_probe(lambda n: f, lambda n: L, EUCLID, L, 2,
                                   slack=lambda n: 1.0)
     assert rep.reference_exact
@@ -522,8 +538,8 @@ def test_floorless_body_is_not_certified():
 
 
 def test_probe_samples_a_floorless_floor_once_per_entry(monkeypatch):
-    # the reference and each of 3 entries estimate the floor once; the
-    # exact solver takes that estimate as its certificate
+    # the reference and each of 3 entries estimate the floor once, in the
+    # exact solver
     calls = []
     sphere_min = bodies._sphere_min
     monkeypatch.setattr(bodies, "_sphere_min",
@@ -541,7 +557,7 @@ def test_budgeted_minima_dispatch_on_the_record_not_the_label():
     # a Euclidean evaluator named "hyperbola" is an opaque body: it takes the
     # ball, not the hyperbola's continued-fraction chain, which read
     # lambda-hat_2 = 2.77099 for it here
-    L = sl.sample_unimodular_2d(1).lattice
+    L = sl.sample_unimodular_2d(1)
     named = sl.DistanceFunction(2, EUCLID.evaluator, "hyperbola")
     assert named.node == ()
     got = sl.minima_upper_bound(named, L, 3).values

@@ -177,8 +177,6 @@ def test_batched_counts_span_several_chunks():
 
 @pytest.mark.parametrize("bad,error", [
     (np.diag([1e-3, 1e-3]), BudgetExceeded),
-    (np.array([[1.0, 2.0], [2.0, 4.0]]), sl.SingularBasis),
-    (np.array([[1.0, np.nan], [0.0, 1.0]]), sl.SingularBasis),
 ])
 def test_one_bad_lattice_in_a_stack_raises(monkeypatch, bad, error):
     bases = _stack("haar", 300, 8)
@@ -318,15 +316,20 @@ def test_cap_counts_interval_candidates_off_the_boundary(monkeypatch):
                                 lattice._reduce_planar(bases))
 
 
+def _haar_basis(x, y, rot):
+    """The sampler's basis (1, 0), (x, y) scaled by 1/sqrt(y) and rotated."""
+    s, c, sn = 1 / math.sqrt(y), math.cos(rot), math.sin(rot)
+    return np.array([[s * c, s * (x * c - y * sn)],
+                     [s * sn, s * (x * sn + y * c)]])
+
+
 @pytest.mark.parametrize("y", [1e8, 5e11])
 def test_skewed_haar_basis_takes_the_listing_path(y):
-    # a Haar basis far up the cusp (y near the 1e12 admission limit):
+    # a Haar basis far up the cusp (y near the old 1e12 admission limit):
     # ||B|| ||U|| / l is about y, beyond what the relative 1e-9 width
     # covers, and r/l > 2^16 terms k at y = 5e11, so it is flagged
-    s, x, c, sn = 1 / math.sqrt(y), 0.3, math.cos(0.7), math.sin(0.7)
-    skew = np.array([[s * c, s * (x * c - y * sn)],
-                     [s * sn, s * (x * sn + y * c)]])
-    bases = np.concatenate([_stack("haar", 50, 3), skew[None]])
+    bases = np.concatenate([_stack("haar", 50, 3),
+                            _haar_basis(0.3, y, 0.7)[None]])
     region = sl.disk_region(math.sqrt(2.0 / math.pi))
     flagged = stats._interval_counts(lattice._reduce_planar(bases),
                                      region.bounding_radius)[1]
@@ -334,6 +337,20 @@ def test_skewed_haar_basis_takes_the_listing_path(y):
     assert np.array_equal(
         stats._primitive_counts(region, lattice._reduce_planar(bases)),
         listing_primitive_counts(region, bases))
+
+
+def test_haar_stack_far_up_the_cusp_is_counted():
+    # a Haar basis with y = 2e12 has det 1 but |det| / (longest column)^2 =
+    # 1/y < 1e-12, which make_lattice's admission refuses; a Haar stack is
+    # not admitted, so it counts +-w0 (norm 1/sqrt(y)), the only primitive
+    # points among the disk's 282,843 points on the line of w0
+    bases = np.concatenate([_stack("haar", 20, 4),
+                            _haar_basis(-0.2, 2e12, 2.1)[None]])
+    with pytest.raises(sl.SingularBasis, match="numerically dependent"):
+        sl.make_lattice(bases[-1])
+    counts = stats._primitive_counts(sl.disk_region(0.1),
+                                     lattice._reduce_planar(bases))
+    assert counts.tolist() == [0] * 20 + [2]
 
 
 def test_rogers_report_reduces_the_stack_once(monkeypatch):
