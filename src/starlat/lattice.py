@@ -1,11 +1,9 @@
 """Lattices in low dimension: construction, ball enumeration, primitivity.
 
 A lattice keeps the user-supplied basis B, in which coefficients are given,
-and a reduced basis W = B U made once by make_lattice (Gauss in the plane,
-size reduction above); _reduce_planar reduces a stack of planar bases once.
-All enumeration is one Fincke-Pohst coefficient-interval search on W,
-vectorized level by level, on stacks of bases (a lattice is a stack of one).
-"""
+and W = B U, reduced once by make_lattice (Gauss in the plane, LLL above);
+one Fincke-Pohst search, vectorized level by level on stacks of bases,
+enumerates W (a lattice is a stack of one)."""
 
 from __future__ import annotations
 
@@ -26,6 +24,7 @@ _CHUNK_NODES = 2**14  # level nodes per chunk of a planar stack
 # point rounding can never drop a boundary point
 _INFLATE = 1e-9
 _SCALED_DET_TOL = 1e-12
+_LLL_DELTA = 0.99
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,10 @@ def _abs_det(B: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")  # det may overflow; a zero basis gives 0 / 0
 def make_lattice(columns) -> Lattice:
-    """Admit basis columns, then reduce them once.  A basis is admitted when
-    its entries are finite, |det| / (longest column)^d > 1e-12 on the copy
-    scaled exactly by 2^-e to largest entry in [1/2, 1) (no power there
-    leaves the normal floats; the planar Gauss pass reduces that copy), and
-    |det| is a positive finite float."""
+    """Admit basis columns, then reduce them once (Gauss in the plane, LLL
+    above) on their copy scaled exactly by 2^-e to largest entry in [1/2, 1)
+    (no power there leaves the normal floats).  Admitted: finite entries,
+    |det| / (longest column)^d > 1e-12 on that copy, |det| finite and > 0."""
     B = np.array(columns, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise SingularBasis(f"basis must be square, got shape {B.shape}")
@@ -94,9 +92,7 @@ def make_lattice(columns) -> Lattice:
     det = float(_abs_det(B))
     if not 0 < det < math.inf:
         raise SingularBasis("det(B) is not representable in float64")
-    if d > 2:
-        return Lattice(d, B, det, *_size_reduce(B))
-    W, U = (M[0] for M in _gauss_reduce_2d(Bs[None]))
+    W, U = _lll(Bs) if d > 2 else (M[0] for M in _gauss_reduce_2d(Bs[None]))
     return Lattice(d, B, det, np.ldexp(W, e), U)
 
 
@@ -228,20 +224,29 @@ def _gauss_reduce_2d(B: np.ndarray):
     return W, U
 
 
-def _size_reduce(B: np.ndarray):
-    """One pass of Gram-Schmidt size reduction (columns). W = B @ U."""
-    d = B.shape[0]
-    W = B.astype(float).copy()
-    U = np.eye(d, dtype=np.int64)
-    _, R = np.linalg.qr(W)
-    for j in range(1, d):
-        for i in range(j - 1, -1, -1):
-            mu = round(float(R[i, j] / R[i, i]))
-            if mu:
-                W[:, j] -= mu * W[:, i]
-                U[:, j] -= mu * U[:, i]
-                R[:, j] -= mu * R[:, i]
-    return W, U
+def _lll(B: np.ndarray):
+    """LLL reduction (delta 0.99) of one basis (d, d), W = B @ U: (W, U).
+    On lists (floats, int U), size reduction updates mu in place and keeps
+    the Gram-Schmidt norms n; a swap recomputes both (mu unit lower)."""
+    n, k, w, u = None, 1, B.T.tolist(), np.eye(len(B), dtype=int).tolist()
+    while k < len(w):
+        if n is None:  # modified Gram-Schmidt
+            v, n, mu = w[:], [], np.eye(len(w)).tolist()
+            for i, vi in enumerate(v):
+                n.append(sum(a * a for a in vi))
+                for j in range(i + 1, len(v)):
+                    mu[j][i] = m = sum(a * b for a, b in zip(vi, v[j])) / n[i]
+                    v[j] = [b - m * a for a, b in zip(vi, v[j])]
+        for j in range(k - 1, -1, -1):
+            if q := round(mu[k][j]):
+                w[k], u[k], mu[k] = ([b - q * a for a, b in zip(x[j], x[k])]
+                                     for x in (w, u, mu))
+        if n[k] < (_LLL_DELTA - mu[k][k - 1] ** 2) * n[k - 1]:  # Lovasz
+            w[k - 1], w[k], u[k - 1], u[k] = w[k], w[k - 1], u[k], u[k - 1]
+            n, k = None, max(k - 1, 1)
+        else:
+            k += 1
+    return np.array(w).T, np.array(u, dtype=np.int64).T
 
 
 def _gram_schmidt(W: np.ndarray):

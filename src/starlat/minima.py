@@ -207,36 +207,31 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
 
 
 def successive_minima_exact(f: DistanceFunction, L: Lattice) -> MinimaResult:
-    """Exact successive minima of a bounded star body.
-
-    Iterative-deepening ball enumeration: the radius doubles until d
-    independent points are found and the radius covers the f-sublevel set
-    at the attained lambda_d, by f >= floor * ||x||.  The floor is the
-    closed form ``f.floor`` of a catalog body, else the sampled estimate of
-    :func:`boundedness_floor`, which lies above the true floor: then the
-    result is not certified and has ``exact=False``.
-    """
+    """Exact successive minima of a bounded star body, from the ball of
+    radius R = (1.001 + 2e-9) max f(w_i) / floor over the columns w_i of
+    L.W (lambda_d <= max f(w_i), f >= floor ||x||; 2e-9 covers rounding),
+    or det^(1/d) / floor if that overflows; R >= 2^-500.  R doubles while
+    rank < d or 1.001 lambda_d > floor R (1.001 absorbs f's rounding): after
+    that fallback, or for a body without ``f.floor``, whose sampled floor
+    (:func:`boundedness_floor`) lies above the true one: ``exact=False``."""
     if f.dim != L.dim:
         raise DimensionMismatch(f"{f.dim}D body, {L.dim}D lattice")
     cert = boundedness_floor(f, _RESOLUTION)
     if not cert.bounded:
         raise UnboundedBody(f"body {f.label!r} has no positive sphere floor")
-    alpha = cert.floor
-    d = L.dim
-    R = max(L.det ** (1.0 / d) / alpha, 2.0**-500)  # R * R is a normal float
+    alpha, d = cert.floor, L.dim
+    e = float(np.abs(L.W).max())  # f(w) = f(w / e) e does not overflow
+    R = float(np.max(f.evaluator(L.W.T / e))) / alpha * e * (1.001 + 2e-9)
+    R = max(R if 0 < R < math.inf else L.det ** (1.0 / d) / alpha, 2.0**-500)
     while True:
         coeffs, coords = enumerate_ball_arrays(L, R, sort=False)
         fvals = np.asarray(f.evaluator(coords), dtype=float)
         chosen = _greedy_minima(coeffs, fvals, d)
-        if len(chosen) == d:
-            lam_d = float(fvals[chosen[-1]])
-            # 1.001 safety factor absorbs the evaluator's rounding
-            if lam_d * 1.001 <= alpha * R:
-                return _result_from(chosen, coeffs, coords, fvals, d,
-                                    f.floor is not None)
-            R = max(2.0 * R, lam_d * 1.001 / alpha)
-            continue
-        R *= 2.0
+        lam_d = float(fvals[chosen[-1]]) if len(chosen) == d else 0.0
+        if len(chosen) == d and lam_d * 1.001 <= alpha * R:
+            return _result_from(chosen, coeffs, coords, fvals, d,
+                                f.floor is not None)
+        R = max(2.0 * R, lam_d * 1.001 / alpha)
 
 
 def minima_upper_bound(f: DistanceFunction, L: Lattice,

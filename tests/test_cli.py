@@ -340,6 +340,22 @@ def test_extreme_p_balls_give_their_minima(capsys, basis, p, values):
                f"ball:p={p}") == (0, values, "")
 
 
+@pytest.mark.parametrize("basis,body,values", [
+    ("1,0;0,1", "scale:c=1e7:ball:p=2", "1e-07 1e-07\n"),
+    ("1,0,0;0,1,0;0,0,1", "scale:c=1e7:ball:p=2", "1e-07 1e-07 1e-07\n"),
+    ("1,0;0,1", "scale:c=1e300:ball:p=2", "1e-300 1e-300\n"),
+    # random_unimodular(3, 5, 40), reduced by LLL to a signed permutation
+    ("349,-1710,1952;208,-1019,1163;464,-2273,2594", "ball:p=2", "1 1 1\n"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_minima_start_from_the_reduced_basis(capsys, basis, body, values):
+    # the search started at radius det^(1/d) / floor, 1e7 for the first
+    # body: "predicted point count 3.14e+14 exceeds cap" (exit 3); it starts
+    # at 1.001 max f(w_i) / floor over the reduced basis
+    assert run(capsys, "minima", "--basis", basis, "--body",
+               body) == (0, values, "")
+
+
 @pytest.mark.parametrize("argv,digest", [
     (("rogers", "--areas", "5,10,20,40", "--count", "20000", "--json"),
      "e4e00be880b50d05a0065a085be942b0c8c9d5f3044a9f1a5ebd8461689a3163"),

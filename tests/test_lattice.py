@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from starlat.errors import (
 
 from starlat.lattice import _fold, _zeta
 
-from conftest import admitted_det, cross_by_rectangles, grid_enumerate
+from conftest import (admitted_det, cross_by_rectangles, grid_enumerate,
+                      unreduced)
 
 
 def test_make_lattice_identity():
@@ -185,10 +187,9 @@ def test_enumerate_matches_grid_oracle_random(rng):
             got = [p.coeffs for p in sl.enumerate_ball(sl.make_lattice(S),
                                                        math.sqrt(2.0))]
             assert got == grid_enumerate(S, math.sqrt(2.0))
-    # bases U of Z^3 with entries up to ~600 that one pass of size reduction
-    # leaves badly conditioned, at radii that put points exactly on the
-    # sphere; the grid runs on Z^3 and the exact inverse of U maps its
-    # points to coefficients
+    # skewed bases U of Z^3 with entries up to 3383, at radii that put
+    # points exactly on the sphere; the grid runs on Z^3 and the exact
+    # inverse of U maps its points to coefficients
     for seed, steps in ((3, 30), (3, 50), (3, 60), (4, 40), (5, 30),
                         (5, 40), (5, 50)):
         U = sl.random_unimodular(3, seed, steps)
@@ -201,25 +202,121 @@ def test_enumerate_matches_grid_oracle_random(rng):
             assert [p.coeffs for p in sl.enumerate_ball(L, R)] == want
 
 
+# two skewed bases of Z^3 (one pass of size reduction on
+# random_unimodular(3, 3, 40) and (3, 5, 40)); make_lattice's LLL reduces
+# both to signed permutations, so the kernel is searched on them directly
+_SKEWED_Z3 = ([[-24, 8, -9], [43, -16, 16], [-3, 3, -1]],
+              [[349, -141, -160], [-1710, 691, 784], [1952, -789, -895]])
+
+
 def test_enumerate_node_budget(monkeypatch):
-    # one pass of size reduction leaves this basis of Z^3 skewed: the
-    # search's top level holds hundreds of nodes for the 33 points of the
-    # ball of radius 2, so a cap of 100 is exceeded inside the search
-    L = sl.make_lattice(sl.random_unimodular(3, 3, 40))
-    assert len(sl.enumerate_ball(L, 2.0)) == 33
+    # the search's top level on this basis holds hundreds of nodes for the
+    # 33 points of the ball of radius 2, so a cap of 100 is exceeded inside
+    # the search
+    W = np.array(_SKEWED_Z3[0], dtype=float)[None]
+    assert len(lattice._enum(W, 2.0)[1]) == 33
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 100)
     with pytest.raises(BudgetExceeded):
-        sl.enumerate_ball(L, 2.0)
+        lattice._enum(W, 2.0)
 
 
 def test_enumerate_node_budget_below_the_top_level(monkeypatch):
-    # 2,663 top-level nodes of this skewed basis of Z^3 expand into 99,063
-    # middle-level nodes for the 179 points of the ball of radius 3.47
-    L = sl.make_lattice(sl.random_unimodular(3, 5, 40))
-    assert len(sl.enumerate_ball_arrays(L, 3.47)[0]) == 179
+    # 2,663 top-level nodes of this basis expand into 99,063 middle-level
+    # nodes for the 179 points of the ball of radius 3.47
+    W = np.array(_SKEWED_Z3[1], dtype=float)[None]
+    assert len(lattice._enum(W, 3.47)[1]) == 179
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 50000)
     with pytest.raises(BudgetExceeded, match="99063 candidates exceed cap"):
-        sl.enumerate_ball_arrays(L, 3.47)
+        lattice._enum(W, 3.47)
+
+
+# random_unimodular(3, s, steps) of the exact_minima benchmark's skewed pool;
+# (5, 60) is refused as singular
+_POOL = [(s, steps) for s in (3, 4, 5) for steps in (10, 20, 30, 40, 50, 60)
+         if (s, steps) != (5, 60)]
+
+
+def _qt_bases(seed, d, count):
+    """Well-conditioned bases Q T, as in the exact_minima benchmark."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        out.append(Q @ (np.triu(rng.uniform(-0.5, 0.5, (d, d)), 1)
+                        + np.diag(rng.uniform(0.7, 1.4, d))))
+    return out
+
+
+def _int_det(M):
+    """Determinant of an integer matrix in Python ints (Leibniz)."""
+    n = len(M)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n)
+                           for j in range(i + 1, n))
+               * math.prod(int(M[i][p[i]]) for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def test_lll_basis_is_the_lattice_times_a_unimodular_u():
+    rng = np.random.default_rng(4242)
+    ints = [sl.random_unimodular(3, s, steps) for s, steps in _POOL]
+    ints += [sl.random_unimodular(4, s, steps) for s in (3, 4, 5)
+             for steps in (20, 40, 50)]
+    ints += [B for B in (rng.integers(-9, 10, (d, d)) for d in (3, 4)
+                         for _ in range(30)) if _int_det(B)]
+    for B in ints:
+        for scale in (1.0, 2.0**-40, 2.0**40):  # exact: W = B U
+            L = sl.make_lattice(scale * B)
+            assert L.U.dtype == np.int64 and abs(_int_det(L.U)) == 1
+            assert np.array_equal(L.W, (scale * B) @ L.U)
+
+
+def test_lll_basis_is_size_reduced_and_lovasz():
+    # judged on W by numpy's QR, mu_kj = R_jk / R_jj, B_j = R_jj^2
+    rng = np.random.default_rng(77)
+    bases = [sl.random_unimodular(3, s, steps) for s, steps in _POOL]
+    bases += _qt_bases(3, 3, 30) + _qt_bases(4, 4, 30)
+    for d in (3, 4):  # nearly dependent: a last column off the span by eps
+        for eps in (1e-3, 1e-5, 1e-7):
+            B = rng.standard_normal((d, d))
+            B[:, -1] = B[:, :-1] @ rng.uniform(-3, 3, d - 1) + eps * B[:, -1]
+            bases.append(B)
+    for B in bases:
+        R = np.linalg.qr(sl.make_lattice(B).W, mode="r")
+        g = np.diag(R)
+        mu = R / g[:, None]
+        assert np.all(np.abs(np.triu(mu, 1)) <= 0.5 + 1e-9)
+        for k in range(1, len(g)):
+            lhs = g[k] ** 2 - (0.99 - mu[k - 1, k] ** 2) * g[k - 1] ** 2
+            assert lhs >= -1e-9 * g[k - 1] ** 2
+
+
+def test_lll_takes_skewed_pool_bases_to_signed_permutations():
+    # one pass of size reduction left entries of 1952 in (5, 40)
+    for s, steps in ((5, 40), (5, 50), (3, 60)):
+        A = np.abs(sl.make_lattice(sl.random_unimodular(3, s, steps)).W)
+        assert set(A.flat) <= {0.0, 1.0} and np.array_equal(A @ A.T,
+                                                            np.eye(3))
+
+
+def test_enumeration_equals_the_unreduced_search():
+    # rows of the reduced search against the search on the basis itself;
+    # Z^3 under a unimodular basis has points exactly on the spheres of
+    # radius sqrt(2) (12) and sqrt(3) (8)
+    for s, steps in _POOL:
+        L = sl.make_lattice(sl.random_unimodular(3, s, steps))
+        for R, count in ((1.0, 7), (math.sqrt(2), 19), (math.sqrt(3), 27),
+                         (2.0, 33)):
+            got = sl.enumerate_ball_arrays(L, R)
+            ref = sl.enumerate_ball_arrays(unreduced(L), R)
+            assert len(got[0]) == count
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    for d, seed in ((3, 5), (4, 6)):
+        for B in _qt_bases(seed, d, 10):
+            L = sl.make_lattice(B)
+            for R in (0.9, 1.7, 2.5):
+                got = sl.enumerate_ball_arrays(L, R)
+                ref = sl.enumerate_ball_arrays(unreduced(L), R)
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_primitive_mask():
@@ -447,7 +544,7 @@ def test_make_lattice_stores_its_reduced_basis(columns):
 def _count_reductions(monkeypatch):
     """Calls of the two single-lattice reductions, by name, from every
     starlat module that binds them."""
-    calls = {"_gauss_reduce_2d": 0, "_size_reduce": 0}
+    calls = {"_gauss_reduce_2d": 0, "_lll": 0}
     for name in calls:
         fn = getattr(lattice, name)
 
@@ -465,8 +562,10 @@ def _count_reductions(monkeypatch):
                                      [[1.0, 0, 0], [0, 1.0, 0],
                                       [0.3, -0.2, 10.0]]])
 def test_exact_minima_query_reduces_its_lattice_once(monkeypatch, columns):
-    # lambda_d lies far beyond the first radius det^(1/d) / floor, so the
-    # radius doubles; the basis is reduced when the lattice is built only
+    # lambda_d lies far beyond det^(1/d) / floor, the old first radius that
+    # doubled; the query starts at 1.001 max f(w_i) / floor over the reduced
+    # basis instead, so one enumeration certifies it, and the basis is
+    # reduced when the lattice is built only
     calls = _count_reductions(monkeypatch)
     radii = []
     enum = lattice.enumerate_ball_arrays
@@ -475,9 +574,8 @@ def test_exact_minima_query_reduces_its_lattice_once(monkeypatch, columns):
     d = len(columns)
     res = sl.successive_minima_exact(sl.pnorm_ball(d, 2),
                                      sl.make_lattice(columns))
-    assert res.exact and len(radii) >= 2
-    assert sum(calls.values()) == 1
-    assert calls["_gauss_reduce_2d" if d == 2 else "_size_reduce"] == 1
+    assert res.exact and len(radii) == 1
+    assert calls == {"_gauss_reduce_2d": d == 2, "_lll": d > 2}
 
 
 def _count_enums(monkeypatch):
@@ -505,10 +603,10 @@ def test_theorem2_reduces_a_lattice_once_and_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(minima, "divmod", lambda u, v: steps.append(1)
                         or divmod(u, v), raising=False)
     sl.theorem2_experiment(sl.hyperbolic(2), (10, 100, 1000), 1, 3)
-    assert calls == {"_gauss_reduce_2d": 1, "_size_reduce": 0}
+    assert calls == {"_gauss_reduce_2d": 1, "_lll": 0}
     assert not enums and 0 < len(steps) <= 2 * math.log2(2e3) + 8
     sl.theorem2_experiment(sl.hyperbolic(2), (10, 100, 1000), 3, 4)
-    assert calls == {"_gauss_reduce_2d": 2, "_size_reduce": 0}
+    assert calls == {"_gauss_reduce_2d": 2, "_lll": 0}
     assert not enums
     L = sl.golden_lattice()
     phi = (1 + math.sqrt(5)) / 2
@@ -517,7 +615,7 @@ def test_theorem2_reduces_a_lattice_once_and_enumerates_nothing(monkeypatch):
         res = sl.minima_upper_bound(sl.hyperbolic(2), L, R)
         assert not enums and res.values == pytest.approx((1, 1), abs=1e-3)
         assert len(steps) <= 2 * math.log(2 * R, phi) + 2
-    assert calls == {"_gauss_reduce_2d": 3, "_size_reduce": 0}
+    assert calls == {"_gauss_reduce_2d": 3, "_lll": 0}
 
 
 def test_hyperbolic_cross_refuses_radii_that_lose_the_lattice():

@@ -13,9 +13,11 @@ from starlat.errors import (BudgetExceeded, DimensionMismatch,
 
 from conftest import (
     ball_candidates,
+    doubling_minima,
     rank_threshold_minima,
     reference_greedy,
     tuple_minima,
+    unreduced,
 )
 
 
@@ -521,6 +523,49 @@ def test_closed_form_floors_match_the_sampled_floor_path():
                   both(sl.inflate_body(EUCLID, c), L),
                   both(sl.linear_image(EUCLID, A), sl.make_lattice(A @ B))]
     assert all(res.exact and _same_minima(res, ref) for res, ref in pairs)
+
+
+def test_exact_minima_equal_the_unreduced_path(monkeypatch):
+    # make_lattice's LLL and the start radius 1.001 max f(w_i) / floor
+    # against the lattice searched on its own basis (W = B, U = I) from the
+    # replaced start radius det^(1/d) / floor (doubling_minima), and, where
+    # that basis is short enough to start from, against the solver on it.
+    # A closed-form floor certifies the first ball (without the 2e-9 in R,
+    # rounding failed the certificate on 22 of the 216 Q T queries of the
+    # exact_minima benchmark at seeds 1 and 90417)
+    radii = []
+    enum = minima.enumerate_ball_arrays
+    monkeypatch.setattr(minima, "enumerate_ball_arrays",
+                        lambda L, R, **kw: radii.append(R) or enum(L, R, **kw))
+
+    def check(f, B, direct):
+        L = sl.make_lattice(B)
+        radii.clear()
+        res = sl.successive_minima_exact(f, L)
+        assert res.exact == (f.floor is not None)
+        assert len(radii) == 1 or f.floor is None
+        got = (res.values, [w.coeffs for w in res.witnesses])
+        assert got == doubling_minima(f, unreduced(L))
+        if direct:
+            assert _same_minima(res, sl.successive_minima_exact(
+                f, unreduced(L)))
+
+    floorless = dataclasses.replace(sl.pnorm_ball(3, 2), floor=None)
+    for s in (3, 4, 5):  # the exact_minima benchmark's skewed pool
+        for steps in (10, 20, 30, 40, 50) + ((60,) if s != 5 else ()):
+            U = sl.random_unimodular(3, s, steps)
+            for f in [sl.pnorm_ball(3, p) for p in (1.0, 2.0, math.inf)] \
+                    + [floorless]:
+                check(f, U, direct=np.abs(U).max() <= 10)
+    rng = np.random.default_rng(303)
+    for d, count in ((2, 20), (3, 20), (4, 6)):  # Q T, as in that workload
+        for _ in range(count):
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            B = Q @ (np.triu(rng.uniform(-0.5, 0.5, (d, d)), 1)
+                     + np.diag(rng.uniform(0.7, 1.4, d)))
+            bodies_d = [sl.pnorm_ball(d, p) for p in (1.0, 2.0, math.inf)]
+            for f in bodies_d + ([floorless] if d == 3 else []):
+                check(f, B, direct=True)
 
 
 def test_floorless_body_is_not_certified():
