@@ -59,14 +59,6 @@ def _envelope(command: str, args_dict: dict, result) -> dict:
     }
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _csv_rows(rows: list[dict]) -> str:
     cols = list(rows[0]) if rows else []
     lines = [cols] + [[str(_plain(row[c])) for c in cols] for row in rows]
@@ -292,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result, plain, rows = args.handler(args)
     except BudgetExceeded as exc:
@@ -312,7 +303,11 @@ def run_cli(argv=None) -> int:
         text = _csv_rows(rows)
     else:
         text = plain
-    _emit(text, args.out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

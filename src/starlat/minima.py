@@ -207,23 +207,30 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
 
 
 def successive_minima_exact(f: DistanceFunction, L: Lattice) -> MinimaResult:
-    """Exact successive minima of a bounded star body, from the ball of
-    radius R = (1.001 + 2e-9) max f(w_i) / floor over the columns w_i of
-    L.W (lambda_d <= max f(w_i), f >= floor ||x||; 2e-9 covers rounding),
-    or det^(1/d) / floor if that overflows; R >= 2^-500.  R doubles while
-    rank < d or 1.001 lambda_d > floor R (1.001 absorbs f's rounding): after
-    that fallback, or for a body without ``f.floor``, whose sampled floor
-    (:func:`boundedness_floor`) lies above the true one: ``exact=False``."""
+    """Exact successive minima of a bounded star body, from balls of radius
+    R until d independent points are found and 1.001 lambda_d <= floor R:
+    then R covers the sublevel set at lambda_d, as f >= floor ||x|| (1.001
+    absorbs f's rounding).  R starts at det^(1/d) / floor and doubles, or
+    rises to 1.001 lambda_d / floor if that is more, but stops at the bound
+    b = 1.001 (1 + _INFLATE) max f(w_i) / floor over the reduced basis
+    columns w_i (lambda_d <= max f(w_i); _INFLATE covers the rounding of
+    both), and starts at b if b <= 2 det^(1/d) / floor: near-round bodies
+    take one ball, those far from round (p << 1, thin images) the doubling's.
+    Without ``f.floor``, the floor sampled by :func:`boundedness_floor` lies
+    above the true floor: then the result is uncertified, ``exact=False``."""
     if f.dim != L.dim:
         raise DimensionMismatch(f"{f.dim}D body, {L.dim}D lattice")
     cert = boundedness_floor(f, _RESOLUTION)
     if not cert.bounded:
         raise UnboundedBody(f"body {f.label!r} has no positive sphere floor")
     alpha, d = cert.floor, L.dim
+    R = max(L.det ** (1.0 / d) / alpha, 2.0**-500)  # R * R is a normal float
     e = float(np.abs(L.W).max())  # f(w) = f(w / e) e does not overflow
-    R = float(np.max(f.evaluator(L.W.T / e))) / alpha * e * (1.001 + 2e-9)
-    R = max(R if 0 < R < math.inf else L.det ** (1.0 / d) / alpha, 2.0**-500)
+    top = float(np.max(f.evaluator(L.W.T / e))) * e * 1.001 * (1 + _INFLATE)
+    top, cap = top / alpha, 2.0 * R
     while True:
+        if 2.0**-500 <= top <= cap:  # False for NaN
+            R, top = top, math.inf
         coeffs, coords = enumerate_ball_arrays(L, R, sort=False)
         fvals = np.asarray(f.evaluator(coords), dtype=float)
         chosen = _greedy_minima(coeffs, fvals, d)
@@ -231,7 +238,7 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice) -> MinimaResult:
         if len(chosen) == d and lam_d * 1.001 <= alpha * R:
             return _result_from(chosen, coeffs, coords, fvals, d,
                                 f.floor is not None)
-        R = max(2.0 * R, lam_d * 1.001 / alpha)
+        R = cap = max(2.0 * R, lam_d * 1.001 / alpha)
 
 
 def minima_upper_bound(f: DistanceFunction, L: Lattice,
@@ -298,11 +305,10 @@ def semicontinuity_probe(f_seq: Callable[[int], DistanceFunction],
         eps = float(slack(n))
         try:
             res = minima(f_seq(n), L_seq(n))
-            upper = all(v <= r + eps
-                        for v, r in zip(res.values, ref.values))
-            conv = (ref.exact and res.exact and
-                    all(abs(v - r) <= eps
-                        for v, r in zip(res.values, ref.values)))
+            pairs = list(zip(res.values, ref.values))
+            upper = all(v <= r + eps for v, r in pairs)
+            conv = ref.exact and res.exact and all(abs(v - r) <= eps
+                                                   for v, r in pairs)
             entries.append(ProbeEntry(n=n, values=res.values, exact=res.exact,
                                       slack=eps, upper_ok=upper,
                                       converged=conv))

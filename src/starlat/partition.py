@@ -243,11 +243,12 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
             return est - 2.0 * se > thresh, est, se
 
         # doubling phase with stall detection
-        step = max(rho_prev, 1.0)
-        history: list[float] = []
-        ro = rho_prev + step
-        ok, est, se = passes(ro)
-        while not ok:  # len(history) counts the doublings
+        step, history = max(rho_prev, 1.0), []
+        while True:  # len(history) counts the doublings
+            ro = rho_prev + step
+            ok, est, se = passes(ro)
+            if ok:
+                break
             history.append(est)
             if len(history) >= 5 and (history[-1] - history[-5]
                                       <= max(4.0 * se, 1e-9)):
@@ -260,8 +261,6 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
                 raise VolumeStall("doubling exhausted without reaching "
                                   "the shell volume threshold")
             step *= 2.0
-            ro = rho_prev + step
-            ok, est, se = passes(ro)
         # bisection phase; keep the last passing radius and estimate
         lo = rho_prev + (step / 2.0 if history else 0.0)
         hi, hi_est, hi_se = ro, est, se

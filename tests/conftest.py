@@ -346,16 +346,17 @@ def unreduced(L):
 
 
 def doubling_minima(f, L):
-    """The exact-minima search that the start radius 1.001 max f(w_i) /
-    floor replaced, kept as a reference: from radius det^(1/d) / floor, the
-    radius doubles (or rises to 1.001 lambda_d / floor) until d independent
-    points certify lambda_d.  (values, witness coefficients) of the rows
-    picked by reference_greedy."""
+    """The exact-minima search that successive_minima_exact refines, kept as
+    a reference: from radius det^(1/d) / floor, the radius doubles (or rises
+    to 1.001 lambda_d / floor) until d independent points certify lambda_d.
+    (values, witness coefficients) of the rows picked by reference_greedy,
+    and the radii searched."""
     from starlat.bodies import boundedness_floor
     from starlat.lattice import enumerate_ball_arrays
     alpha, d = boundedness_floor(f, 512).floor, L.dim
-    R = max(L.det ** (1.0 / d) / alpha, 2.0**-500)
+    R, radii = max(L.det ** (1.0 / d) / alpha, 2.0**-500), []
     while True:
+        radii.append(R)
         coeffs, coords = enumerate_ball_arrays(L, R)
         fvals = np.asarray(f.evaluator(coords), dtype=float)
         kept = reference_greedy(coeffs, fvals, d)
@@ -365,7 +366,7 @@ def doubling_minima(f, L):
         lam = float(fvals[kept[-1]])
         if lam * 1.001 <= alpha * R:
             return (tuple(float(fvals[i]) for i in kept),
-                    [tuple(int(v) for v in coeffs[i]) for i in kept])
+                    [tuple(int(v) for v in coeffs[i]) for i in kept], radii)
         R = max(2.0 * R, lam * 1.001 / alpha)
 
 

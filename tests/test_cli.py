@@ -346,12 +346,18 @@ def test_extreme_p_balls_give_their_minima(capsys, basis, p, values):
     ("1,0;0,1", "scale:c=1e300:ball:p=2", "1e-300 1e-300\n"),
     # random_unimodular(3, 5, 40), reduced by LLL to a signed permutation
     ("349,-1710,1952;208,-1019,1163;464,-2273,2594", "ball:p=2", "1 1 1\n"),
+    # far from round: every reduced basis has a column (+-0.5, 1) with f
+    # about 7.4e5 (p = 0.05) or 730 (p = 0.1), so the radius doubles from
+    # det^(1/d) / floor = 1 to 4, a ball of 53 points
+    ("1,0;0.5,1", "ball:p=0.05", "1 2\n"),
+    ("1,0;0.5,1", "ball:p=0.1", "1 2\n"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_minima_start_from_the_reduced_basis(capsys, basis, body, values):
     # the search started at radius det^(1/d) / floor, 1e7 for the first
-    # body: "predicted point count 3.14e+14 exceeds cap" (exit 3); it starts
-    # at 1.001 max f(w_i) / floor over the reduced basis
+    # body: "predicted point count 3.14e+14 exceeds cap" (exit 3); it takes
+    # 1.001 max f(w_i) / floor over the reduced basis when that is at most
+    # twice as large
     assert run(capsys, "minima", "--basis", basis, "--body",
                body) == (0, values, "")
 

@@ -562,19 +562,24 @@ def _count_reductions(monkeypatch):
                                      [[1.0, 0, 0], [0, 1.0, 0],
                                       [0.3, -0.2, 10.0]]])
 def test_exact_minima_query_reduces_its_lattice_once(monkeypatch, columns):
-    # lambda_d lies far beyond det^(1/d) / floor, the old first radius that
-    # doubled; the query starts at 1.001 max f(w_i) / floor over the reduced
-    # basis instead, so one enumeration certifies it, and the basis is
-    # reduced when the lattice is built only
+    # lambda_d lies far beyond the first radius R0 = det^(1/d) / floor, so
+    # the radius doubles; the last ball has the bound 1.001 max f(w_i) /
+    # floor over the reduced basis, here 1.001 lambda_d, for radius, where
+    # the replaced search doubled once more.  The basis is reduced when the
+    # lattice is built only
     calls = _count_reductions(monkeypatch)
     radii = []
     enum = lattice.enumerate_ball_arrays
     monkeypatch.setattr(minima, "enumerate_ball_arrays",
                         lambda L, R, **kw: radii.append(R) or enum(L, R, **kw))
     d = len(columns)
-    res = sl.successive_minima_exact(sl.pnorm_ball(d, 2),
-                                     sl.make_lattice(columns))
-    assert res.exact and len(radii) == 1
+    L = sl.make_lattice(columns)
+    res = sl.successive_minima_exact(sl.pnorm_ball(d, 2), L)
+    R0, balls = L.det ** (1 / d), d + 1  # 3 and 4 balls, as before
+    assert res.exact and len(radii) == balls
+    assert radii[:-1] == [R0 * 2**j for j in range(balls - 1)]
+    assert radii[-1] == pytest.approx(1.001 * res.values[-1], rel=1e-8)
+    assert radii[-1] < 2 * radii[-2]
     assert calls == {"_gauss_reduce_2d": d == 2, "_lll": d > 2}
 
 

@@ -526,29 +526,36 @@ def test_closed_form_floors_match_the_sampled_floor_path():
 
 
 def test_exact_minima_equal_the_unreduced_path(monkeypatch):
-    # make_lattice's LLL and the start radius 1.001 max f(w_i) / floor
-    # against the lattice searched on its own basis (W = B, U = I) from the
-    # replaced start radius det^(1/d) / floor (doubling_minima), and, where
-    # that basis is short enough to start from, against the solver on it.
-    # A closed-form floor certifies the first ball (without the 2e-9 in R,
-    # rounding failed the certificate on 22 of the 216 Q T queries of the
-    # exact_minima benchmark at seeds 1 and 90417)
+    # make_lattice's LLL and the radius schedule against the lattice searched
+    # on its own basis (W = B, U = I) by the replaced schedule, doubling from
+    # det^(1/d) / floor (doubling_minima), and, where that basis is short
+    # enough to start from, against the solver on it.  The schedule searches
+    # no more balls than the replaced one, the k-th of at most twice its
+    # radius; bodies far from round (p < 1 balls, a thin linear image) keep
+    # the replaced schedule but for its last ball
     radii = []
     enum = minima.enumerate_ball_arrays
     monkeypatch.setattr(minima, "enumerate_ball_arrays",
                         lambda L, R, **kw: radii.append(R) or enum(L, R, **kw))
+    balls = {"queries": 0, "searched": 0}
 
     def check(f, B, direct):
         L = sl.make_lattice(B)
         radii.clear()
         res = sl.successive_minima_exact(f, L)
         assert res.exact == (f.floor is not None)
-        assert len(radii) == 1 or f.floor is None
-        got = (res.values, [w.coeffs for w in res.witnesses])
-        assert got == doubling_minima(f, unreduced(L))
+        values, coeffs, ref_radii = doubling_minima(f, unreduced(L))
+        assert (res.values, [w.coeffs for w in res.witnesses]) \
+            == (values, coeffs)
+        searched = radii[:]
+        assert len(searched) <= len(ref_radii)
+        assert all(r <= 2 * q for r, q in zip(searched, ref_radii))
+        balls["queries"] += 1
+        balls["searched"] += len(searched)
         if direct:
             assert _same_minima(res, sl.successive_minima_exact(
                 f, unreduced(L)))
+        return searched, ref_radii
 
     floorless = dataclasses.replace(sl.pnorm_ball(3, 2), floor=None)
     for s in (3, 4, 5):  # the exact_minima benchmark's skewed pool
@@ -566,6 +573,44 @@ def test_exact_minima_equal_the_unreduced_path(monkeypatch):
             bodies_d = [sl.pnorm_ball(d, p) for p in (1.0, 2.0, math.inf)]
             for f in bodies_d + ([floorless] if d == 3 else []):
                 check(f, B, direct=True)
+    # near-round bodies: one ball a query for most (236 balls for 226
+    # queries, against 423 of the replaced schedule)
+    assert balls["searched"] <= 1.05 * balls["queries"]
+    # far from round: the bound 1.001 max f(w_i) / floor overshoots lambda_d
+    # / floor 7e5-fold (p = 0.05, where no reduced basis has a short f) and
+    # 2-fold (the image), so the radius doubles as before
+    for p in (0.05, 0.3):
+        assert check(sl.pnorm_ball(2, p), [[1, 0.5], [0, 1]], True) \
+            == ([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
+    image = sl.linear_image(sl.pnorm_ball(3, 2), np.diag([1 / 40, 1, 1]))
+    new, old = check(image, [[1, 0.5, 0.5], [0, 1, 0], [0, 0, 1]], True)
+    assert new == old
+
+
+def test_thin_image_keeps_the_doubling_radius(monkeypatch):
+    # f = ||diag(400, 1, 1) x||, lambda_3 = (200^2 + 1)^(1/2): the bound's
+    # ball, 1.001 max f(w_i) / floor = 400.4, predicts 2.7e8 points, over
+    # the point cap, while the doubling from det^(1/d) / floor = 1 rises to
+    # 1.001 lambda_3 after two balls.  That ball holds 3.4e7 points, too
+    # many for a test, so the search stops there
+    class Stop(Exception):
+        pass
+
+    radii = []
+    enum = minima.enumerate_ball_arrays
+
+    def capped(L, R, **kw):
+        radii.append(R)
+        if R > 100:
+            raise Stop
+        return enum(L, R, **kw)
+
+    monkeypatch.setattr(minima, "enumerate_ball_arrays", capped)
+    image = sl.linear_image(sl.pnorm_ball(3, 2), np.diag([1 / 400, 1, 1]))
+    L = sl.make_lattice([[1, 0.5, 0.5], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(Stop):
+        sl.successive_minima_exact(image, L)
+    assert radii == pytest.approx([1, 2, 1.001 * math.hypot(200, 1)])
 
 
 def test_floorless_body_is_not_certified():
