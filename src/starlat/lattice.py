@@ -138,6 +138,8 @@ def perturb_basis(L: Lattice, magnitude: float, seed: int) -> Lattice:
     """Independent uniform offsets of sup-norm <= magnitude on every entry."""
     if magnitude < 0:
         raise ValueError("magnitude must be nonnegative")
+    if not magnitude < 2.0**1023:  # NaN, inf, or a range 2m beyond the floats
+        raise ValueError(f"magnitude must be below 2^1023, got {magnitude:g}")
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-magnitude, magnitude, size=(L.dim, L.dim))
     return make_lattice(L.basis + offsets)

@@ -144,10 +144,10 @@ def quadrant_of(partition: Partition2D, x) -> int:
     """Quadrant index in {1,2,3,4} by rotated-sign signature; exact zeros
     count positive.  1 = (+,+), 2 = (-,+), 3 = (-,-), 4 = (+,-)."""
     return int(_quadrants_of_rows([partition],
-                                  np.asarray(x, dtype=float)[None])[0])
+                                  np.asarray(x, dtype=float)[None], 0)[0])
 
 
-def _quadrants_of_rows(partitions, pts: np.ndarray, k=0) -> np.ndarray:
+def _quadrants_of_rows(partitions, pts: np.ndarray, k) -> np.ndarray:
     """Quadrant of each row of pts in partitions[k], k an index or per row."""
     cx, cy, c, s = np.array([(*p.center, math.cos(p.angle), math.sin(p.angle))
                              for p in partitions]).T[:, k]

@@ -1,18 +1,18 @@
-"""Primitive-point counting over bounded planar regions, one counter for a
-lattice (a stack of one) and a Haar stack reduced once: disks and annuli
-without listing points (:func:`_interval_counts`), others by listing; and
-the Monte Carlo mean-value / minima-decay experiments over Haar lattices."""
+"""Primitive-point counting over planar regions, Sublevel sets in annuli: one
+counter for a lattice (a stack of one) and a Haar stack reduced once, the
+plane's regions without listing points (:func:`_interval_counts`), others by
+listing; and the Monte Carlo mean-value / minima-decay experiments."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import DistanceFunction, Sublevel, _parse, boundedness_floor
+from .bodies import (DistanceFunction, Sublevel, _parse, box,
+                     boundedness_floor, plane_body)
 from .errors import (BudgetExceeded, DimensionMismatch, InvariantViolation,
                      UnboundedBody)
 from . import lattice
@@ -31,53 +31,56 @@ _REGION_HEADS = {"disk": ("r",), "annulus": ("r0", "r1"), "box": ("a",),
 
 @dataclass(frozen=True)
 class Region:
-    """Bounded Borel region with a total membership predicate and an exact
-    or Monte Carlo area."""
+    """Bounded planar Borel set: the points of the Sublevel set `inside` in
+    the annulus r0 < ||x|| <= r1 (r0 = inner_radius, r1 = bounding_radius),
+    with an exact or Monte Carlo area."""
 
-    kind: str
     spec: str
+    inside: Sublevel
+    inner_radius: float
+    bounding_radius: float
     area: float
     area_stderr: float
-    bounding_radius: float
-    contains: Callable[[np.ndarray], np.ndarray]   # (N, d) -> bool mask
-    inner_radius: float = 0.0   # an annulus's r0; a disk's is 0
 
-    def __post_init__(self):
-        if not self.area < math.inf:
-            raise ValueError(f"region spec {self.spec!r} has no finite area")
+    def contains(self, p: np.ndarray) -> np.ndarray:  # (N, 2) -> bool mask
+        n2 = _fold(np.add, p * p)
+        return self.inside(p) & (n2 > self.inner_radius * self.inner_radius) \
+            & (n2 <= self.bounding_radius * self.bounding_radius)
 
 
-def _sized(spec: str, **sizes: float) -> str:
-    """The spec, once every named size of it is positive and finite."""
+def _sized(spec: str, area: float, **sizes: float) -> str:
+    """The spec, once every named size of it is positive and finite and
+    then its area (a sublevel region's clip disk's) is finite."""
     for name, v in sizes.items():
         if not 0.0 < v < math.inf:
             raise ValueError(f"region spec {spec!r} needs a positive finite "
                              f"{name}")
+    if not area < math.inf:
+        raise ValueError(f"region spec {spec!r} has no finite area")
     return spec
 
 
 def disk_region(r: float) -> Region:
-    return Region(kind="disk", spec=_sized(f"disk:r={r:g}", r=r),
-                  area=math.pi * r * r, area_stderr=0.0, bounding_radius=r,
-                  contains=lambda p: _fold(np.add, p * p) <= r * r)
+    area = math.pi * r * r
+    return Region(_sized(f"disk:r={r:g}", area, r=r), plane_body(), 0.0, r,
+                  area, 0.0)
 
 
 def annulus_region(r0: float, r1: float) -> Region:
-    spec = _sized(f"annulus:r0={r0:g}:r1={r1:g}", r1=r1)
-    if not 0 <= r0 < r1:
+    ordered = 0 <= r0 < r1  # checked after r1, before the area
+    area = math.pi * (r1 * r1 - r0 * r0) if ordered else 0.0
+    spec = _sized(f"annulus:r0={r0:g}:r1={r1:g}", area, r1=r1)
+    if not ordered:
         raise ValueError(f"region spec {spec!r} needs 0 <= r0 < r1")
-    return Region(kind="annulus", spec=spec,
-                  area=math.pi * (r1 * r1 - r0 * r0), area_stderr=0.0,
-                  bounding_radius=r1, inner_radius=r0,
-                  contains=lambda p, a=r0 * r0, b=r1 * r1:
-                      ((n2 := _fold(np.add, p * p)) > a) & (n2 <= b))
+    return Region(spec, plane_body(), r0, r1, area, 0.0)
 
 
 def box_region(a: float) -> Region:
-    h = a / 2.0
-    return Region(kind="box", spec=_sized(f"box:a={a:g}", a=a), area=a * a,
-                  area_stderr=0.0, bounding_radius=h * math.sqrt(2.0),
-                  contains=lambda p: _fold(np.maximum, np.abs(p)) <= h)
+    """The square of side a, the ball:p=inf set at a/2, in the disk of
+    radius a/2 / floor: a float disk test keeps its exact corners."""
+    f = box(2)
+    return Region(_sized(f"box:a={a:g}", a * a, a=a), Sublevel(f, a / 2.0),
+                  0.0, a / 2.0 / f.floor, a * a, 0.0)
 
 
 def sublevel_region(f: DistanceFunction, t: float, clip: float) -> Region:
@@ -85,11 +88,9 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float) -> Region:
     f must be planar."""
     if f.dim != 2:
         raise DimensionMismatch(f"regions are planar, got a {f.dim}D body")
-    spec = _sized(f"sublevel:body={f.label}:t={t:g}:clip={clip:g}", t=t,
-                  clip=clip)
-    disk_area = math.pi * clip * clip
-    if not disk_area < math.inf:  # before f meets points beyond the floats
-        raise ValueError(f"region spec {spec!r} has no finite area")
+    disk_area = math.pi * clip * clip  # checked before f meets far points
+    spec = _sized(f"sublevel:body={f.label}:t={t:g}:clip={clip:g}",
+                  disk_area, t=t, clip=clip)
     rng = np.random.default_rng(np.random.SeedSequence(987654321))
     u = rng.random((_MC_POINTS, 2))
     radii = clip * np.sqrt(u[:, 0])
@@ -97,11 +98,8 @@ def sublevel_region(f: DistanceFunction, t: float, clip: float) -> Region:
     pts = np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
     inside = Sublevel(f, t)
     p = float(np.mean(inside(pts)))
-    contains = lambda q: inside(q) & (_fold(np.add, q * q) <= clip * clip)
-    return Region(kind="sublevel", spec=spec, area=p * disk_area,
-                  area_stderr=disk_area
-                  * math.sqrt(max(p * (1 - p), 0.0) / _MC_POINTS),
-                  bounding_radius=clip, contains=contains)
+    return Region(spec, inside, 0.0, clip, p * disk_area,
+                  disk_area * math.sqrt(max(p * (1 - p), 0.0) / _MC_POINTS))
 
 
 def parse_region(spec: str) -> Region:
@@ -134,7 +132,7 @@ class RegionMoment:
     second_moment: float        # mean of (count - center)^2
     ratio_volume: float         # m2 / V(A)
     ratio_schmidt: float        # m2 / (V(A) * log2 V(A))
-    counts: Optional[tuple[int, ...]] = None
+    counts: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,7 @@ def _interval_counts(stack, r: float):
 
 def _primitive_counts(region: Region, stack) -> np.ndarray:
     """Primitive points in the region of each lattice of a planar stack
-    ``_reduce_planar(bases)``: disks and annuli by _interval_counts, other
+    ``_reduce_planar(bases)``: the plane's regions by _interval_counts, other
     regions and its flagged lattices by listing the bounding ball."""
     B, det, W, U = stack
     R = region.bounding_radius
@@ -217,7 +215,7 @@ def _primitive_counts(region: Region, stack) -> np.ndarray:
     if not -2.0**510 < B.min(initial=0) <= B.max(initial=0) < 2.0**510:
         raise BudgetExceeded("basis entries >= 2^510 leave the float range")
     counts, flagged = np.zeros(len(B), np.int64), np.ones(len(B), bool)
-    if region.kind in ("disk", "annulus"):
+    if region.inside.f is None:  # the plane in an annulus
         counts, flagged = _interval_counts(stack, R)
         if region.inner_radius > 0:  # an annulus: P(r1) - P(r0)
             p0, f0 = _interval_counts(stack, region.inner_radius)
@@ -226,8 +224,7 @@ def _primitive_counts(region: Region, stack) -> np.ndarray:
         sub = slice(None) if flagged.all() else np.flatnonzero(flagged)
         part, counts[sub] = tuple(a[sub] for a in stack), 0
         for idx, coeffs, coords in lattice._planar_points(part, R):
-            keep = np.asarray(region.contains(coords), dtype=bool) \
-                & primitive_mask(coeffs)
+            keep = region.contains(coords) & primitive_mask(coeffs)
             counts[sub] += np.bincount(idx[keep], minlength=len(part[0]))
     return counts
 

@@ -4,6 +4,7 @@ internals they check."""
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,6 +133,31 @@ def listing_primitive_counts(region, bases):
     return counts
 
 
+def predicate_region(head, *args):
+    """A region by the membership predicate and bounding radius that the
+    four region constructors built before a region became a Sublevel set in
+    an annulus: a disk of radius r, an annulus r0 < ||x|| <= r1, the box
+    max |x_i| <= a / 2 in the disk of radius a / 2 * sqrt(2), and a
+    sublevel set {f <= t} in the disk of radius clip.  The origin is in
+    all but the annulus."""
+    norm2 = lambda p: (p * p).sum(axis=1)
+    if head == "disk":
+        (r,) = args
+        return SimpleNamespace(bounding_radius=r,
+                               contains=lambda p: norm2(p) <= r * r)
+    if head == "annulus":
+        r0, r1 = args
+        return SimpleNamespace(bounding_radius=r1, contains=lambda p: (
+            norm2(p) > r0 * r0) & (norm2(p) <= r1 * r1))
+    if head == "box":
+        h = args[0] / 2.0
+        return SimpleNamespace(bounding_radius=h * math.sqrt(2.0),
+                               contains=lambda p: np.abs(p).max(axis=1) <= h)
+    f, t, clip = args
+    return SimpleNamespace(bounding_radius=clip, contains=lambda p: (
+        f.evaluator(p) <= t) & (norm2(p) <= clip * clip))
+
+
 def loop_primitive_counts(region, bases):
     """Primitive counts of a stack of planar bases by listing one lattice at
     a time: the points of its bounding ball from enumerate_ball_arrays, the
@@ -161,7 +187,7 @@ def loop_miss_count(n, samples, config, seed):
         keep = (np.gcd(coeffs[:, 0], coeffs[:, 1]) == 1) \
             & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
             & shell.body(coords)
-        q = partition._quadrants_of_rows([part], coords[keep])
+        q = partition._quadrants_of_rows([part], coords[keep], 0)
         misses += len(np.unique(q)) < 4
     return misses
 
@@ -191,7 +217,7 @@ def loop_witnesses(L, shells, partitions):
             & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
             & shell.body(coords)
         coeffs, coords = coeffs[keep], coords[keep]
-        q = partition._quadrants_of_rows([part], coords)
+        q = partition._quadrants_of_rows([part], coords, 0)
         reps = {qi: min(np.flatnonzero(q == qi),
                         key=lambda r: tuple(coeffs[r].tolist()))
                 for qi in (1, 2, 3, 4) if np.any(q == qi)}

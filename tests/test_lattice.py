@@ -421,8 +421,20 @@ def test_perturb_basis_converges():
 
 def test_perturb_negative_magnitude_rejected():
     L = sl.make_lattice([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         sl.perturb_basis(L, -0.1, seed=0)
+    # a range 2m beyond the floats is refused too, not left to numpy
+    for m in (math.nan, math.inf, 2.0**1023, 1e308):
+        with pytest.raises(ValueError, match="below 2\\^1023"):
+            sl.perturb_basis(L, m, seed=0)
+    # the largest magnitude left draws (its det is no float)
+    with pytest.raises(sl.SingularBasis):
+        sl.perturb_basis(L, np.nextafter(2.0**1023, 0), seed=0)
+    # valid magnitudes draw the bases of uniform(-m, m), bit for bit
+    for m, seed in ((0.5, 3), (1e-3, 7), (1e100, 1)):
+        offsets = np.random.default_rng(seed).uniform(-m, m, size=(2, 2))
+        assert np.array_equal(sl.perturb_basis(L, m, seed).basis,
+                              sl.make_lattice(L.basis + offsets).basis)
 
 
 def test_hyperbolic_cross_covers_the_region(rng):

@@ -290,6 +290,9 @@ def test_noncontinuity_finds_small_lambda2():
 def test_noncontinuity_rejects_negative_epsilon():
     with pytest.raises(ValueError):
         sl.noncontinuity_demo(-0.1, 10.0, seed=0)
+    # so is one whose draws leave the floats (perturb_basis refuses it)
+    with pytest.raises(ValueError, match="below 2\\^1023"):
+        sl.noncontinuity_demo(1e308, 10.0, seed=0)
 
 
 def test_noncontinuity_skips_only_singular_draws(monkeypatch):

@@ -11,7 +11,7 @@ from starlat.errors import (BudgetExceeded, DimensionMismatch,
 
 from conftest import (ball_candidates, grid_primitive_count,
                       listing_primitive_counts, loop_primitive_counts,
-                      loop_theorem2, reference_greedy)
+                      loop_theorem2, predicate_region, reference_greedy)
 
 
 Z2 = sl.make_lattice([[1, 0], [0, 1]])
@@ -66,13 +66,25 @@ def test_repeated_spec_option_is_an_error():
 
 
 def test_region_parsing_round_trip():
+    # a region is a Sublevel set in an annulus: disks and annuli take the
+    # plane's, a box the set of ball:p=inf at a/2
     r = sl.parse_region("disk:r=2.5")
-    assert r.kind == "disk" and r.area == pytest.approx(math.pi * 6.25)
+    assert (r.inside, r.inner_radius, r.bounding_radius) == (
+        sl.plane_body(), 0.0, 2.5)
+    assert r.area == pytest.approx(math.pi * 6.25) and r.area_stderr == 0.0
+    assert r.contains(np.array([[0.0, 0.0], [2.5, 0.0]])).tolist() == [
+        False, True]
     r = sl.parse_region("annulus:r0=1:r1=2")
+    assert (r.inside, r.inner_radius, r.bounding_radius) == (
+        sl.plane_body(), 1.0, 2.0)
     assert r.area == pytest.approx(3 * math.pi)
     r = sl.parse_region("box:a=3")
-    assert r.area == 9.0 and r.bounding_radius == pytest.approx(
-        1.5 * math.sqrt(2))
+    assert (r.inside, r.inner_radius) == (sl.Sublevel(sl.box(2), 1.5), 0.0)
+    assert r.area == 9.0 and r.bounding_radius == 1.5 / sl.box(2).floor \
+        == pytest.approx(1.5 * math.sqrt(2))
+    r = sl.parse_region("sublevel:body=hyperbola:t=1:clip=3")
+    assert (r.inside, r.inner_radius, r.bounding_radius) == (
+        sl.Sublevel(sl.hyperbolic(2), 1.0), 0.0, 3.0)
     spec = "sublevel:body=scale:c=2:ball:p=2:t=1:clip=3"
     assert sl.parse_region(spec).spec == spec
     with pytest.raises(ValueError):
@@ -160,6 +172,44 @@ def test_batched_counts_match_per_lattice_loop(kind, spec):
     for i in range(0, len(bases), 25):
         assert counts[i] == grid_primitive_count(
             bases[i], region.contains, region.bounding_radius)
+
+
+PREDICATE_SPECS = {
+    "disk:r=5": ("disk", 5.0),
+    "disk:r=1.7841241161527712": ("disk", 1.7841241161527712),
+    "annulus:r0=1:r1=2.5": ("annulus", 1.0, 2.5),
+    "box:a=3": ("box", 3.0),
+    "box:a=3.24": ("box", 3.24),
+    "sublevel:body=hyperbola:t=1:clip=3": ("sublevel", sl.hyperbolic(2), 1.0,
+                                           3.0),
+}
+
+
+@pytest.mark.parametrize("spec", PREDICATE_SPECS)
+def test_region_records_count_as_the_predicates_they_replaced(spec):
+    bases = _stack("haar", 3000, 11)
+    counts = stats._primitive_counts(sl.parse_region(spec),
+                                     lattice._reduce_planar(bases))
+    assert np.array_equal(counts, listing_primitive_counts(
+        predicate_region(*PREDICATE_SPECS[spec]), bases))
+
+
+@pytest.mark.parametrize("basis,spec,want", [
+    ([[1, 0], [0, 1]], "box:a=2", 8),
+    ([[1, 0], [0, 1]], "box:a=4", 16),
+    ([[1.62, 0], [0, 1.62]], "box:a=3.24", 8),
+    ([[1, 0.5], [0, math.sqrt(3) / 2]], "box:a=3", 10),
+])
+def test_box_records_keep_exact_corners(basis, spec, want):
+    # the corners (+-a/2, +-a/2) of the square lattices' boxes are lattice
+    # points; a disk of radius a/2 * sqrt(2) in floats drops those of
+    # diag(1.62, 1.62) at a = 3.24
+    L = sl.make_lattice(basis)
+    assert sl.count_primitive(L, sl.parse_region(spec)) == want
+    for other, args in PREDICATE_SPECS.items():
+        ref = predicate_region(*args)
+        assert sl.count_primitive(L, sl.parse_region(other)) \
+            == grid_primitive_count(basis, ref.contains, ref.bounding_radius)
 
 
 def test_batched_counts_span_several_chunks():
