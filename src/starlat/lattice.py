@@ -58,8 +58,9 @@ class LatticePoint:
 
     @classmethod
     def of(cls, coeffs, coords) -> LatticePoint:
-        return cls(coords=tuple(map(float, coords)),
-                   coeffs=tuple(map(int, coeffs)))
+        """From numpy rows: one .tolist() each gives Python ints and floats."""
+        return cls(coords=tuple(coords.tolist()),
+                   coeffs=tuple(coeffs.tolist()))
 
 
 def _abs_det(B: np.ndarray) -> np.ndarray:

@@ -86,14 +86,12 @@ _SPAN = 10.0  # transversal_check's line anchors: center +- _SPAN per axis
 
 
 def _median_cut(vals: np.ndarray) -> float:
-    """Cut just above the ceil(n/2)-th smallest value v: midway to the next
-    larger value, or v itself when there is none."""
-    v = np.sort(vals, kind="stable")
-    i = (len(v) + 1) // 2 - 1
-    k = int(np.searchsorted(v, v[i], side="right"))
-    if k < len(v):
-        return 0.5 * (v[i] + v[k])
-    return float(v[i])
+    """Cut just above the ceil(n/2)-th smallest value v (found by selection):
+    midway to the least larger value, or v itself when there is none."""
+    i = (len(vals) + 1) // 2 - 1
+    v = np.partition(vals, i)[i]
+    above = vals[vals > v]
+    return 0.5 * (v + above.min()) if len(above) else float(v)
 
 
 def _turned(c, s, x, y):
@@ -194,11 +192,13 @@ def transversal_check(partition: Partition2D, lines: int,
 
 def _annulus_samples(rng: np.random.Generator, d: int, r_in: float,
                      r_out: float, count: int) -> np.ndarray:
-    dirs = rng.standard_normal((count, d))
-    dirs /= np.sqrt(_fold(np.add, dirs * dirs))[:, None]
-    u = rng.random(count)
-    radii = (u * (r_out**d - r_in**d) + r_in**d) ** (1.0 / d)
-    return dirs * radii[:, None]
+    pts = rng.standard_normal((count, d))
+    norm = np.sqrt(_fold(np.add, pts * pts))
+    radii = (rng.random(count) * (r_out**d - r_in**d) + r_in**d) ** (1.0 / d)
+    for col in pts.T:  # x / ||x|| first, then times the radius: same bits
+        col /= norm
+        col *= radii
+    return pts
 
 
 def _estimate_annulus_volume(body: BodyPredicate, d: int, r_in: float,
@@ -300,11 +300,11 @@ def sample_shell_points(shell: Shell, count: int, seed: int) -> np.ndarray:
 
 def _classify_rows(shells: list[Shell], partitions: list[Partition2D],
                    coeffs: np.ndarray, coords: np.ndarray):
-    """(k, q) of each enumerated row: k indexes the shell with inner_k <
-    ||x|| <= outer_k, q is the row's quadrant in partitions[k] (one pass
-    for all rows), and q = 0 when the row lies in no shell, outside that
-    shell's body (each distinct body called once) or is not primitive.
-    Shells out of order or overlapping raise ValueError."""
+    """Kept rows only, as (rows, k, q): the rows x with inner_k < ||x|| <=
+    outer_k for a shell k, inside that shell's body (each distinct body
+    called once, on its own shells' rows, before the gcd) and primitive;
+    q is the quadrant in partitions[k], one pass for all rows.  Shells out
+    of order or overlapping raise ValueError."""
     edges = np.array([(s.inner, s.outer) for s in shells]).ravel()
     if not np.all(np.diff(edges) >= 0.0):
         raise ValueError("shells must be ordered and disjoint")
@@ -312,16 +312,16 @@ def _classify_rows(shells: list[Shell], partitions: list[Partition2D],
     nrm2 = _fold(np.add, coords * coords)
     k = np.searchsorted(inner2, nrm2) - 1
     rows = np.flatnonzero((k >= 0) & (nrm2 <= outer2[k]))
-    rows = rows[primitive_mask(coeffs[rows])]
+    k = k[rows]
     inside = np.zeros(len(rows), dtype=bool)
     owner = [s.body for s, _ in zip(shells, partitions, strict=True)]
     for body in {id(b): b for b in owner}.values():
-        mine = np.array([b is body for b in owner])[k[rows]]
+        mine = np.array([b is body for b in owner])[k]
         inside[mine] = body(coords[rows[mine]])
-    rows = rows[inside]
-    q = np.zeros(len(coords), dtype=np.int64)
-    q[rows] = _quadrants_of_rows(partitions, coords[rows], k[rows])
-    return k, q
+    rows, k = rows[inside], k[inside]
+    prim = primitive_mask(coeffs[rows])
+    rows, k = rows[prim], k[prim]
+    return rows, k, _quadrants_of_rows(partitions, coords[rows], k)
 
 
 def extract_witnesses(L: Lattice, shells: list[Shell],
@@ -339,33 +339,33 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
     if not shells:
         return WitnessReport(tuples=(), failures=())
     coeffs, coords = enumerate_ball_arrays(L, shells[-1].outer, sort=False)
-    k, q = _classify_rows(shells, partitions, coeffs, coords)
-    rows = np.flatnonzero(q)
-    key = 4 * k[rows] + q[rows] - 1
+    rows, k, q = _classify_rows(shells, partitions, coeffs, coords)
+    key = 4 * k + q - 1
     order = np.lexsort((coeffs[rows, 1], coeffs[rows, 0], key))
     first = order[np.diff(key[order], prepend=-1) > 0]  # lex-least per key
-    reps = np.full(4 * len(shells), -1)
-    reps[key[first]] = rows[first]
-    tuples: list[WitnessTuple] = []
-    failures: list[tuple[int, tuple[int, ...]]] = []
-    for shell, rep in zip(shells, reps.reshape(-1, 4).tolist()):
-        empty = tuple(qi for qi, r in zip((1, 2, 3, 4), rep) if r < 0)
+    found = rows[first]
+    reps = dict(zip(key[first].tolist(),
+                    zip(found.tolist(), coeffs[found].tolist())))
+    tuples, failures = [], []
+    for j, shell in enumerate(shells):
+        rep = [reps.get(4 * j + qi) for qi in range(4)]
+        empty = tuple(qi for qi, r in zip((1, 2, 3, 4), rep) if r is None)
         if empty:
             failures.append((shell.index, empty))
             continue
         # the representatives are distinct primitive rows, so at most one
         # of quadrants 2-4 holds the negative of quadrant 1's, and the
         # first of the others is independent of it
-        (a0, a1), *others = rep_coeffs = coeffs[rep].tolist()
-        for qb, (b0, b1) in zip((2, 3, 4), others):
+        (ra, (a0, a1)), *others = rep
+        for qb, (rb, (b0, b1)) in zip((2, 3, 4), others):
             if a0 * b1 != a1 * b0:
                 break
         else:
             raise InvariantViolation(
                 f"shell {shell.index}: quadrant representatives "
-                f"{rep_coeffs} are collinear")
+                f"{[c for _, c in rep]} are collinear")
         points = tuple(LatticePoint.of(coeffs[r], coords[r])
-                       for r in (rep[0], rep[qb - 1]))
+                       for r in (ra, rb))
         tuples.append(WitnessTuple(shell_index=shell.index, points=points,
                                    quadrants=(1, qb)))
     return WitnessReport(tuples=tuple(tuples), failures=tuple(failures))
@@ -408,9 +408,8 @@ def part_miss_rate(n: int, samples: int, config: PipelineConfig,
     occupancy = np.zeros(4 * samples, dtype=np.int64)
     for idx, coeffs, coords in _planar_points(
             _reduce_planar(bases), shell.outer):
-        q = _classify_rows([shell], [part], coeffs, coords)[1]
-        hit = q > 0
-        occupancy += np.bincount(4 * idx[hit] + q[hit] - 1,
+        rows, _, q = _classify_rows([shell], [part], coeffs, coords)
+        occupancy += np.bincount(4 * idx[rows] + q - 1,
                                  minlength=4 * samples)
     misses = int(np.count_nonzero((occupancy.reshape(samples, 4) == 0)
                                   .any(axis=1)))

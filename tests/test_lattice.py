@@ -371,6 +371,16 @@ def test_is_primitive_examples():
     assert not sl.is_primitive(L, sl.lattice_point(L, (2, 4)))
     assert sl.is_primitive(L, sl.lattice_point(L, (3, 5)))
     assert not sl.is_primitive(L, sl.lattice_point(L, (0, 0)))
+    # int64 rows and object rows (Python ints past int64) give Python ints
+    # and floats, the values map(int) and map(float) give
+    for c in (np.array([3, 5]), np.array([3, 5], dtype=object),
+              np.array([2**70, -1], dtype=object)):
+        x = c.astype(float)
+        p = sl.LatticePoint.of(c, x)
+        assert p == sl.LatticePoint(coords=tuple(map(float, x)),
+                                    coeffs=tuple(map(int, c)))
+        assert all(type(v) is int for v in p.coeffs)
+        assert all(type(v) is float for v in p.coords)
 
 
 def test_is_primitive_rejects_inconsistent_point():

@@ -302,17 +302,21 @@ def test_plane_shells_need_no_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("name,n", [("plane", 6), ("hyperbola", 3),
-                                    ("ball", 2)])
+                                    ("ball", 2), ("ball3", 2)])
 def test_shells_and_partitions_match_the_norm_reference(monkeypatch, name,
                                                         n):
     body = {"plane": sl.plane_body(),
             "hyperbola": sl.sublevel_body(sl.hyperbolic(2), 2.0),
-            "ball": sl.sublevel_body(sl.pnorm_ball(2, 2), 3.0)}[name]
+            "ball": sl.sublevel_body(sl.pnorm_ball(2, 2), 3.0),
+            "ball3": sl.sublevel_body(sl.pnorm_ball(3, 2), 3.0)}[name]
+    d = 3 if name == "ball3" else 2
     config = sl.PipelineConfig(body=body, mc_points=2 * 10**4,
                                partition_points=3000)
 
     def run(seed):
-        shells = sl.build_shells(body, 2, n, config.mc_points, seed)
+        shells = sl.build_shells(body, d, n, config.mc_points, seed)
+        if d == 3:  # shells only: partitions and samples are planar
+            return repr(shells)
         parts = sl.build_partitions(shells, config, seed)
         pts = sl.sample_shell_points(shells[-1], 2000, seed + 9)
         return repr((shells, parts)), pts.tobytes()
