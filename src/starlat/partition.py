@@ -18,11 +18,12 @@ from typing import Callable
 import numpy as np
 
 from .bodies import Sublevel as sublevel_body, plane_body  # public here too
-from .errors import InvariantViolation, NoConvergence, VolumeStall
+from .errors import (DimensionMismatch, InvariantViolation, NoConvergence,
+                     VolumeStall)
 from .haar import sample_unimodular_2d_arrays
 from .lattice import (Lattice, LatticePoint, _fold, _planar_points,
                       _reduce_planar, _unit_ball_volume, _zeta,
-                      enumerate_ball_arrays, primitive_mask)
+                      enumerate_ball_arrays)
 
 BodyPredicate = Callable[[np.ndarray], np.ndarray]  # (N, d) -> bool mask
 
@@ -148,7 +149,7 @@ def quadrant_of(partition: Partition2D, x) -> int:
 def _quadrants_of_rows(partitions, pts: np.ndarray, k) -> np.ndarray:
     """Quadrant of each row of pts in partitions[k], k an index or per row."""
     cx, cy, c, s = np.array([(*p.center, math.cos(p.angle), math.sin(p.angle))
-                             for p in partitions]).T[:, k]
+                             for p in partitions]).take(k, axis=0).T
     u, v = _turned(c, s, pts[:, 0] - cx, pts[:, 1] - cy)
     return _QUADRANT_BY_SIGNS[2 * (u >= 0.0) + (v >= 0.0)]
 
@@ -209,10 +210,8 @@ def _estimate_annulus_volume(body: BodyPredicate, d: int, r_in: float,
         return shell_vol, 0.0  # what a draw gives: a mean of exactly 1
     rng = np.random.default_rng(ss)
     pts = _annulus_samples(rng, d, r_in, r_out, mc_points)
-    p = float(np.mean(body(pts)))
-    est = p * shell_vol
-    se = shell_vol * math.sqrt(max(p * (1.0 - p), 0.0) / mc_points)
-    return est, se
+    p = np.count_nonzero(body(pts)) / mc_points  # np.mean's float, in [0, 1]
+    return p * shell_vol, shell_vol * math.sqrt(p * (1.0 - p) / mc_points)
 
 
 def build_shells(body: BodyPredicate, d: int, n_max: int,
@@ -281,14 +280,15 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
 
 def sample_shell_points(shell: Shell, count: int, seed: int) -> np.ndarray:
     """Uniform sample of shell-intersect-body by rejection from the annulus."""
+    if count < 1:
+        raise ValueError(f"need at least one sample point, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out, got = [], 0
+    out = []
     for _ in range(_MAX_BATCHES):
         pts = _annulus_samples(rng, 2, shell.inner, shell.outer,
                                max(count, 1024))
         out.append(pts[shell.body(pts)])
-        got += len(out[-1])
-        if got >= count:
+        if sum(map(len, out)) >= count:
             return np.concatenate(out)[:count]
     raise NoConvergence("rejection sampling starved; body too thin "
                         "inside the shell")
@@ -300,28 +300,26 @@ def sample_shell_points(shell: Shell, count: int, seed: int) -> np.ndarray:
 
 def _classify_rows(shells: list[Shell], partitions: list[Partition2D],
                    coeffs: np.ndarray, coords: np.ndarray):
-    """Kept rows only, as (rows, k, q): the rows x with inner_k < ||x|| <=
-    outer_k for a shell k, inside that shell's body (each distinct body
-    called once, on its own shells' rows, before the gcd) and primitive;
-    q is the quadrant in partitions[k], one pass for all rows.  Shells out
-    of order or overlapping raise ValueError."""
-    edges = np.array([(s.inner, s.outer) for s in shells]).ravel()
-    if not np.all(np.diff(edges) >= 0.0):
+    """Kept rows only, as (rows, k, q), tested in this order: the body, the
+    shell k with inner_k < ||x|| <= outer_k, the gcd, then q, the quadrant in
+    partitions[k].  A body all shells share is called once, on all rows;
+    mixed bodies once each, after the gcd, on their own shells' rows."""
+    edges = [r for s in shells for r in (s.inner, s.outer)]
+    if not all(b - a >= 0.0 for a, b in zip(edges, edges[1:])):
         raise ValueError("shells must be ordered and disjoint")
-    inner2, outer2 = edges[0::2] ** 2, edges[1::2] ** 2
-    nrm2 = _fold(np.add, coords * coords)
-    k = np.searchsorted(inner2, nrm2) - 1
-    rows = np.flatnonzero((k >= 0) & (nrm2 <= outer2[k]))
-    k = k[rows]
-    inside = np.zeros(len(rows), dtype=bool)
     owner = [s.body for s, _ in zip(shells, partitions, strict=True)]
-    for body in {id(b): b for b in owner}.values():
-        mine = np.array([b is body for b in owner])[k]
-        inside[mine] = body(coords[rows[mine]])
-    rows, k = rows[inside], k[inside]
-    prim = primitive_mask(coeffs[rows])
-    rows, k = rows[prim], k[prim]
-    return rows, k, _quadrants_of_rows(partitions, coords[rows], k)
+    shared = all(b is owner[0] for b in owner)
+    rows = (np.flatnonzero(owner[0](coords)) if shared
+            else np.arange(len(coords)))
+    (x, y), (c0, c1) = (v.take(rows, axis=0).T for v in (coords, coeffs))
+    # a row is in shell k when 2k + 1 squared edges lie below its norm^2
+    j = np.searchsorted(np.array([r * r for r in edges]), x * x + y * y)
+    keep = (j & 1).astype(bool) & (np.gcd(c0, c1) == 1)
+    for body in () if shared else {id(b): b for b in owner}.values():
+        mine = keep & np.array([b is body for b in owner] + [False])[j >> 1]
+        keep[mine] = body(coords[rows[mine]])
+    rows, k = rows[keep], j[keep] >> 1
+    return rows, k, _quadrants_of_rows(partitions, coords.take(rows, 0), k)
 
 
 def extract_witnesses(L: Lattice, shells: list[Shell],
@@ -330,42 +328,44 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
     select two linearly independent representatives.
 
     A point x belongs to the shell with inner < ||x|| <= outer, so tuples of
-    distinct shells are disjoint; shells out of order or overlapping raise
-    ValueError.  One unsorted ball, the outermost shell's, serves every
-    shell: the lex-least row of each (shell, quadrant) is its representative.
-    A shell with an unpopulated quadrant is a failure event: the lattice is
-    in the exceptional set for that n.
-    """
+    distinct shells are disjoint (unordered or overlapping shells raise
+    ValueError, a lattice that is not planar DimensionMismatch).  One ball,
+    the outermost shell's, serves every shell: its rows are tested for the
+    body (a shared body called once, on all rows), then the shell, the gcd
+    and the quadrant; the lex-least row of each (shell, quadrant) is its
+    representative.  A shell with an unpopulated quadrant is a failure
+    event: the lattice is in the exceptional set for that n."""
+    if L.dim != 2:
+        raise DimensionMismatch(f"witnesses are planar, got dimension {L.dim}")
     if not shells:
         return WitnessReport(tuples=(), failures=())
     coeffs, coords = enumerate_ball_arrays(L, shells[-1].outer, sort=False)
     rows, k, q = _classify_rows(shells, partitions, coeffs, coords)
-    key = 4 * k + q - 1
-    order = np.lexsort((coeffs[rows, 1], coeffs[rows, 0], key))
-    first = order[np.diff(key[order], prepend=-1) > 0]  # lex-least per key
-    found = rows[first]
-    reps = dict(zip(key[first].tolist(),
-                    zip(found.tolist(), coeffs[found].tolist())))
+    order = np.lexsort((coeffs[rows, 1], coeffs[rows, 0], 4 * k + q))
+    key = (4 * k + q)[order]
+    head = key != np.append(0, key[:-1])  # lex-least row per key
+    found = rows[order[head]]
+    reps = dict(zip(key[head].tolist(), zip(
+        *(v.take(found, axis=0).tolist() for v in (coeffs, coords)))))
     tuples, failures = [], []
     for j, shell in enumerate(shells):
-        rep = [reps.get(4 * j + qi) for qi in range(4)]
-        empty = tuple(qi for qi, r in zip((1, 2, 3, 4), rep) if r is None)
-        if empty:
-            failures.append((shell.index, empty))
+        rep = [reps.get(i) for i in range(4 * j + 1, 4 * j + 5)]
+        if None in rep:
+            failures.append((shell.index, tuple(
+                qi for qi, r in zip((1, 2, 3, 4), rep) if r is None)))
             continue
-        # the representatives are distinct primitive rows, so at most one
-        # of quadrants 2-4 holds the negative of quadrant 1's, and the
-        # first of the others is independent of it
-        (ra, (a0, a1)), *others = rep
-        for qb, (rb, (b0, b1)) in zip((2, 3, 4), others):
-            if a0 * b1 != a1 * b0:
+        # distinct primitive rows: at most one of quadrants 2-4 holds the
+        # negative of quadrant 1's, the first of the others is independent
+        (a, xa), *others = rep
+        for qb, (b, xb) in zip((2, 3, 4), others):
+            if a[0] * b[1] != a[1] * b[0]:
                 break
         else:
             raise InvariantViolation(
                 f"shell {shell.index}: quadrant representatives "
-                f"{[c for _, c in rep]} are collinear")
-        points = tuple(LatticePoint.of(coeffs[r], coords[r])
-                       for r in (ra, rb))
+                f"{[c for c, _ in rep]} are collinear")
+        points = (LatticePoint(coords=tuple(xa), coeffs=tuple(a)),
+                  LatticePoint(coords=tuple(xb), coeffs=tuple(b)))
         tuples.append(WitnessTuple(shell_index=shell.index, points=points,
                                    quadrants=(1, qb)))
     return WitnessReport(tuples=tuple(tuples), failures=tuple(failures))

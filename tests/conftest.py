@@ -202,6 +202,49 @@ def norm_annulus_samples(rng, d, r_in, r_out, count):
     return dirs * radii[:, None]
 
 
+def mean_annulus_volume(body, d, r_in, r_out, mc_points, ss):
+    """partition._estimate_annulus_volume with the hit fraction taken by
+    np.mean of the body's mask, as before the hit count."""
+    import inspect
+
+    from starlat import partition
+    from starlat.lattice import _unit_ball_volume
+    shell_vol = _unit_ball_volume(d) * (r_out**d - r_in**d)
+    if inspect.unwrap(body) == partition.plane_body():
+        return shell_vol, 0.0
+    rng = np.random.default_rng(ss)
+    pts = partition._annulus_samples(rng, d, r_in, r_out, mc_points)
+    p = float(np.mean(body(pts)))
+    est = p * shell_vol
+    se = shell_vol * math.sqrt(max(p * (1.0 - p), 0.0) / mc_points)
+    return est, se
+
+
+def norm_first_classify_rows(shells, partitions, coeffs, coords):
+    """partition._classify_rows as it was before the body test came first:
+    norms and the shell search on every row, then each distinct body on
+    its own shells' rows, then primitive_mask, then the quadrants."""
+    from starlat import partition
+    from starlat.lattice import _fold, primitive_mask
+    edges = np.array([(s.inner, s.outer) for s in shells]).ravel()
+    if not np.all(np.diff(edges) >= 0.0):
+        raise ValueError("shells must be ordered and disjoint")
+    inner2, outer2 = edges[0::2] ** 2, edges[1::2] ** 2
+    nrm2 = _fold(np.add, coords * coords)
+    k = np.searchsorted(inner2, nrm2) - 1
+    rows = np.flatnonzero((k >= 0) & (nrm2 <= outer2[k]))
+    k = k[rows]
+    inside = np.zeros(len(rows), dtype=bool)
+    owner = [s.body for s, _ in zip(shells, partitions, strict=True)]
+    for body in {id(b): b for b in owner}.values():
+        mine = np.array([b is body for b in owner])[k]
+        inside[mine] = body(coords[rows[mine]])
+    rows, k = rows[inside], k[inside]
+    prim = primitive_mask(coeffs[rows])
+    rows, k = rows[prim], k[prim]
+    return rows, k, partition._quadrants_of_rows(partitions, coords[rows], k)
+
+
 def loop_witnesses(L, shells, partitions):
     """extract_witnesses by the per-shell loop it replaced: one ball per
     shell of radius outer, its primitive points above the

@@ -285,6 +285,10 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
     (("rogers", "--region", "sublevel:body=hyperbola:t=1:clip=1e200"),
      "region spec 'sublevel:body=hyperbola:t=1:clip=1e+200' has no finite "
      "area"),
+    (("witness", "--body", "plane", "--shells", "2", "--samples", "-5"),
+     "need at least one sample point, got -5"),
+    (("witness", "--basis", "1,0,0;0,1,0;0,0,1", "--shells", "1",
+      "--samples", "100"), "witnesses are planar, got dimension 3"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):

@@ -10,7 +10,8 @@ import starlat as sl
 from starlat import partition
 from starlat.errors import InvariantViolation, VolumeStall
 
-from conftest import (loop_miss_count, loop_witnesses, norm_annulus_samples,
+from conftest import (loop_miss_count, loop_witnesses, mean_annulus_volume,
+                      norm_annulus_samples, norm_first_classify_rows,
                       weighted_masses_at, weighted_median_cut)
 
 
@@ -372,3 +373,115 @@ def test_extract_witnesses_two_bodies_match_per_shell_loop():
     assert tuples and failures
     with pytest.raises(ValueError):
         sl.extract_witnesses(sl.make_lattice(np.eye(2)), mixed, parts[:-1])
+
+
+def _classification_case(name):
+    """(shells, partitions) of a cross-check case; every shell of a case
+    shares one body object except in "mixed"."""
+    plane = sl.plane_body()
+    hyp2 = sl.sublevel_body(sl.hyperbolic(2), 2.0)
+    config = sl.PipelineConfig(mc_points=2 * 10**4, partition_points=3000)
+    if name in ("plane", "emptied", "mixed"):
+        shells = sl.build_shells(plane, 2, 10, config.mc_points, 0)
+    else:
+        shells = sl.build_shells(hyp2, 2, 5, config.mc_points, 1)
+    if name == "emptied":  # no point of the three inner shells is inside
+        r2 = shells[2].outer ** 2
+        body = lambda pts: (pts * pts).sum(axis=1) > r2
+        shells = [replace(s, body=body) for s in shells]
+    elif name == "mixed":
+        shells = [replace(s, body=(plane, hyp2)[i % 2])
+                  for i, s in enumerate(shells)]
+    elif name == "hyperbola1":
+        # build_shells stalls at t = 1 for four shells (VolumeStall), so
+        # the t = 1 body takes the radii of the t = 2 shells
+        hyp1 = sl.sublevel_body(sl.hyperbolic(2), 1.0)
+        shells = [replace(s, body=hyp1) for s in shells[:4]]
+    # partitions of the shells' own samples; "emptied" keeps the plane's
+    parts = sl.build_partitions(
+        [replace(s, body=plane) for s in shells] if name == "emptied"
+        else shells, config, 0)
+    return shells, parts
+
+
+@pytest.mark.parametrize("name", ["plane", "hyperbola1", "hyperbola2",
+                                  "emptied", "mixed"])
+def test_body_first_classification_matches_the_norm_first_reference(name):
+    shells, parts = _classification_case(name)
+    haar = sl.sample_unimodular_2d_arrays(20, 5)[3]
+    # Haar bases come reduced (U = I); times a unimodular matrix they do not
+    skewed = [B @ sl.random_unimodular(2, seed=j, steps=6)
+              for j, B in enumerate(haar)]
+    lattices = [sl.make_lattice(B) for B in (np.eye(2), *haar, *skewed)]
+    assert sum(not np.array_equal(L.U, np.eye(2)) for L in lattices) >= 15
+    tuples = failures = 0
+    for L in lattices:
+        coeffs, coords = sl.enumerate_ball_arrays(L, shells[-1].outer,
+                                                  sort=False)
+        got, want = (f(shells, parts, coeffs, coords) for f in (
+            partition._classify_rows, norm_first_classify_rows))
+        assert set(zip(*(a.tolist() for a in got))) \
+            == set(zip(*(a.tolist() for a in want)))
+        assert len(got[0]) == len(want[0])
+        rep = sl.extract_witnesses(L, shells, parts)
+        assert rep == loop_witnesses(L, shells, parts)
+        tuples, failures = (tuples + len(rep.tuples),
+                            failures + len(rep.failures))
+    assert tuples
+    if name == "emptied":
+        assert failures >= 3 * len(lattices)
+
+
+@pytest.mark.parametrize("t,n,seed", [(None, 6, 0), ("all", 4, 1),
+                                      (1.0, 2, 2), (1.0, 3, 5),
+                                      (2.0, 5, 1)])
+def test_build_shells_hit_count_matches_the_mean_reference(monkeypatch, t,
+                                                           n, seed):
+    # the hit fraction as a count over mc_points is np.mean's float; a
+    # stall names the same estimate and standard error
+    body = {None: sl.plane_body(),
+            "all": lambda pts: np.ones(len(pts), dtype=bool)}.get(t) \
+        or sl.sublevel_body(sl.hyperbolic(2), t)
+
+    def run():
+        try:
+            shells = sl.build_shells(body, 2, n, 2 * 10**4, seed)
+        except VolumeStall as exc:
+            return str(exc)
+        return [(s.inner, s.outer, s.est_volume, s.stderr) for s in shells]
+
+    got = run()
+    monkeypatch.setattr(partition, "_estimate_annulus_volume",
+                        mean_annulus_volume)
+    assert got == run()
+    assert isinstance(got, str) == ((t, n) == (1.0, 3))
+
+
+def test_extract_witnesses_refuses_a_non_planar_lattice():
+    shells = sl.build_shells(sl.plane_body(), 2, 2, 2 * 10**4, 0)
+    parts = sl.build_partitions(shells, sl.PipelineConfig(), 0)
+    for shl, prt in ((shells, parts), ([], [])):
+        with pytest.raises(sl.DimensionMismatch,
+                           match="planar, got dimension 3"):
+            sl.extract_witnesses(sl.make_lattice(np.eye(3)), shl, prt)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_sample_shell_points_refuses_fewer_than_one_point(count):
+    shell = sl.Shell(1, 0.0, 2.0, sl.plane_body(), 1.0, 0.0)
+    with pytest.raises(ValueError, match="at least one sample point"):
+        sl.sample_shell_points(shell, count, seed=0)
+
+
+def test_a_point_on_a_shared_edge_belongs_to_the_inner_shell():
+    # ||(1, 0)||^2 is exactly the shared edge 1.0: the point is in
+    # (0, 1] and not in (1, 2]
+    L = sl.make_lattice(np.eye(2))
+    shells = [sl.Shell(1, 0.0, 1.0, sl.plane_body(), 1.0, 0.0),
+              sl.Shell(2, 1.0, 2.0, sl.plane_body(), 1.0, 0.0)]
+    part = sl.Partition2D(center=(0.0, 0.0), angle=math.pi / 4,
+                          masses=(1.0, 1.0, 1.0, 1.0))
+    rep = sl.extract_witnesses(L, shells, [part, part])
+    assert [t.shell_index for t in rep.tuples] == [1, 2]
+    assert [p.norm for p in rep.tuples[0].points] == [1.0, 1.0]
+    assert rep == loop_witnesses(L, shells, [part, part])
