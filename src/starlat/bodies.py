@@ -54,6 +54,20 @@ def _floor_times(floor: float | None, factor: float) -> float | None:
     return None if floor is None else floor * factor * (1.0 - 1e-9)
 
 
+def _past_overflow(ev, again):
+    """ev, but again(x) at finite points x where ev overflows to inf (a
+    product or square before its root); a call without overflow is ev's."""
+    def wrapped(x):
+        try:
+            with np.errstate(over="raise"):
+                return ev(x := np.asarray(x))
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                v, w = ev(x), again(x)
+            return np.where(np.isinf(v) & np.isfinite(x).all(-1), w, v)[()]
+    return wrapped
+
+
 def _check_factor(kind: str, c: float) -> None:
     if not 0.0 < c < math.inf:
         raise ValueError(f"{kind} factor must be finite and > 0, got c={c:g}")
@@ -66,20 +80,20 @@ def _check_factor(kind: str, c: float) -> None:
 def pnorm_ball(dim: int = 2, p: float = 2) -> DistanceFunction:
     """Unit ball of the p-norm (a quasi-norm for p < 1), 0 < p <= inf.  Its
     floor is 1 for p <= 2 (attained on the axes) and d^(1/p - 1/2) for p > 2
-    (on the diagonals, by Hoelder's inequality).  Other p than 1, 2, inf take
-    m (sum (|x_i| / m)^p)^(1/p), m = max |x_i|: each (|x_i| / m)^p is in
-    [0, 1], so only a value beyond the floats overflows (to inf)."""
+    (on the diagonals, by Hoelder's inequality).  p not 1, 2, inf (or 2 where
+    numpy's norm overflows) takes m (sum (|x_i| / m)^p)^(1/p), m = max |x_i|:
+    each (|x_i| / m)^p is in [0, 1], so only a value past the floats is inf."""
+    @np.errstate(all="ignore")
+    def ev(x):
+        a = np.abs(x)
+        m = _fold(np.maximum, a)
+        y = a / np.where(m > 0, m, 1.0)[..., None]
+        return m * _fold(np.add, y ** p) ** (1.0 / p)
     if not p > 0:
         raise ValueError(f"ball needs p > 0, got p={p:g}")
     if p in (1, 2, math.inf):
-        ev = lambda x: np.linalg.norm(x, ord=p, axis=-1)
-    else:
-        @np.errstate(all="ignore")
-        def ev(x):
-            a = np.abs(x)
-            m = _fold(np.maximum, a)
-            y = a / np.where(m > 0, m, 1.0)[..., None]
-            return m * _fold(np.add, y ** p) ** (1.0 / p)
+        norm = lambda x: np.linalg.norm(x, ord=p, axis=-1)
+        ev = _past_overflow(norm, ev) if p == 2 else norm
     return DistanceFunction(dim=dim, evaluator=ev, label=f"ball:p={p:g}",
                             floor=1.0 if p <= 2 else
                             _floor_times(1.0, dim ** (1.0 / p - 0.5)),
@@ -93,8 +107,11 @@ def box(dim: int = 2) -> DistanceFunction:
 
 def hyperbolic(dim: int = 2) -> DistanceFunction:
     """f(x) = |x_1 ... x_d|^(1/d): degree-1 homogeneous, vanishes on the axes;
-    the product of points (..., d) or (d,) is a column fold (lattice._fold)."""
-    ev = lambda x: np.abs(_fold(np.multiply, np.asarray(x))) ** (1.0 / dim)
+    the product of points (..., d) or (d,) is a column fold (lattice._fold),
+    and where it overflows, the product of the |x_i|^(1/d) is taken."""
+    ev = _past_overflow(
+        lambda x: np.abs(_fold(np.multiply, x)) ** (1.0 / dim),
+        lambda x: _fold(np.multiply, np.abs(x) ** (1.0 / dim)))
     return DistanceFunction(dim=dim, evaluator=ev, label="hyperbola",
                             floor=0.0, node=("hyperbola",))
 
@@ -263,8 +280,7 @@ def _refine_min_2d(func, theta: float, half_width: float) -> float:
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = theta - half_width, theta + half_width
     val = lambda t: float(func(np.array([math.cos(t), math.sin(t)])))
-    c = b - gr * (b - a)
-    d_ = a + gr * (b - a)
+    c, d_ = b - gr * (b - a), a + gr * (b - a)
     fc, fd = val(c), val(d_)
     for _ in range(80):
         if fc < fd:

@@ -76,10 +76,8 @@ def _fmt(v: float) -> str:
 def _cmd_minima(args):
     L = make_lattice(parse_basis(args.basis))
     body = parse_body(args.body, L.dim)
-    if args.budget is not None:
-        res = minima_upper_bound(body, L, args.budget)
-    else:
-        res = successive_minima_exact(body, L)
+    res = (successive_minima_exact(body, L) if args.budget is None
+           else minima_upper_bound(body, L, args.budget))
     plain = " ".join(_fmt(v) for v in res.values) + "\n"
     rows = [{"i": i + 1, "value": v} for i, v in enumerate(res.values)]
     return res, plain, rows
@@ -93,8 +91,7 @@ def _cmd_sample(args):
         json.dumps(_plain(r), sort_keys=True, separators=(",", ":")) + "\n"
         for r in result)
     rows = [{"x": r["x"], "y": r["y"], "rotation": r["rotation"],
-             "b00": r["basis"][0][0], "b10": r["basis"][1][0],
-             "b01": r["basis"][0][1], "b11": r["basis"][1][1]}
+             **{f"b{i}{j}": r["basis"][i][j] for j in (0, 1) for i in (0, 1)}}
             for r in result]
     return result, plain, rows
 
@@ -108,14 +105,11 @@ def _cmd_count(args):
 
 def _cmd_rogers(args):
     regions = []
-    if args.areas:
-        for a in args.areas.split(","):
-            if not 0.0 < float(a) < math.inf:
-                raise ValueError(f"--areas needs positive finite areas, "
-                                 f"got {a!r}")
-            regions.append(disk_region(math.sqrt(float(a) / math.pi)))
-    for spec in args.region or []:
-        regions.append(parse_region(spec))
+    for a in args.areas.split(",") if args.areas else ():
+        if not 0.0 < float(a) < math.inf:
+            raise ValueError(f"--areas needs positive finite areas, got {a!r}")
+        regions.append(disk_region(math.sqrt(float(a) / math.pi)))
+    regions += map(parse_region, args.region or [])
     if not regions:
         raise ValueError("give --areas or --region")
     rep = rogers_moment_report(regions, args.count, args.seed,
@@ -145,8 +139,7 @@ def _cmd_witness(args):
             "est_volume": shell.est_volume, "stderr": shell.stderr,
             "quadrant_masses": list(part.masses),
         }
-        if shell.index in by_shell:
-            t = by_shell[shell.index]
+        if t := by_shell.get(shell.index):
             rec["tuple"] = {"points": [list(p.coords) for p in t.points],
                             "coeffs": [list(p.coeffs) for p in t.points],
                             "quadrants": list(t.quadrants)}
@@ -211,12 +204,10 @@ def _cmd_theorem2(args):
     body = parse_body(args.body)
     budgets = [float(b) for b in args.budgets.split(",")]
     rep = theorem2_experiment(body, budgets, args.count, args.seed)
-    rows = []
-    for j, b in enumerate(rep.budgets):
-        row = {"budget": b, "median_lambda2": rep.median_curve[j]}
-        for t, fr in zip(rep.thresholds, rep.fraction_below):
-            row[f"frac_below_{t:g}"] = fr[j]
-        rows.append(row)
+    rows = [{"budget": b, "median_lambda2": m,
+             **{f"frac_below_{t:g}": fr[j]
+                for t, fr in zip(rep.thresholds, rep.fraction_below)}}
+            for j, (b, m) in enumerate(zip(rep.budgets, rep.median_curve))]
     slim = dataclasses.replace(rep, lambda2=())  # keep reports compact
     return slim, _csv_rows(rows), rows
 

@@ -229,24 +229,33 @@ def _gauss_reduce_2d(B: np.ndarray):
 
 def _lll(B: np.ndarray):
     """LLL reduction (delta 0.99) of one basis (d, d), W = B @ U: (W, U).
-    Size reduction updates mu and keeps the Gram-Schmidt norms n; a swap
-    redoes both on lists (by _gram_schmidt, exact_minima ran 10 % slower)."""
-    n, k, w, u = None, 1, B.T.tolist(), np.eye(len(B), dtype=int).tolist()
+    Modified Gram-Schmidt on lists gives mu and the norms n once; size
+    reduction and a swap of w_{k-1}, w_k update them in O(d) (Lenstra,
+    Lenstra & Lovasz 1982).  Admission bounds the update's drift: admitted
+    bases end as reduced as with Gram-Schmidt redone after each swap, bases
+    it refuses (unimodular with entries of 1e8 or more) may end less so."""
+    k, w, u = 1, B.T.tolist(), np.eye(len(B), dtype=int).tolist()
+    v, n, mu = w[:], [], np.eye(len(w)).tolist()
+    for i, vi in enumerate(v):
+        n.append(sum(a * a for a in vi))
+        for j in range(i + 1, len(v)):
+            mu[j][i] = m = sum(a * b for a, b in zip(vi, v[j])) / n[i]
+            v[j] = [b - m * a for a, b in zip(vi, v[j])]
     while k < len(w):
-        if n is None:  # modified Gram-Schmidt
-            v, n, mu = w[:], [], np.eye(len(w)).tolist()
-            for i, vi in enumerate(v):
-                n.append(sum(a * a for a in vi))
-                for j in range(i + 1, len(v)):
-                    mu[j][i] = m = sum(a * b for a, b in zip(vi, v[j])) / n[i]
-                    v[j] = [b - m * a for a, b in zip(vi, v[j])]
         for j in range(k - 1, -1, -1):
             if q := round(mu[k][j]):
                 w[k], u[k], mu[k] = ([b - q * a for a, b in zip(x[j], x[k])]
                                      for x in (w, u, mu))
         if n[k] < (_LLL_DELTA - mu[k][k - 1] ** 2) * n[k - 1]:  # Lovasz
+            m, a = mu[k][k - 1], n[k - 1]
+            n[k - 1] = b = n[k] + m * m * a
+            mu[k][k - 1], n[k] = m * a / b, a * n[k] / b
             w[k - 1], w[k], u[k - 1], u[k] = w[k], w[k - 1], u[k], u[k - 1]
-            n, k = None, max(k - 1, 1)
+            mu[k - 1][:k - 1], mu[k][:k - 1] = mu[k][:k - 1], mu[k - 1][:k - 1]
+            for r in mu[k + 1:]:  # (mu_{i,k-1}, mu_{i,k}) of each i > k
+                r[k], t = r[k - 1] - m * r[k], r[k]
+                r[k - 1] = t + mu[k][k - 1] * r[k]
+            k = max(k - 1, 1)
         else:
             k += 1
     return np.array(w).T, np.array(u, dtype=np.int64).T

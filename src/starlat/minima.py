@@ -32,32 +32,25 @@ def _greedy_minima(coeffs: np.ndarray, fvals: np.ndarray,
     """Indices of the greedy successive-minima witnesses among the rows.
 
     The nonzero rows with finite f are ranked once by (f, lex coefficients);
-    rows with non-finite f are never picked.  Each step picks the first
-    ranked row left, eliminates the later rows against it (fraction-free,
-    with Bareiss's exact division) and drops those that became zero: the
-    rows dependent on the picks, repeats of a pick among them, so the rows
-    need not be sorted or distinct.
-    Entries stay below 2 (d max|c|^2)^(d-1) by Hadamard's inequality: the
-    rows are int64 while that is below 2^63 and Python ints (dtype=object)
-    past it, so no input loses exactness.
-    """
-    m = int(np.abs(coeffs).max(initial=0))
+    rows with non-finite f are never picked.  The ranked rows, read in chunks
+    of doubling size as Python ints, are reduced fraction-free against the
+    picks so far (each zeroes its first nonzero entry in the later rows); a
+    row that stays nonzero, independent of them, is picked, up to d picks.
+    Repeats reduce to zero, so the rows need not be distinct."""
     rank = np.flatnonzero(np.isfinite(fvals) & np.any(coeffs != 0, axis=1))
     rank = rank[np.lexsort((*coeffs[rank].T[::-1], fvals[rank]))]
-    M = coeffs[rank].astype(np.int64 if 2 * (d * m * m) ** (d - 1) < 2**63
-                            else object)
-    chosen: list[int] = []
-    prev = 1
-    while len(M):
-        chosen.append(int(rank[0]))
-        if len(chosen) == d:
-            break
-        row = M[0]
-        col = int(np.flatnonzero(row)[0])
-        M = (row[col] * M[1:] - M[1:, col:col + 1] * row) // prev
-        prev = row[col]
-        live = np.any(M != 0, axis=1)
-        M, rank = M[live], rank[1:][live]
+    chosen, pivots, lo = [], [], 0
+    while lo < len(rank):  # chunks of 2d, 4d, 8d, ... rows
+        part, lo = rank[lo:2 * lo + 2 * d], 2 * lo + 2 * d
+        for i, r in zip(part.tolist(), coeffs[part].tolist()):
+            for col, p in pivots:
+                if r[col]:
+                    r = [p[col] * a - r[col] * b for a, b in zip(r, p)]
+            if any(r):
+                chosen.append(i)
+                if len(chosen) == d:
+                    return chosen
+                pivots.append((next(j for j, a in enumerate(r) if a), r))
     return chosen
 
 

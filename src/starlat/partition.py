@@ -103,8 +103,7 @@ def _turned(c, s, x, y):
 def _masses_at(pts: np.ndarray, theta: float):
     c, s = math.cos(theta), math.sin(theta)
     uu, vv = _turned(c, s, pts[:, 0], pts[:, 1])
-    cx = _median_cut(uu)
-    cy = _median_cut(vv)
+    cx, cy = _median_cut(uu), _median_cut(vv)
     q = _QUADRANT_BY_SIGNS[2 * ((uu - cx) >= 0.0) + ((vv - cy) >= 0.0)]
     center = tuple(map(float, _turned(c, -s, cx, cy)))  # turned back
     return center, tuple(map(float, np.bincount(q, minlength=5)[1:]))
@@ -130,10 +129,7 @@ def two_line_equipartition(points, tol: float) -> Partition2D:
             return Partition2D(center=center, angle=mid, masses=m)
         g = m[0] - m[1]
         g0 = g if g0 is None else g0
-        if (g > 0) == (g0 > 0):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if (g > 0) == (g0 > 0) else (lo, mid)
         mid = 0.5 * (lo + hi)
     raise NoConvergence(
         "equipartition bisection stalled; likely atoms on the lines")
@@ -177,8 +173,7 @@ def transversal_check(partition: Partition2D, lines: int,
         t2 = np.where(d != 0.0, -c / d, np.nan)
     r1, r2 = np.fmin(t1, t2), np.fmax(t1, t2)  # a NaN takes the other
     S = np.stack([r1 - 1.0, 0.5 * (r1 + r2), r2 + 1.0])   # (3, lines)
-    U = a + b * S
-    V = c + d * S
+    U, V = a + b * S, c + d * S
     valid = (U != 0.0) & (V != 0.0)
     bits = np.where(valid, 1 << (2 * (U > 0.0) + (V > 0.0)), 0)
     counts = np.bitwise_count(np.bitwise_or.reduce(bits))
@@ -226,11 +221,9 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
     if n_max < 1:
         raise ValueError(f"need at least one shell, got n_max={n_max}")
     zd = _zeta(d)
-    shells: list[Shell] = []
-    rho_prev = 0.0
+    shells, rho_prev = [], 0.0
     for n in range(1, n_max + 1):
         thresh = (2.0**d) * zd * n
-
         attempt = [0]
 
         def passes(ro):

@@ -242,15 +242,13 @@ def rogers_moment_report(regions: list[Region], N: int,
     for region in regions:
         if not region.area > 0:
             raise ValueError(f"region spec {region.spec!r} has zero area")
-        counts = _primitive_counts(region, stack)
-        V = region.area
+        counts, V = _primitive_counts(region, stack), region.area
         center = V / z2
         m2 = float(np.mean((counts - center) ** 2))
-        mean = float(counts.mean())
-        se = float(counts.std(ddof=1)) / math.sqrt(N)
         logv = math.log2(V) if V > 1 else 1.0
         entries.append(RegionMoment(
-            spec=region.spec, area=V, mean=mean, mean_stderr=se,
+            spec=region.spec, area=V, mean=float(counts.mean()),
+            mean_stderr=float(counts.std(ddof=1)) / math.sqrt(N),
             center=center, second_moment=m2, ratio_volume=m2 / V,
             ratio_schmidt=m2 / (V * logv),
             counts=tuple(counts.tolist())
@@ -283,8 +281,8 @@ def _lambda2_at_budgets(coeffs: np.ndarray, fvals: np.ndarray,
     greedy value, min f over the live rows independent of the first pick p,
     an f-minimizer too: if all f-minimizers lie on one line through the
     origin, p and q span it and the row sets are the same; otherwise both
-    sets hold an f-minimizer.  Independence is the exact cross product, in
-    int64 under _greedy_minima's bound 4 max|c|^2 < 2^63, else Python ints."""
+    sets hold an f-minimizer.  Independence is the exact cross product, at
+    most 2 max|c|^2 in size: int64 if 4 max|c|^2 < 2^63, else Python ints."""
     live = (np.isfinite(fvals) & _fold(np.logical_or, coeffs != 0)
             & (norms2 <= np.square(budgets)[:, None]))
     f = np.where(live, fvals, math.inf)  # (budget, row)

@@ -407,6 +407,30 @@ def reference_greedy(coeffs, fvals, d):
     return kept
 
 
+def recompute_lll(B):
+    """lattice._lll as it was before the swap update: the same LLL (delta
+    0.99) on lists, with modified Gram-Schmidt redone after every swap."""
+    n, k, w, u = None, 1, B.T.tolist(), np.eye(len(B), dtype=int).tolist()
+    while k < len(w):
+        if n is None:  # modified Gram-Schmidt
+            v, n, mu = w[:], [], np.eye(len(w)).tolist()
+            for i, vi in enumerate(v):
+                n.append(sum(a * a for a in vi))
+                for j in range(i + 1, len(v)):
+                    mu[j][i] = m = sum(a * b for a, b in zip(vi, v[j])) / n[i]
+                    v[j] = [b - m * a for a, b in zip(vi, v[j])]
+        for j in range(k - 1, -1, -1):
+            if q := round(mu[k][j]):
+                w[k], u[k], mu[k] = ([b - q * a for a, b in zip(x[j], x[k])]
+                                     for x in (w, u, mu))
+        if n[k] < (0.99 - mu[k][k - 1] ** 2) * n[k - 1]:  # Lovasz
+            w[k - 1], w[k], u[k - 1], u[k] = w[k], w[k - 1], u[k], u[k - 1]
+            n, k = None, max(k - 1, 1)
+        else:
+            k += 1
+    return np.array(w).T, np.array(u, dtype=np.int64).T
+
+
 def unreduced(L):
     """L searched on its own basis: W = B, U = I."""
     from starlat.lattice import Lattice

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 from unittest import mock
 
@@ -53,6 +54,35 @@ def test_pnorm_ball_at_extreme_p():
     assert cube == pytest.approx(np.linalg.norm(x[:4], ord=3, axis=-1).tolist()
                                  + [2 ** (1 / 3) * 1e200,
                                     2 ** (1 / 3) * 1e-200], rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_products_and_squares_past_the_floats_are_recomputed(d, rng):
+    # |x1 ... xd| and sum x_i^2 overflow at 1e200 before their roots: those
+    # values are taken again, and every finite value keeps its bits
+    hyp, euclid = sl.hyperbolic(d), sl.pnorm_ball(d, 2)
+    x = np.array([[1e200] * d, [-1e200, 3e150, 2e250][:d], [1.0] * d,
+                  [1e308] * d])
+    with np.errstate(all="raise"):
+        h, e = hyp.evaluator(x).tolist(), euclid.evaluator(x).tolist()
+        assert (hyp.evaluator(x[0]), euclid.evaluator(x[0])) == (h[0], e[0])
+    assert h[0] == pytest.approx(1e200, rel=0.0 if d == 2 else 1e-13)
+    assert e[0] == pytest.approx(math.sqrt(d) * 1e200, rel=1e-15)
+    with decimal.localcontext(prec=40):
+        root = [float(abs(math.prod(map(decimal.Decimal, r.tolist())))
+                      ** (decimal.Decimal(1) / d)) for r in x]
+    assert h == pytest.approx(root, rel=1e-13)
+    assert e == pytest.approx([math.hypot(*r) for r in x], rel=1e-15)
+    inf_point = np.array([math.inf] + [1e200] * (d - 1))
+    for f in (hyp, euclid):  # a point that is not finite is left as it is
+        assert math.isinf(f.evaluator(inf_point))
+    pts = rng.standard_normal((4000, d)) * 10.0 ** rng.uniform(
+        -300, 300 / d, (4000, d))
+    assert hyp.evaluator(pts).tobytes() == (np.abs(np.prod(
+        pts, axis=1)) ** (1.0 / d)).tobytes()
+    with np.errstate(under="ignore"):
+        want = np.linalg.norm(pts, axis=-1)
+    assert euclid.evaluator(pts).tobytes() == want.tobytes()
 
 
 def test_evaluate_dimension_check():

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from starlat.errors import (
 from starlat.lattice import _fold, _zeta
 
 from conftest import (admitted_det, cross_by_rectangles, grid_enumerate,
-                      unreduced)
+                      recompute_lll, unreduced)
 
 
 def test_make_lattice_identity():
@@ -296,6 +297,88 @@ def test_lll_takes_skewed_pool_bases_to_signed_permutations():
         A = np.abs(sl.make_lattice(sl.random_unimodular(3, s, steps)).W)
         assert set(A.flat) <= {0.0, 1.0} and np.array_equal(A @ A.T,
                                                             np.eye(3))
+
+
+def _lll_sweep():
+    """Bases for the swap update against recompute_lll: random_unimodular in
+    d = 3-5 up to 300 steps, nearly dependent real bases (a last column off
+    the span by eps), the bases of the two LLL tests above and the
+    benchmark's skewed pool; make_lattice refuses some of them."""
+    rng = np.random.default_rng(567)
+    for d in (3, 4, 5):
+        for s in range(40):
+            for steps in (10, 20, 30, 40, 60, 80, 100, 150, 300):
+                yield sl.random_unimodular(d, s, steps)
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+            for _ in range(10):
+                B = rng.standard_normal((d, d))
+                B[:, -1] = B[:, :-1] @ rng.uniform(-3, 3, d - 1) \
+                    + eps * B[:, -1]
+                yield B
+    yield from _qt_bases(3, 3, 30) + _qt_bases(4, 4, 30)
+    yield from (B for B in (rng.integers(-9, 10, (d, d)) for d in (3, 4)
+                            for _ in range(30)) if _int_det(B))
+    yield from (sl.random_unimodular(3, s, steps) for s in (3, 4, 5)
+                for steps in (10, 20, 30, 40, 50, 60))
+
+
+def _exactly_lll_reduced(W, tol=Fraction(1, 10**9)):
+    """Size reduction |mu_kj| <= 1/2 and the Lovasz condition n_k >= (0.99
+    - mu_{k,k-1}^2) n_{k-1} of W's columns, each within tol (n_{k-1} for
+    Lovasz), by Gram-Schmidt in exact rationals."""
+    star, n = [], []
+    for k, col in enumerate(W.T.tolist()):
+        b = [Fraction(x) for x in col]
+        mu = [sum(x * y for x, y in zip(b, v)) / m for v, m in zip(star, n)]
+        for m, v in zip(mu, star):
+            b = [x - m * y for x, y in zip(b, v)]
+        star.append(b)
+        n.append(sum(x * x for x in b))
+        if any(abs(m) > Fraction(1, 2) + tol for m in mu):
+            return False
+        if k and n[k] < (Fraction(99, 100) - mu[-1] ** 2 - tol) * n[k - 1]:
+            return False
+    return True
+
+
+def test_lll_swap_update_reduces_as_the_recomputation_does(monkeypatch):
+    # where W and U equal the reference's, so does every later result
+    counts = {"admitted": 0, "other_u": 0, "other_u_real": 0}
+    for B in _lll_sweep():
+        try:
+            L = sl.make_lattice(B)
+        except SingularBasis:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "_lll", recompute_lll)
+            ref = sl.make_lattice(B)
+        counts["admitted"] += 1
+        assert abs(_int_det(L.U)) == 1 and _exactly_lll_reduced(L.W)
+        if np.array_equal(L.U, ref.U) and np.array_equal(L.W, ref.W):
+            continue
+        counts["other_u"] += 1
+        counts["other_u_real"] += not np.array_equal(B, np.rint(B))
+        for p in (1.0, 2.0, math.inf):
+            f = sl.pnorm_ball(L.dim, p)
+            got, want = (sl.successive_minima_exact(f, M) for M in (L, ref))
+            assert got.values == want.values
+            assert [w.coeffs for w in got.witnesses] \
+                == [w.coeffs for w in want.witnesses]
+    assert counts["admitted"] > 550 and counts["other_u_real"] == 0
+    assert counts["other_u"] > 50  # the ties the update breaks otherwise
+
+
+def test_lll_swap_update_is_the_recomputation_on_real_bases():
+    rng = np.random.default_rng(1029)
+    for d in (3, 4, 5):
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(40):
+                B = scale * rng.standard_normal((d, d))
+                e = np.frexp(np.abs(B).max())[1]
+                W, U = lattice._lll(np.ldexp(B, -e))
+                W0, U0 = recompute_lll(np.ldexp(B, -e))
+                assert W.tobytes() == W0.tobytes()
+                assert U.tobytes() == U0.tobytes()
 
 
 def test_enumeration_equals_the_unreduced_search():

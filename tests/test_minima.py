@@ -478,6 +478,35 @@ def test_greedy_kernel_exact_beyond_int64():
     assert reference_greedy(coeffs, fvals, 3) == want
 
 
+def test_greedy_kernel_scans_past_many_dependent_rows():
+    # diag(1e-3, 1) at radius 1.5: the 1999 rows (k, 0), |k| < 1000, rank
+    # before (0, +-1) at f = 1, across the scan's chunks of 4, 8, 16, ...
+    L = sl.make_lattice(np.diag([1e-3, 1.0]))
+    coeffs, coords = sl.enumerate_ball_arrays(L, 1.5, sort=False)
+    for f in (EUCLID, sl.pnorm_ball(2, 1)):
+        fvals = f.evaluator(coords)
+        chosen = minima._greedy_minima(coeffs, fvals, 2)
+        assert np.count_nonzero(fvals < fvals[chosen[1]]) > 1000
+        assert chosen == reference_greedy(coeffs, fvals, 2)
+        assert coeffs[chosen].tolist() == [[-1, 0], [0, -1]]
+
+
+def test_greedy_kernel_returns_fewer_picks_on_a_rank_deficit():
+    # rows of rank 2 in d = 3 (one of them past int64 products), of rank 1,
+    # and none finite: as many picks as the rank
+    rng = np.random.default_rng(5)
+    plane = rng.integers(-5, 6, (40, 2)) @ np.array([[1, 2, 3], [2, -1, 4]])
+    big = np.array([[2**40, 0, 2**40], [3 * 2**40, 0, 3 * 2**40],
+                    [0, 2**40, 2**41], [2**41, 2**40, 2**42]])
+    line = np.arange(-6, 7)[:, None] * np.array([[3, 0, -6]])
+    for rows in (plane, big, line):
+        fvals = rng.permutation(len(rows)).astype(float)
+        want = reference_greedy(rows, fvals, 3)
+        assert len(want) == np.linalg.matrix_rank(rows.astype(float)) < 3
+        assert minima._greedy_minima(rows, fvals, 3) == want
+    assert minima._greedy_minima(plane, np.full(40, np.inf), 3) == []
+
+
 def _same_minima(res, ref):
     return (res.values == ref.values
             and [w.coeffs for w in res.witnesses]
