@@ -5,17 +5,15 @@ shell/equipartition witness pipeline."""
 __version__ = "0.1.0"
 
 from .bodies import (BoundednessCertificate, DistanceFunction, Sublevel,
-                     body_distance, boundedness_floor, box, evaluate,
-                     hyperbolic, inflate_body, linear_image, parse_body,
-                     parse_witness_set, pnorm_ball, scale_body, sphere_samples)
+                     body_distance, boundedness_floor, box, hyperbolic,
+                     inflate_body, linear_image, parse_body, parse_witness_set,
+                     pnorm_ball, scale_body, sphere_samples)
 from .errors import (BudgetExceeded, DimensionMismatch, DimensionTooSmall,
                      InvariantViolation, NoConvergence, NotLatticePoint,
                      SingularBasis, StarlatError, UnboundedBody, VolumeStall)
-from .haar import (sample_unimodular_2d, sample_unimodular_2d_arrays,
-                   scale_lattice)
-from .lattice import (Lattice, LatticePoint, enumerate_ball,
-                      enumerate_ball_arrays, enumerate_hyperbolic_cross,
-                      golden_lattice, is_primitive, lattice_point,
+from .haar import sample_unimodular_2d, sample_unimodular_2d_arrays
+from .lattice import (Lattice, LatticePoint, enumerate_ball_arrays,
+                      enumerate_hyperbolic_cross, golden_lattice, is_primitive,
                       make_lattice, parse_basis, perturb_basis, primitive_mask,
                       random_unimodular)
 from .minima import (DemoReport, MinimaResult, ProbeEntry, ProbeReport,

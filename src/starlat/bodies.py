@@ -31,21 +31,16 @@ class DistanceFunction:
     node: tuple = ()  # ("scale", 2.0, ("ball", 2.0)); () for an opaque body
 
     def __call__(self, x) -> np.ndarray:
-        return self.evaluator(np.asarray(x, dtype=float))
+        """f at points (..., dim), checked; library code calls evaluator."""
+        if (x := np.asarray(x, dtype=float)).shape[-1:] != (self.dim,):
+            raise DimensionMismatch(f"expected points of dimension {self.dim}")
+        return self.evaluator(x)
 
 
 @dataclass(frozen=True)
 class BoundednessCertificate:
     floor: float  # f.floor, or a sampled estimate of min f on the sphere
     bounded: bool
-
-
-def evaluate(f: DistanceFunction, x) -> float:
-    """Scalar evaluation; membership in the body is evaluate(f, x) <= 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.dim,):
-        raise DimensionMismatch(f"expected a point of dimension {f.dim}")
-    return float(f.evaluator(x))
 
 
 def _floor_times(floor: float | None, factor: float) -> float | None:

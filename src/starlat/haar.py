@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .lattice import Lattice, _reduce_planar, make_lattice
+from .lattice import Lattice, _reduce_planar
 
 
 def sample_unimodular_2d_arrays(count: int, seed: int):
@@ -44,10 +44,3 @@ def sample_unimodular_2d(seed: int) -> Lattice:
     B, det, W, U = _reduce_planar(sample_unimodular_2d_arrays(1, seed)[3])
     return Lattice(2, B[0], float(det[0]), W[0], U[0])
 
-
-def scale_lattice(L: Lattice, target_det: float) -> Lattice:
-    """Rescale the basis so the determinant becomes target_det."""
-    if target_det <= 0:
-        raise ValueError("target_det must be positive")
-    factor = (target_det / L.det) ** (1.0 / L.dim)
-    return make_lattice(L.basis * factor)

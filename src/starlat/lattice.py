@@ -108,11 +108,6 @@ def parse_basis(spec: str) -> np.ndarray:
     return arr.T  # each parsed row is one column
 
 
-def lattice_point(L: Lattice, coeffs) -> LatticePoint:
-    c = np.asarray(coeffs, dtype=np.int64)
-    return LatticePoint.of(c, L.basis @ c)
-
-
 def golden_lattice() -> Lattice:
     """Planar lattice with basis (1,1) and ((1+sqrt 5)/2, (1-sqrt 5)/2).
 
@@ -441,12 +436,6 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
     keep[1:] &= _fold(np.logical_or, coeffs[1:] != coeffs[:-1])
     coeffs = coeffs[keep]
     return coeffs, coeffs @ L.basis.T
-
-
-def enumerate_ball(L: Lattice, R: float) -> list[LatticePoint]:
-    """Object wrapper around :func:`enumerate_ball_arrays`."""
-    return [LatticePoint.of(c, x)
-            for c, x in zip(*enumerate_ball_arrays(L, R))]
 
 
 def primitive_mask(coeffs: np.ndarray) -> np.ndarray:

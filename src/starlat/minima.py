@@ -31,13 +31,13 @@ def _greedy_minima(coeffs: np.ndarray, fvals: np.ndarray,
                    d: int) -> list[int]:
     """Indices of the greedy successive-minima witnesses among the rows.
 
-    The nonzero rows with finite f are ranked once by (f, lex coefficients);
-    rows with non-finite f are never picked.  The ranked rows, read in chunks
-    of doubling size as Python ints, are reduced fraction-free against the
-    picks so far (each zeroes its first nonzero entry in the later rows); a
-    row that stays nonzero, independent of them, is picked, up to d picks.
-    Repeats reduce to zero, so the rows need not be distinct."""
-    rank = np.flatnonzero(np.isfinite(fvals) & np.any(coeffs != 0, axis=1))
+    The rows with finite f are ranked once by (f, lex coefficients).  Read
+    in chunks of doubling size as Python ints, they are reduced fraction-free
+    against the picks so far (each zeroes its first nonzero entry in the
+    later rows); a row that stays nonzero, independent of them, is picked,
+    up to d picks.  Zero rows and repeats reduce to zero, so the rows need
+    not be nonzero or distinct, and non-finite f is never picked."""
+    rank = np.flatnonzero(np.isfinite(fvals))
     rank = rank[np.lexsort((*coeffs[rank].T[::-1], fvals[rank]))]
     chosen, pivots, lo = [], [], 0
     while lo < len(rank):  # chunks of 2d, 4d, 8d, ... rows
@@ -272,9 +272,6 @@ class ProbeReport:
     reference: tuple[float, ...]
     reference_exact: bool
     entries: tuple[ProbeEntry, ...]
-
-    def eventually_upper(self) -> bool:
-        return all(e.upper_ok for e in self.entries if e.error is None)
 
 
 def semicontinuity_probe(f_seq: Callable[[int], DistanceFunction],

@@ -36,6 +36,7 @@ class Shell:
     body: BodyPredicate
     est_volume: float
     stderr: float
+    dim: int  # of the annuli, as build_shells was given it
 
 
 @dataclass(frozen=True)
@@ -266,13 +267,15 @@ def build_shells(body: BodyPredicate, d: int, n_max: int,
             else:
                 lo = mid
         shells.append(Shell(index=n, inner=rho_prev, outer=hi, body=body,
-                            est_volume=hi_est, stderr=hi_se))
+                            est_volume=hi_est, stderr=hi_se, dim=d))
         rho_prev = hi
     return shells
 
 
 def sample_shell_points(shell: Shell, count: int, seed: int) -> np.ndarray:
-    """Uniform sample of shell-intersect-body by rejection from the annulus."""
+    """Uniform sample of shell-intersect-body (planar) by rejection."""
+    if shell.dim != 2:
+        raise DimensionMismatch(f"shell samples are planar, not {shell.dim}D")
     if count < 1:
         raise ValueError(f"need at least one sample point, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -293,24 +296,21 @@ def sample_shell_points(shell: Shell, count: int, seed: int) -> np.ndarray:
 
 def _classify_rows(shells: list[Shell], partitions: list[Partition2D],
                    coeffs: np.ndarray, coords: np.ndarray):
-    """Kept rows only, as (rows, k, q), tested in this order: the body, the
-    shell k with inner_k < ||x|| <= outer_k, the gcd, then q, the quadrant in
-    partitions[k].  A body all shells share is called once, on all rows;
-    mixed bodies once each, after the gcd, on their own shells' rows."""
+    """Kept rows only, as (rows, k, q), tested in this order: the body all
+    shells share (called once, on all rows), the shell k with inner_k <
+    ||x|| <= outer_k, the gcd, then q, the quadrant in partitions[k]; other
+    shells, or partitions not one per shell, raise ValueError."""
     edges = [r for s in shells for r in (s.inner, s.outer)]
     if not all(b - a >= 0.0 for a, b in zip(edges, edges[1:])):
         raise ValueError("shells must be ordered and disjoint")
-    owner = [s.body for s, _ in zip(shells, partitions, strict=True)]
-    shared = all(b is owner[0] for b in owner)
-    rows = (np.flatnonzero(owner[0](coords)) if shared
-            else np.arange(len(coords)))
+    if len(partitions) != len(shells) or any(
+            s.body is not shells[0].body for s in shells):
+        raise ValueError("need one body for all shells, one partition each")
+    rows = np.flatnonzero(shells[0].body(coords))
     (x, y), (c0, c1) = (v.take(rows, axis=0).T for v in (coords, coeffs))
     # a row is in shell k when 2k + 1 squared edges lie below its norm^2
     j = np.searchsorted(np.array([r * r for r in edges]), x * x + y * y)
     keep = (j & 1).astype(bool) & (np.gcd(c0, c1) == 1)
-    for body in () if shared else {id(b): b for b in owner}.values():
-        mine = keep & np.array([b is body for b in owner] + [False])[j >> 1]
-        keep[mine] = body(coords[rows[mine]])
     rows, k = rows[keep], j[keep] >> 1
     return rows, k, _quadrants_of_rows(partitions, coords.take(rows, 0), k)
 
@@ -321,12 +321,12 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
     select two linearly independent representatives.
 
     A point x belongs to the shell with inner < ||x|| <= outer, so tuples of
-    distinct shells are disjoint (unordered or overlapping shells raise
-    ValueError, a lattice that is not planar DimensionMismatch).  One ball,
-    the outermost shell's, serves every shell: its rows are tested for the
-    body (a shared body called once, on all rows), then the shell, the gcd
-    and the quadrant; the lex-least row of each (shell, quadrant) is its
-    representative.  A shell with an unpopulated quadrant is a failure
+    distinct shells are disjoint (unordered shells, two bodies or partitions
+    not one per shell raise ValueError, a lattice that is not planar
+    DimensionMismatch).  One ball, the outermost shell's, serves every shell:
+    its rows are tested for the body (once, on all rows), then the shell,
+    the gcd and the quadrant; the lex-least row of each (shell, quadrant) is
+    its representative.  A shell with an unpopulated quadrant is a failure
     event: the lattice is in the exceptional set for that n."""
     if L.dim != 2:
         raise DimensionMismatch(f"witnesses are planar, got dimension {L.dim}")

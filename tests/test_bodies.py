@@ -28,10 +28,9 @@ def catalog():
 
 
 def test_evaluate_examples():
-    assert sl.evaluate(sl.pnorm_ball(2, 2), (3, 4)) == 5.0
-    assert sl.evaluate(sl.hyperbolic(2), (1, 0)) == 0.0
-    assert sl.evaluate(sl.hyperbolic(2), GOLDEN) == pytest.approx(1.0,
-                                                                  abs=1e-12)
+    assert sl.pnorm_ball(2, 2)((3, 4)) == 5.0
+    assert sl.hyperbolic(2)((1, 0)) == 0.0
+    assert sl.hyperbolic(2)(GOLDEN) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pnorm_ball_at_extreme_p():
@@ -86,8 +85,18 @@ def test_products_and_squares_past_the_floats_are_recomputed(d, rng):
 
 
 def test_evaluate_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        sl.evaluate(sl.pnorm_ball(2, 2), (1, 2, 3))
+    # calling a body checks its points (..., dim), a catalog body's and an
+    # opaque one's alike; its evaluator, which library code calls, does not
+    opaque = sl.DistanceFunction(dim=2, evaluator=lambda x: x[..., 0] ** 2,
+                                 label="opaque")
+    assert opaque.node == () and opaque.floor is None
+    for f in (sl.pnorm_ball(2, 2), opaque):
+        for x in ((1, 2, 3), np.ones((5, 3)), 1.0, np.ones((4, 1))):
+            with pytest.raises(DimensionMismatch, match="dimension 2"):
+                f(x)
+        assert np.shape(f(np.ones((5, 2)))) == (5,)
+        assert np.shape(f(np.ones((3, 4, 2)))) == (3, 4)
+        assert float(f((1.0, 0.0))) == 1.0
 
 
 def test_homogeneity_and_nonnegativity(rng):
@@ -185,8 +194,8 @@ def test_parse_body_specs():
     assert sl.parse_body("hyperbola").label == "hyperbola"
     f = sl.parse_body("scale:c=2:ball:p=2")
     # 2*S doubles the reach: f(2,0) = 1 on the boundary
-    assert sl.evaluate(f, (2, 0)) == pytest.approx(1.0)
-    assert sl.evaluate(sl.parse_body("ball:p=inf"), (0.5, -2)) == 2.0
+    assert f((2, 0)) == pytest.approx(1.0)
+    assert sl.parse_body("ball:p=inf")((0.5, -2)) == 2.0
     with pytest.raises(ValueError):
         sl.parse_body("donut")
     with pytest.raises(ValueError, match="missing the option p="):
@@ -196,8 +205,8 @@ def test_parse_body_specs():
 def test_linear_image_evaluator():
     A = np.array([[2.0, 0.0], [0.0, 1.0]])
     f = sl.linear_image(sl.pnorm_ball(2, 2), A)
-    assert sl.evaluate(f, (2, 0)) == pytest.approx(1.0)
-    assert sl.evaluate(f, (0, 1)) == pytest.approx(1.0)
+    assert f((2, 0)) == pytest.approx(1.0)
+    assert f((0, 1)) == pytest.approx(1.0)
 
 
 def test_images_and_inflations_carry_records():

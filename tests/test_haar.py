@@ -106,11 +106,3 @@ def test_first_minimum_never_below_fundamental_bound():
         res = sl.successive_minima_exact(ball, L)
         assert res.values[0] <= bound + 1e-9
         assert res.values[0] == pytest.approx(1.0 / math.sqrt(yk), rel=1e-9)
-
-
-def test_scale_lattice():
-    L = sl.sample_unimodular_2d(seed=8)
-    L10 = sl.scale_lattice(L, 10.0)
-    assert L10.det == pytest.approx(10.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        sl.scale_lattice(L, -1.0)

@@ -141,28 +141,32 @@ def test_import_leaves_scipy_out():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def ball_coeffs(L, R):
+    """The coefficient rows of the ball, in order, as tuples."""
+    return [tuple(c) for c in sl.enumerate_ball_arrays(L, R)[0].tolist()]
+
+
 def test_enumerate_ball_z2_small():
     L = sl.make_lattice([[1, 0], [0, 1]])
-    pts = sl.enumerate_ball(L, 1.5)
-    got = {p.coeffs for p in pts}
+    got = set(ball_coeffs(L, 1.5))
     assert got == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
                    (1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert len(sl.enumerate_ball(L, 0.5)) == 1
+    assert len(ball_coeffs(L, 0.5)) == 1
 
 
 def test_enumerate_ball_axis_aligned():
     L = sl.make_lattice([[2, 0], [0, 3]])
-    got = {p.coeffs for p in sl.enumerate_ball(L, 2)}
+    got = set(ball_coeffs(L, 2))
     assert got == {(0, 0), (1, 0), (-1, 0)}
 
 
 def test_enumerate_ball_budget(monkeypatch):
     L = sl.make_lattice([[1, 0], [0, 1]])
     with pytest.raises(BudgetExceeded):
-        sl.enumerate_ball(L, 1e6)
+        sl.enumerate_ball_arrays(L, 1e6)
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 1000)
     with pytest.raises(BudgetExceeded, match="exceeds cap 1000"):
-        sl.enumerate_ball(L, 20.0)
+        sl.enumerate_ball_arrays(L, 20.0)
 
 
 def test_enumerate_matches_grid_oracle_random(rng):
@@ -176,7 +180,7 @@ def test_enumerate_matches_grid_oracle_random(rng):
             if L.det / 3**d < 0.05:
                 continue
             R = rng.uniform(0.5, 3.0 if d < 4 else 2.0)
-            got = [p.coeffs for p in sl.enumerate_ball(L, R)]
+            got = ball_coeffs(L, R)
             assert got == grid_enumerate(B, R)
     # diag(1/a, 1/h) B, whose sqrt(2)-ball covers the rectangle
     # {|x1| <= a, |x2| <= h} of the hyperbolic cross, at aspect >= 1e3
@@ -185,8 +189,7 @@ def test_enumerate_matches_grid_oracle_random(rng):
         B /= math.sqrt(abs(np.linalg.det(B)))
         for a, h in ((0.01, 30.0), (40.0, 0.004)):
             S = B / np.array([[a], [h]])
-            got = [p.coeffs for p in sl.enumerate_ball(sl.make_lattice(S),
-                                                       math.sqrt(2.0))]
+            got = ball_coeffs(sl.make_lattice(S), math.sqrt(2.0))
             assert got == grid_enumerate(S, math.sqrt(2.0))
     # skewed bases U of Z^3 with entries up to 3383, at radii that put
     # points exactly on the sphere; the grid runs on Z^3 and the exact
@@ -200,7 +203,7 @@ def test_enumerate_matches_grid_oracle_random(rng):
         for R in (1.0, 1.5, 2.0):
             want = sorted(tuple(Uinv @ np.array(x))
                           for x in grid_enumerate(np.eye(3), R))
-            assert [p.coeffs for p in sl.enumerate_ball(L, R)] == want
+            assert ball_coeffs(L, R) == want
 
 
 # two skewed bases of Z^3 (one pass of size reduction on
@@ -421,7 +424,8 @@ def test_enumerate_negation_closure_and_radius(rng):
         except SingularBasis:
             continue
         R = rng.uniform(0.5, 4.0)
-        pts = sl.enumerate_ball(L, R)
+        pts = [sl.LatticePoint.of(c, x)
+               for c, x in zip(*sl.enumerate_ball_arrays(L, R))]
         got = {p.coeffs for p in pts}
         for p in pts:
             assert tuple(-c for c in p.coeffs) in got
@@ -430,8 +434,7 @@ def test_enumerate_negation_closure_and_radius(rng):
 
 def test_enumerate_sorted_lexicographically():
     L = sl.make_lattice([[1, 0.3], [0, 1]])
-    pts = sl.enumerate_ball(L, 2.5)
-    coeffs = [p.coeffs for p in pts]
+    coeffs = ball_coeffs(L, 2.5)
     assert coeffs == sorted(coeffs)
 
 
@@ -451,9 +454,10 @@ def test_det_invariant_under_unimodular(seed):
 
 def test_is_primitive_examples():
     L = sl.make_lattice([[1, 0], [0, 1]])
-    assert not sl.is_primitive(L, sl.lattice_point(L, (2, 4)))
-    assert sl.is_primitive(L, sl.lattice_point(L, (3, 5)))
-    assert not sl.is_primitive(L, sl.lattice_point(L, (0, 0)))
+    point = lambda *c: sl.LatticePoint.of(np.array(c), L.basis @ np.array(c))
+    assert not sl.is_primitive(L, point(2, 4))
+    assert sl.is_primitive(L, point(3, 5))
+    assert not sl.is_primitive(L, point(0, 0))
     # int64 rows and object rows (Python ints past int64) give Python ints
     # and floats, the values map(int) and map(float) give
     for c in (np.array([3, 5]), np.array([3, 5], dtype=object),
@@ -481,7 +485,8 @@ def test_primitive_divisor_crosscheck(rng):
             L = sl.make_lattice(B)
         except SingularBasis:
             continue
-        pts = sl.enumerate_ball(L, 3.0)
+        pts = [sl.LatticePoint.of(c, x)
+               for c, x in zip(*sl.enumerate_ball_arrays(L, 3.0))]
         coeff_set = {p.coeffs for p in pts}
         for p in pts:
             if p.is_origin() or not sl.is_primitive(L, p):

@@ -237,10 +237,10 @@ def test_extract_witnesses_shell_rule():
     # the points of norm 1 lie beyond the first shell's outer radius but
     # inside the 1e-9 inflation of its enumeration radius: they belong to
     # the second shell only, and to no shell when the second starts at 1.2
-    L = sl.make_lattice(np.eye(2))
+    L, plane = sl.make_lattice(np.eye(2)), sl.plane_body()
     r = 1.0 - 1e-12
-    shells = [sl.Shell(1, 0.0, r, sl.plane_body(), 1.0, 0.0),
-              sl.Shell(2, r, 2.0, sl.plane_body(), 1.0, 0.0)]
+    shells = [sl.Shell(1, 0.0, r, plane, 1.0, 0.0, 2),
+              sl.Shell(2, r, 2.0, plane, 1.0, 0.0, 2)]
     part = sl.Partition2D(center=(0.0, 0.0), angle=math.pi / 4,
                           masses=(1.0, 1.0, 1.0, 1.0))
     rep = sl.extract_witnesses(L, shells, [part, part])
@@ -335,53 +335,72 @@ def test_sample_shell_points_starves_after_the_batch_limit(monkeypatch):
         return np.zeros(len(pts), dtype=bool)
 
     monkeypatch.setattr(partition, "_MAX_BATCHES", 3)
-    shell = sl.Shell(1, 0.0, 2.0, nothing, 1.0, 0.0)
+    shell = sl.Shell(1, 0.0, 2.0, nothing, 1.0, 0.0, 2)
     with pytest.raises(sl.NoConvergence, match="rejection sampling starved"):
         sl.sample_shell_points(shell, 10, seed=0)
     assert calls == [1024] * 3
 
 
-def test_extract_witnesses_two_bodies_match_per_shell_loop():
-    # shells of one extraction with different bodies: each body is called
-    # once per lattice, on the rows of its own shells only
-    plane = sl.plane_body()
-    hyp = sl.sublevel_body(sl.hyperbolic(2), 2.0)
-    seen = {"plane": [], "hyperbola": []}
+def test_extract_witnesses_refuses_two_bodies_and_a_short_partition_list():
+    # the shells of one extraction share one body object, called once per
+    # lattice on all rows; two bodies, or an equal body that is another
+    # object, and a partition list one short raise ValueError
+    seen = []
 
-    def counted(name, body):
-        def pred(pts):
-            seen[name].append(len(pts))
-            return body(pts)
-        return pred
+    def counted(pts):
+        seen.append(len(pts))
+        return hyp(pts)
 
-    config = sl.PipelineConfig(mc_points=2 * 10**4, partition_points=3000)
-    shells = sl.build_shells(plane, 2, 6, config.mc_points, 3)
+    plane, hyp = sl.plane_body(), sl.sublevel_body(sl.hyperbolic(2), 2.0)
+    config = sl.PipelineConfig(body=counted, mc_points=2 * 10**4,
+                               partition_points=3000)
+    shells = sl.build_shells(counted, 2, 4, config.mc_points, 3)
     parts = sl.build_partitions(shells, config, 3)
-    bodies = [counted("plane", plane), counted("hyperbola", hyp)]
-    mixed = [replace(s, body=bodies[i % 2]) for i, s in enumerate(shells)]
     tuples = failures = 0
-    for B in [np.eye(2), *sl.sample_unimodular_2d_arrays(60, 3)[3]]:
+    for B in [np.eye(2), *sl.sample_unimodular_2d_arrays(30, 3)[3]]:
         L = sl.make_lattice(B)
-        for k in (6, 4):  # all shells, then the first four
-            for calls in seen.values():
-                calls.clear()
-            rep = sl.extract_witnesses(L, mixed[:k], parts[:k])
-            assert [len(v) for v in seen.values()] == [1, 1]
-            assert rep == loop_witnesses(L, mixed[:k], parts[:k])
+        for k in (4, 2):  # all shells, then the first two
+            seen.clear()
+            rep = sl.extract_witnesses(L, shells[:k], parts[:k])
+            assert len(seen) == 1
+            assert rep == loop_witnesses(L, shells[:k], parts[:k])
             tuples += len(rep.tuples)
             failures += len(rep.failures)
     assert tuples and failures
-    with pytest.raises(ValueError):
-        sl.extract_witnesses(sl.make_lattice(np.eye(2)), mixed, parts[:-1])
+    planes = [replace(s, body=sl.plane_body()) for s in shells]
+    assert planes[0].body == planes[1].body
+    for bad in ([replace(s, body=(counted, hyp)[i % 2])
+                 for i, s in enumerate(shells)],
+                [*shells[:3], replace(shells[3], body=plane)], planes):
+        with pytest.raises(ValueError, match="one body for all shells"):
+            sl.extract_witnesses(L, bad, parts)
+    for shl, prt in ((shells, parts[:-1]), (shells[:1], parts)):
+        with pytest.raises(ValueError, match="one partition each"):
+            sl.extract_witnesses(L, shl, prt)
+
+
+def test_build_shells_records_the_dimension_and_samples_only_planar_ones():
+    # 3D shells are a capability of build_shells; their samples, and so
+    # their partitions, are planar only
+    ball3 = sl.sublevel_body(sl.pnorm_ball(3, 2), 3.0)
+    shells = sl.build_shells(ball3, 3, 2, 2 * 10**4, 0)
+    assert [s.dim for s in shells] == [3, 3]
+    with pytest.raises(sl.DimensionMismatch, match="planar, not 3D"):
+        sl.sample_shell_points(shells[-1], 100, 0)
+    with pytest.raises(sl.DimensionMismatch, match="planar, not 3D"):
+        sl.build_partitions(shells, sl.PipelineConfig(body=ball3), 0)
+    planar = sl.build_shells(sl.plane_body(), 2, 2, 2 * 10**4, 0)
+    assert [s.dim for s in planar] == [2, 2]
+    assert sl.sample_shell_points(planar[-1], 100, 0).shape == (100, 2)
 
 
 def _classification_case(name):
     """(shells, partitions) of a cross-check case; every shell of a case
-    shares one body object except in "mixed"."""
+    shares one body object."""
     plane = sl.plane_body()
     hyp2 = sl.sublevel_body(sl.hyperbolic(2), 2.0)
     config = sl.PipelineConfig(mc_points=2 * 10**4, partition_points=3000)
-    if name in ("plane", "emptied", "mixed"):
+    if name in ("plane", "emptied"):
         shells = sl.build_shells(plane, 2, 10, config.mc_points, 0)
     else:
         shells = sl.build_shells(hyp2, 2, 5, config.mc_points, 1)
@@ -389,9 +408,6 @@ def _classification_case(name):
         r2 = shells[2].outer ** 2
         body = lambda pts: (pts * pts).sum(axis=1) > r2
         shells = [replace(s, body=body) for s in shells]
-    elif name == "mixed":
-        shells = [replace(s, body=(plane, hyp2)[i % 2])
-                  for i, s in enumerate(shells)]
     elif name == "hyperbola1":
         # build_shells stalls at t = 1 for four shells (VolumeStall), so
         # the t = 1 body takes the radii of the t = 2 shells
@@ -405,7 +421,7 @@ def _classification_case(name):
 
 
 @pytest.mark.parametrize("name", ["plane", "hyperbola1", "hyperbola2",
-                                  "emptied", "mixed"])
+                                  "emptied"])
 def test_body_first_classification_matches_the_norm_first_reference(name):
     shells, parts = _classification_case(name)
     haar = sl.sample_unimodular_2d_arrays(20, 5)[3]
@@ -468,7 +484,7 @@ def test_extract_witnesses_refuses_a_non_planar_lattice():
 
 @pytest.mark.parametrize("count", [0, -5])
 def test_sample_shell_points_refuses_fewer_than_one_point(count):
-    shell = sl.Shell(1, 0.0, 2.0, sl.plane_body(), 1.0, 0.0)
+    shell = sl.Shell(1, 0.0, 2.0, sl.plane_body(), 1.0, 0.0, 2)
     with pytest.raises(ValueError, match="at least one sample point"):
         sl.sample_shell_points(shell, count, seed=0)
 
@@ -476,9 +492,9 @@ def test_sample_shell_points_refuses_fewer_than_one_point(count):
 def test_a_point_on_a_shared_edge_belongs_to_the_inner_shell():
     # ||(1, 0)||^2 is exactly the shared edge 1.0: the point is in
     # (0, 1] and not in (1, 2]
-    L = sl.make_lattice(np.eye(2))
-    shells = [sl.Shell(1, 0.0, 1.0, sl.plane_body(), 1.0, 0.0),
-              sl.Shell(2, 1.0, 2.0, sl.plane_body(), 1.0, 0.0)]
+    L, plane = sl.make_lattice(np.eye(2)), sl.plane_body()
+    shells = [sl.Shell(1, 0.0, 1.0, plane, 1.0, 0.0, 2),
+              sl.Shell(2, 1.0, 2.0, plane, 1.0, 0.0, 2)]
     part = sl.Partition2D(center=(0.0, 0.0), angle=math.pi / 4,
                           masses=(1.0, 1.0, 1.0, 1.0))
     rep = sl.extract_witnesses(L, shells, [part, part])
