@@ -322,14 +322,14 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
 
     A point x belongs to the shell with inner < ||x|| <= outer, so tuples of
     distinct shells are disjoint (unordered shells, two bodies or partitions
-    not one per shell raise ValueError, a lattice that is not planar
-    DimensionMismatch).  One ball, the outermost shell's, serves every shell:
-    its rows are tested for the body (once, on all rows), then the shell,
-    the gcd and the quadrant; the lex-least row of each (shell, quadrant) is
-    its representative.  A shell with an unpopulated quadrant is a failure
-    event: the lattice is in the exceptional set for that n."""
-    if L.dim != 2:
-        raise DimensionMismatch(f"witnesses are planar, got dimension {L.dim}")
+    not one per shell raise ValueError, a lattice or shell that is not
+    planar DimensionMismatch).  One ball, the outermost shell's, serves
+    every shell: its rows are tested for the body (once, on all rows), then
+    the shell, the gcd and the quadrant; the lex-least row of each (shell,
+    quadrant) is its representative.  A shell with an unpopulated quadrant
+    is a failure event: the lattice is in the exceptional set for that n."""
+    if d := {L.dim, *(s.dim for s in shells)} - {2}:
+        raise DimensionMismatch(f"witnesses are planar, got dimension {min(d)}")
     if not shells:
         return WitnessReport(tuples=(), failures=())
     coeffs, coords = enumerate_ball_arrays(L, shells[-1].outer, sort=False)

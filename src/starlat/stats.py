@@ -22,8 +22,8 @@ from .haar import sample_unimodular_2d_arrays
 from .minima import _budget_candidates
 
 _MC_POINTS = 10**6  # Monte Carlo points behind a sublevel region's area
-_INTERVAL_CHUNK = 2**17  # ball nodes per chunk, for 5-8x fewer interval rows
-_MOBIUS_MAX = 2**16   # lattices needing more terms k are listed
+_INTERVAL_CHUNK = 2**17  # ball nodes per chunk of the row pass
+_MOBIUS_MAX = 2**16   # lattices of more rows x1 > 0 are listed
 _THRESHOLDS = (1.0, 0.5, 0.2)  # of lambda-hat_2, for fraction_below
 _REGION_HEADS = {"disk": ("r",), "annulus": ("r0", "r1"), "box": ("a",),
                  "sublevel": ("body", "t", "clip")}  # see bodies._parse
@@ -143,65 +143,66 @@ class MomentReport:
     entries: tuple[RegionMoment, ...]
 
 
+def _runs(n: np.ndarray):
+    """(owner, 1-based position) of each item of runs of lengths n."""
+    owner = np.repeat(np.arange(len(n)), n)
+    return owner, np.arange(1, len(owner) + 1) - (np.cumsum(n) - n)[owner]
+
+
 @functools.cache
-def _squarefree(K: int):
-    """(k, mu(k)) for the squarefree k in 1..K, from sum over d | n of mu(d)
-    = [n = 1]: each mu(i), once final, is taken off its multiples."""
-    mu = np.zeros(K + 1, np.int64)
-    mu[1] = 1
-    for i in range(1, K // 2 + 1):
+def _divisors(T: int):
+    """(start, d, mu(d)): the squarefree d | n, increasing, at start[n]:
+    start[n + 1], n <= T; mu sieved by sum over d | n of mu(d) = [n = 1]."""
+    mu = (np.arange(T + 1) == 1).astype(np.int64)
+    for i in range(1, T // 2 + 1):
         mu[2 * i::i] -= mu[i]
     k = np.flatnonzero(mu)
-    return k, mu[k]
-
-
-def _runs(n: np.ndarray):
-    """(owner, position) of every item of consecutive runs of lengths n."""
-    owner = np.repeat(np.arange(len(n)), n)
-    return owner, np.arange(len(owner)) - (np.cumsum(n) - n)[owner]
+    owner, pos = _runs(T // k)
+    n = k[owner] * pos
+    d = k[owner[np.argsort(n, kind="stable")]]
+    return np.append(0, np.cumsum(np.bincount(n, minlength=T + 1))), d, mu[d]
 
 
 def _interval_counts(stack, r: float):
-    """(P, flagged) for a stack ``_reduce_planar(bases)``: P the primitive
-    points of norm <= r per lattice, flagged where P is not certified or the
-    candidates exceed the point cap.  P = sum over squarefree k <= r (1 + 2
-    eta) / l of mu(k) #(x != 0 : ||(kW) x|| <= r) (Hardy & Wright, ch. XVI),
-    l the shortest vector; by Gram-Schmidt B0, B1, mu of W, row x1 holds the
-    x0 in [-c - w, -c + w], c = mu x1, w^2 = (r^2 - k^2 B1 x1^2) / (k^2 B0).
-    A lattice is certified if the counts with r and w scaled by 1 + eta and
-    by 1 - eta agree for every k: no point has norm within a relative ~eta
-    of r/k.  eta = max(1e-9, 2^-40 ||B|| ||U|| / l) (Frobenius norms) tops
-    the relative rounding of W = B U, of the intervals and of the listing
-    path's ``coeffs @ B.T``, a few hundred ulps of ||B|| ||U|| / l at most,
-    so a certified P is the listing path's.  At eta = 1e-9 the k = 1 count,
-    in _enum's arithmetic, is _enum's candidate count."""
+    """(P, flagged) per lattice of a stack ``_reduce_planar(bases)``: P the
+    primitive points of norm <= r, flagged if not certified or over the
+    point cap.  Row x1 <= top = r / sqrt(B1) holds the x0 in [-c - w, w - c],
+    c = mu x1, w^2 = (r^2 - B1 x1^2) / B0 (W's Gram-Schmidt; B0 = l^2, l the
+    shortest vector), so P = 2 [l <= r] + 2 sum over x1 > 0, squarefree d |
+    x1 of mu(d) (floor((w - c) / d) + floor((w + c) / d) + 1), the x0 prime
+    to x1 by inclusion-exclusion.  Certified: at r, w scaled by 1 + eta and
+    1 - eta (w twice, as in _enum), [l <= r] and each row's d = 1 count
+    (sums: the outer bound the inner) agree, so no point lies between the
+    ends, in a band over 2 eta r / l > eta (|c| + w) wide (|mu| <= 1/2, B1 >=
+    3 B0 / 4) that rounding (w -+ c) / d, by 2^-53 (|c| + w) in x0, cannot
+    cross: P, summed at 1 - eta, is exact.  eta = max(1e-9, 2^-40 ||B|| ||U||
+    / l) (Frobenius norms) tops the relative rounding of W = B U, of the
+    intervals and of the listing path's ``coeffs @ B.T``, so a certified P
+    is the listing path's.  top > _MOBIUS_MAX is flagged."""
     B, det, W, U = stack
     P, flagged = np.zeros(len(B), np.int64), np.zeros(len(B), bool)
     for lo, hi in _windows(W, det, r, _INTERVAL_CHUNK):
         (B0, B1), (mu,) = _gram_schmidt(W[lo:hi])
-        eta = np.maximum(_INFLATE, 2.0**-40 / np.sqrt(B0) * np.sqrt(
-            _fold(np.add, (B[lo:hi] ** 2).reshape(-1, 4))
-            * _fold(np.add, (U[lo:hi] ** 2).reshape(-1, 4))))
-        K = (r * (1 + 2 * eta) / np.sqrt(B0)).astype(np.int64)
-        out = K > _MOBIUS_MAX
-        K[out] = 0
-        ks, mus = _squarefree(max(2, 1 << int(K.max()).bit_length()))
-        owner, pos = _runs(np.searchsorted(ks, K, side="right"))
-        k, e = ks[pos], 1.0 + np.array([[1.0], [-1.0]]) * eta[owner]
-        R2 = (r * e) ** 2
-        q0, q1 = k * k * B0[owner], k * k * B1[owner]
-        top = (np.sqrt(R2 / q1) * e).astype(np.int64)
-        row, x = _runs(top[0] + 1)
-        cen = mu[owner[row], 0] * x
-        w = np.sqrt(np.maximum(R2[:, row] - q1[row] * (x * x), 0.0)
-                    / q0[row]) * e[:, row]
-        cnt = (np.floor(w - cen) - np.ceil(-cen - w) + 1) \
-            * (x <= top[:, row]) * np.where(x > 0, 2.0, 1.0)
-        n_out, n_in = (np.bincount(row, c, minlength=len(k)) for c in cnt)
-        over = (k == 1) & (n_out > lattice.DEFAULT_POINT_CAP)
-        P[lo:hi] = np.bincount(owner, mus[pos] * (n_out - 1), hi - lo)
-        flagged[lo:hi] = out | (np.bincount(owner, n_out - n_in + over,
-                                            hi - lo) > 0)
+        b2, u2 = (_fold(np.add, M[lo:hi].reshape(-1, 4) ** 2) for M in (B, U))
+        eta = np.maximum(_INFLATE, 2.0**-40 / np.sqrt(B0) * np.sqrt(b2 * u2))
+        e = 1.0 + np.array([[1.0], [-1.0]]) * eta  # outer, inner
+        w0, top = (np.sqrt((r * e) ** 2 / q) * e for q in (B0, B1))
+        out = top[0] > _MOBIUS_MAX
+        row, x = _runs(np.where(out, 0, top[0].astype(np.int64)))
+        cen = mu[row, 0] * x
+        w = np.sqrt(np.maximum((r * e[:, row]) ** 2 - B1[row] * (x * x), 0.0)
+                    / B0[row]) * e[:, row]
+        ends = np.array([w - cen, w + cen])  # upper, -lower (ceil = -floor(-))
+        cnt = (np.floor(ends).sum(0) + 1) * (x <= top[:, row])
+        n_out, n_in = (np.bincount(row, c, hi - lo) for c in cnt)
+        keep, near = np.flatnonzero(cnt[1]), w0 >= 1  # near: [l <= r]
+        start, d, mud = _divisors(1 << int(x.max(initial=0)).bit_length())
+        own, pos = _runs(start[x[keep] + 1] - start[x[keep]] - 1)  # d > 1
+        j, k = start[x[keep[own]]] + pos, keep[own]
+        terms = mud[j] * (np.floor(ends[:, 1, k] / d[j]).sum(0) + 1)
+        P[lo:hi] = 2 * (near[1] + n_in + np.bincount(row[k], terms, hi - lo))
+        flagged[lo:hi] = out | (n_out != n_in) | (near[0] != near[1]) | (
+            2 * np.floor(w0[0]) + 1 + 2 * n_out > lattice.DEFAULT_POINT_CAP)
     return P, flagged
 
 
@@ -237,13 +238,12 @@ def rogers_moment_report(regions: list[Region], N: int,
     if N < 10**3:
         raise ValueError("need at least 1000 samples")
     stack = _reduce_planar(sample_unimodular_2d_arrays(N, seed)[3])
-    z2 = _zeta(2)
     entries = []
     for region in regions:
         if not region.area > 0:
             raise ValueError(f"region spec {region.spec!r} has zero area")
         counts, V = _primitive_counts(region, stack), region.area
-        center = V / z2
+        center = V / _zeta(2)
         m2 = float(np.mean((counts - center) ** 2))
         logv = math.log2(V) if V > 1 else 1.0
         entries.append(RegionMoment(

@@ -482,6 +482,20 @@ def test_extract_witnesses_refuses_a_non_planar_lattice():
             sl.extract_witnesses(sl.make_lattice(np.eye(3)), shl, prt)
 
 
+def test_extract_witnesses_refuses_non_planar_shells():
+    # 3D shells on a planar lattice would have their 3D body evaluated on
+    # planar points; hand-made partitions stand in for the planar ones
+    # that build_partitions refuses to make for them
+    ball3 = sl.sublevel_body(sl.pnorm_ball(3, 2), 3.0)
+    shells = sl.build_shells(ball3, 3, 2, 2 * 10**4, 0)
+    part = sl.Partition2D(center=(0.0, 0.0), angle=math.pi / 4,
+                          masses=(1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(sl.DimensionMismatch,
+                       match="planar, got dimension 3"):
+        sl.extract_witnesses(sl.make_lattice(np.eye(2)), shells,
+                             [part, part])
+
+
 @pytest.mark.parametrize("count", [0, -5])
 def test_sample_shell_points_refuses_fewer_than_one_point(count):
     shell = sl.Shell(1, 0.0, 2.0, sl.plane_body(), 1.0, 0.0, 2)

@@ -252,7 +252,9 @@ def test_level_cap_is_per_lattice_in_a_stack(monkeypatch):
         stats._primitive_counts(region, lattice._reduce_planar(bases))
 
 
-def test_squarefree_matches_trial_division():
+def test_divisor_table_matches_trial_division():
+    # every n <= 1024: its squarefree divisors in increasing order, each
+    # with its Moebius value, by trial division
     def mobius(n):
         mu, p = 1, 2
         while p * p <= n:
@@ -264,10 +266,12 @@ def test_squarefree_matches_trial_division():
             p += 1
         return -mu if n > 1 else mu
 
-    k, mu = stats._squarefree(1024)
-    want = [n for n in range(1, 1025) if mobius(n)]
-    assert k.tolist() == want
-    assert mu.tolist() == [mobius(n) for n in want]
+    start, d, mu = stats._divisors(1024)
+    assert len(start) == 1026 and start[0] == start[1] == 0
+    for n in range(1, 1025):
+        want = [k for k in range(1, n + 1) if n % k == 0 and mobius(k)]
+        assert d[start[n]:start[n + 1]].tolist() == want
+        assert mu[start[n]:start[n + 1]].tolist() == [mobius(k) for k in want]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -293,6 +297,26 @@ def test_annulus_counts_match_listing(kind, r0, r1):
     assert np.array_equal(
         stats._primitive_counts(region, lattice._reduce_planar(bases)),
         listing_primitive_counts(region, bases))
+
+
+@pytest.mark.parametrize("kind", ["haar", "skewed", "integer"])
+def test_row_pass_matches_listing_across_windows(monkeypatch, kind):
+    # 2^12 ball nodes per chunk split the stack into many windows, whose
+    # largest rows call for divisor tables of different sizes
+    bases = _stack(kind, 2000, 41)
+    stack = lattice._reduce_planar(bases)
+    monkeypatch.setattr(stats, "_INTERVAL_CHUNK", 2**12)
+    sizes, divisors = set(), stats._divisors
+    monkeypatch.setattr(stats, "_divisors",
+                        lambda T: sizes.add(T) or divisors(T))
+    radii = (0.3, *(math.sqrt(a / math.pi) for a in (5, 10, 20, 40)), 7, 20)
+    regions = [sl.disk_region(r) for r in radii]
+    regions += [sl.annulus_region(1.0, 2.5), sl.annulus_region(2.0, 4.0)]
+    for region in regions:
+        assert np.array_equal(stats._primitive_counts(region, stack),
+                              listing_primitive_counts(region, bases))
+    assert len(list(lattice._windows(stack[2], stack[1], 20, 2**12))) > 10
+    assert len(sizes) > 2
 
 
 HEX = np.array([[1.0, 0.5], [0.0, 0.8660254037844386]])
@@ -374,19 +398,33 @@ def _haar_basis(x, y, rot):
 
 
 @pytest.mark.parametrize("y", [1e8, 5e11])
-def test_skewed_haar_basis_takes_the_listing_path(y):
+def test_skewed_haar_basis_is_certified_by_its_rows(y):
     # a Haar basis far up the cusp (y near the old 1e12 admission limit):
-    # ||B|| ||U|| / l is about y, beyond what the relative 1e-9 width
-    # covers, and r/l > 2^16 terms k at y = 5e11, so it is flagged
+    # ||B|| ||U|| / l is about y, so eta is far above 1e-9 (0.64 at y =
+    # 5e11), but r l < 1 leaves no row x1 != 0, and the only primitive
+    # points, +-w0, lie far inside the disk: certified with P = 2
     bases = np.concatenate([_stack("haar", 50, 3),
                             _haar_basis(0.3, y, 0.7)[None]])
     region = sl.disk_region(math.sqrt(2.0 / math.pi))
-    flagged = stats._interval_counts(lattice._reduce_planar(bases),
-                                     region.bounding_radius)[1]
-    assert flagged.tolist() == [False] * 50 + [True]
-    assert np.array_equal(
-        stats._primitive_counts(region, lattice._reduce_planar(bases)),
-        listing_primitive_counts(region, bases))
+    stack = lattice._reduce_planar(bases)
+    counts, flagged = stats._interval_counts(stack, region.bounding_radius)
+    assert not flagged.any() and counts[-1] == 2
+    assert np.array_equal(stats._primitive_counts(region, stack),
+                          listing_primitive_counts(region, bases))
+
+
+def test_haar_basis_with_eta_past_one_is_flagged():
+    # at y = 2e12 eta is about 2.6, so the radius scaled by 1 - eta is
+    # negative and [l <= r] is not certified: the listing path counts +-w0
+    # among the 282,843 points of the disk (about 5.7e7 at r = 20)
+    bases = np.concatenate([_stack("haar", 20, 4),
+                            _haar_basis(-0.2, 2e12, 2.1)[None]])
+    region = sl.disk_region(0.1)
+    stack = lattice._reduce_planar(bases)
+    flagged = stats._interval_counts(stack, region.bounding_radius)[1]
+    assert flagged.tolist() == [False] * 20 + [True]
+    assert np.array_equal(stats._primitive_counts(region, stack),
+                          listing_primitive_counts(region, bases))
 
 
 def test_haar_stack_far_up_the_cusp_is_counted():
