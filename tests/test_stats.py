@@ -413,20 +413,6 @@ def test_skewed_haar_basis_is_certified_by_its_rows(y):
                           listing_primitive_counts(region, bases))
 
 
-def test_haar_basis_with_eta_past_one_is_flagged():
-    # at y = 2e12 eta is about 2.6, so the radius scaled by 1 - eta is
-    # negative and [l <= r] is not certified: the listing path counts +-w0
-    # among the 282,843 points of the disk (about 5.7e7 at r = 20)
-    bases = np.concatenate([_stack("haar", 20, 4),
-                            _haar_basis(-0.2, 2e12, 2.1)[None]])
-    region = sl.disk_region(0.1)
-    stack = lattice._reduce_planar(bases)
-    flagged = stats._interval_counts(stack, region.bounding_radius)[1]
-    assert flagged.tolist() == [False] * 20 + [True]
-    assert np.array_equal(stats._primitive_counts(region, stack),
-                          listing_primitive_counts(region, bases))
-
-
 def test_haar_stack_far_up_the_cusp_is_counted():
     # a Haar basis with y = 2e12 has det 1 but |det| / (longest column)^2 =
     # 1/y < 1e-12, which make_lattice's admission refuses; a Haar stack is
@@ -436,8 +422,13 @@ def test_haar_stack_far_up_the_cusp_is_counted():
                             _haar_basis(-0.2, 2e12, 2.1)[None]])
     with pytest.raises(sl.SingularBasis, match="numerically dependent"):
         sl.make_lattice(bases[-1])
-    counts = stats._primitive_counts(sl.disk_region(0.1),
-                                     lattice._reduce_planar(bases))
+    # eta is about 2.6 there, so the radius scaled by 1 - eta is negative
+    # and [l <= r] is not certified: the row pass flags it for listing
+    # (about 5.7e7 points at r = 20)
+    stack = lattice._reduce_planar(bases)
+    assert stats._interval_counts(stack, 0.1)[1].tolist() == [False] * 20 \
+        + [True]
+    counts = stats._primitive_counts(sl.disk_region(0.1), stack)
     assert counts.tolist() == [0] * 20 + [2]
 
 
