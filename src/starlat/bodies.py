@@ -169,7 +169,7 @@ def plane_body() -> Sublevel:
 # ("oo" is inf) or, for "body", a body spec; a body spec may stand without
 # "body=" (scale:c=2:ball:p=2) and ends at a token not among its options.
 
-_BODY_HEADS = {"ball": ("p",), "box": (), "hyperbola": (), "hyperbolic": (),
+_BODY_HEADS = {"ball": ("p",), "box": (), "hyperbola": (),
                "scale": ("c", "body")}
 _WITNESS_HEADS = {"plane": (), "sublevel": ("body", "t")}
 
@@ -208,7 +208,6 @@ def _parse(spec: str, heads: dict, kind: str, dim: int):
         if heads is not _BODY_HEADS:
             return (head, *vals)
         return {"ball": pnorm_ball, "box": box, "hyperbola": hyperbolic,
-                "hyperbolic": hyperbolic,
                 "scale": lambda d, c, f: scale_body(f, c)}[head](dim, *vals)
 
     made = read(heads, kind)

@@ -278,7 +278,7 @@ def run_cli(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result, plain, rows = args.handler(args)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (StarlatError, ValueError, OSError, KeyError) as exc:

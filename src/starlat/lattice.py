@@ -49,13 +49,6 @@ class LatticePoint:
     coords: tuple[float, ...]
     coeffs: tuple[int, ...]
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coords))
-
-    def is_origin(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     @classmethod
     def of(cls, coeffs, coords) -> LatticePoint:
         """From numpy rows: one .tolist() each gives Python ints and floats."""
@@ -372,22 +365,17 @@ def _planar_points(stack, R: float):
         yield idx + lo, coeffs, np.vecdot(B[lo:hi][idx], coeffs[:, None, :])
 
 
-def enumerate_ball_arrays(L: Lattice, R: float, *, sort: bool = True):
+def enumerate_ball_arrays(L: Lattice, R: float):
     """All lattice points with Euclidean norm <= R, as arrays.
 
     Returns (coeffs, coords): integer coefficients w.r.t. the stored basis
-    and real coordinates, rows sorted lexicographically by coefficients
-    (callers that do order-independent reductions may pass sort=False).
-    The origin row is included.  The kernel searches the stored L.W, a
-    stack of one; a count above DEFAULT_POINT_CAP raises BudgetExceeded.
+    and real coordinates, rows in search order, the origin among them.  The
+    kernel searches the stored L.W, a stack of one; a count above
+    DEFAULT_POINT_CAP raises BudgetExceeded.
     """
     _check_budget(R, L.dim, L.det)
     coeffs = _enum(L.W[None], R)[1] @ L.U.T  # x = W c = B (U c)
-    coords = coeffs @ L.basis.T
-    if sort:
-        order = np.lexsort(coeffs.T[::-1])
-        coeffs, coords = coeffs[order], coords[order]
-    return coeffs, coords
+    return coeffs, coeffs @ L.basis.T
 
 
 def _check_cross(s: float, R: float):

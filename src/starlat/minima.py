@@ -166,12 +166,12 @@ def _chain_rows(L: Lattice, radii) -> list[tuple[int, int]]:
 def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
     """Lattice points (coeffs, coords), repeats and the origin allowed,
     holding the greedy minima of f at each budget: the ball of radius R (1 +
-    1e-9), R = max(budgets).  For the planar hyperbola body with s = max f^2
-    over the reduced basis L.W positive, both signs of _chain_rows, and R
-    above r0 = max |L.W| must be below 2^24 sqrt(s) (_check_cross).  A
-    flagged lattice takes the r0-ball and enumerate_hyperbolic_cross(L, s,
-    R), as a witness at a budget b >= r0 has f <= lambda-hat_2(b) <=
-    sqrt(s), or the ball when r0 >= R."""
+    1e-9), R = max(budgets), but for the planar hyperbola body with s = max
+    f^2 over the reduced basis L.W in (0, inf) and R above r0 = max |L.W|.
+    There R must be below 2^24 sqrt(s) (_check_cross), and the points are
+    both signs of _chain_rows, or for a flagged lattice the r0-ball and
+    enumerate_hyperbolic_cross(L, s, R), as a witness at a budget b >= r0
+    has f <= lambda-hat_2(b) <= sqrt(s)."""
     if f.dim != L.dim:
         raise DimensionMismatch(f"{f.dim}D body, {L.dim}D lattice")
     R = max(budgets)
@@ -179,16 +179,13 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
         w = L.U.T @ L.basis.T
         r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + _INFLATE)
         s = float(np.max(f.evaluator(w))) ** 2
-        if 0.0 < s < math.inf:
-            if r0 < R:
-                _check_cross(s, R)
+        if 0.0 < s < math.inf and r0 < R:
+            _check_cross(s, R)
             try:
                 rows = _chain_rows(L, budgets)
             except _Flagged:
-                if r0 >= R:
-                    return enumerate_ball_arrays(L, R, sort=False)
                 coeffs = np.concatenate([
-                    enumerate_ball_arrays(L, r0, sort=False)[0],
+                    enumerate_ball_arrays(L, r0)[0],
                     enumerate_hyperbolic_cross(L, s, R)[0]])
             else:
                 coeffs = np.fromiter(chain.from_iterable(rows), np.int64)
@@ -196,7 +193,7 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
             coords = coeffs @ L.basis.T
             keep = _fold(np.add, coords * coords) <= (R * (1 + _INFLATE)) ** 2
             return coeffs[keep], coords[keep]
-    return enumerate_ball_arrays(L, R, sort=False)
+    return enumerate_ball_arrays(L, R)
 
 
 def successive_minima_exact(f: DistanceFunction, L: Lattice) -> MinimaResult:
@@ -224,7 +221,7 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice) -> MinimaResult:
     while True:
         if 2.0**-500 <= top <= cap:  # False for NaN
             R, top = top, math.inf
-        coeffs, coords = enumerate_ball_arrays(L, R, sort=False)
+        coeffs, coords = enumerate_ball_arrays(L, R)
         fvals = np.asarray(f.evaluator(coords), dtype=float)
         chosen = _greedy_minima(coeffs, fvals, d)
         lam_d = float(fvals[chosen[-1]]) if len(chosen) == d else 0.0

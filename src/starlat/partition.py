@@ -332,7 +332,7 @@ def extract_witnesses(L: Lattice, shells: list[Shell],
         raise DimensionMismatch(f"witnesses are planar, got dimension {min(d)}")
     if not shells:
         return WitnessReport(tuples=(), failures=())
-    coeffs, coords = enumerate_ball_arrays(L, shells[-1].outer, sort=False)
+    coeffs, coords = enumerate_ball_arrays(L, shells[-1].outer)
     rows, k, q = _classify_rows(shells, partitions, coeffs, coords)
     order = np.lexsort((coeffs[rows, 1], coeffs[rows, 0], 4 * k + q))
     key = (4 * k + q)[order]

@@ -23,7 +23,7 @@ from .minima import _budget_candidates
 
 _MC_POINTS = 10**6  # Monte Carlo points behind a sublevel region's area
 _INTERVAL_CHUNK = 2**17  # ball nodes per chunk of the row pass
-_MOBIUS_MAX = 2**16   # lattices of more rows x1 > 0 are listed
+_ROWS_MAX = 2**16  # rows x1 > 0 a lattice may have; one with more is listed
 _THRESHOLDS = (1.0, 0.5, 0.2)  # of lambda-hat_2, for fraction_below
 _REGION_HEADS = {"disk": ("r",), "annulus": ("r0", "r1"), "box": ("a",),
                  "sublevel": ("body", "t", "clip")}  # see bodies._parse
@@ -178,7 +178,7 @@ def _interval_counts(stack, r: float):
     cross: P, summed at 1 - eta, is exact.  eta = max(1e-9, 2^-40 ||B|| ||U||
     / l) (Frobenius norms) tops the relative rounding of W = B U, of the
     intervals and of the listing path's ``coeffs @ B.T``, so a certified P
-    is the listing path's.  top > _MOBIUS_MAX is flagged."""
+    is the listing path's.  top > _ROWS_MAX rows x1 > 0 is flagged."""
     B, det, W, U = stack
     P, flagged = np.zeros(len(B), np.int64), np.zeros(len(B), bool)
     for lo, hi in _windows(W, det, r, _INTERVAL_CHUNK):
@@ -187,7 +187,7 @@ def _interval_counts(stack, r: float):
         eta = np.maximum(_INFLATE, 2.0**-40 / np.sqrt(B0) * np.sqrt(b2 * u2))
         e = 1.0 + np.array([[1.0], [-1.0]]) * eta  # outer, inner
         w0, top = (np.sqrt((r * e) ** 2 / q) * e for q in (B0, B1))
-        out = top[0] > _MOBIUS_MAX
+        out = top[0] > _ROWS_MAX
         row, x = _runs(np.where(out, 0, top[0].astype(np.int64)))
         cen = mu[row, 0] * x
         w = np.sqrt(np.maximum((r * e[:, row]) ** 2 - B1[row] * (x * x), 0.0)

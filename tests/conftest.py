@@ -105,7 +105,7 @@ def ball_candidates(f, L, budgets):
     """The whole-ball candidate set that the hyperbola fast path replaces:
     nonzero points of the Euclidean ball of radius max(budgets)."""
     from starlat.lattice import enumerate_ball_arrays
-    coeffs, coords = enumerate_ball_arrays(L, max(budgets), sort=False)
+    coeffs, coords = enumerate_ball_arrays(L, max(budgets))
     nz = np.any(coeffs != 0, axis=1)
     return coeffs[nz], coords[nz]
 
@@ -166,7 +166,7 @@ def loop_primitive_counts(region, bases):
     counts = []
     for B in bases:
         coeffs, coords = enumerate_ball_arrays(
-            make_lattice(B), region.bounding_radius, sort=False)
+            make_lattice(B), region.bounding_radius)
         keep = np.asarray(region.contains(coords), dtype=bool)
         counts.append(np.count_nonzero(primitive_mask(coeffs[keep])))
     return np.array(counts, dtype=np.int64)
@@ -255,7 +255,7 @@ def loop_witnesses(L, shells, partitions):
                          enumerate_ball_arrays, partition)
     tuples, failures = [], []
     for shell, part in zip(shells, partitions):
-        coeffs, coords = enumerate_ball_arrays(L, shell.outer, sort=False)
+        coeffs, coords = enumerate_ball_arrays(L, shell.outer)
         keep = (np.gcd(coeffs[:, 0], coeffs[:, 1]) == 1) \
             & ((coords * coords).sum(axis=1) > shell.inner ** 2) \
             & shell.body(coords)
@@ -348,14 +348,14 @@ def loop_theorem2(body, budgets, N, seed):
         r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + 1e-9)
         root_s = float(np.max(body.evaluator(w)))
         if body.label == "hyperbola" and r0 < R and 0 < root_s < math.inf:
-            ball = enumerate_ball_arrays(L, r0, sort=False)[0]
+            ball = enumerate_ball_arrays(L, r0)[0]
             cross = enumerate_hyperbolic_cross(L, root_s * root_s, R)[0]
             coeffs = np.concatenate([ball, cross])
             coords = coeffs @ L.basis.T
             keep = _fold(np.add, coords * coords) <= (R * (1 + 1e-9)) ** 2
             coeffs, coords = coeffs[keep], coords[keep]
         else:
-            coeffs, coords = enumerate_ball_arrays(L, R, sort=False)
+            coeffs, coords = enumerate_ball_arrays(L, R)
         fvals = np.asarray(body.evaluator(coords), dtype=float)
         norms2 = _fold(np.add, coords * coords)
         lam2 = []

@@ -198,6 +198,8 @@ def test_parse_body_specs():
     assert sl.parse_body("ball:p=inf")((0.5, -2)) == 2.0
     with pytest.raises(ValueError):
         sl.parse_body("donut")
+    with pytest.raises(ValueError, match="unknown body spec 'hyperbolic'"):
+        sl.parse_body("hyperbolic")
     with pytest.raises(ValueError, match="missing the option p="):
         sl.parse_body("ball")
 

@@ -322,10 +322,19 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):
     # Gram entries of the basis overflow (numpy warnings before)
     (("count", "--basis", "1.35e154,0;0,1e154", "--region", "disk:r=40"),
      "basis entries >= 2^510 leave the float range"),
+    # 10^14 lattices: the first array (>= 1.4 PiB) exceeds the address space
+    (("sample", "--count", "100000000000000"), "Unable to allocate 2.13 PiB"),
+    (("rogers", "--areas", "10", "--count", "100000000000000"),
+     "Unable to allocate 2.13 PiB"),
+    (("theorem2", "--count", "100000000000000"),
+     "Unable to allocate 2.13 PiB"),
+    (("witness", "--samples", "100000000000000", "--shells", "1"),
+     "Unable to allocate 1.42 PiB"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_sizes_are_one_budget_error_line(capsys, argv, message):
-    # sizes whose point count overflows a float are budget errors (exit 3)
+    # sizes whose point count overflows a float, or whose arrays cannot be
+    # allocated, are budget errors (exit 3)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -355,19 +355,20 @@ def test_upper_bound_chain_matches_ball_on_perturbed_golden(monkeypatch):
     ([[1.0, 0.0], [0.0, 1.0]], ["ball"] * 3),  # Z^2: s = 0
     ([[1.0, 0.0], [0.0, math.sqrt(2)]], ["ball"] * 3),  # s = 0
     ([[1.0, 0.5], [0.0, math.sqrt(3) / 2]],  # hexagonal: an axis vector
-     ["flagged", "ball", "flagged", "ball", "flagged", "cross"]),
+     ["ball", "ball", "flagged", "cross"]),
     ([[1.0, -1.0], [1.0, 1.0]],  # turned Z^2: reflection ties
-     ["flagged", "ball", "flagged", "ball", "flagged", "cross"]),
+     ["ball", "ball", "flagged", "cross"]),
 ])
 def test_hyperbola_fallback_lattices(monkeypatch, columns, taken):
-    # lattices outside the chain's proof take the ball (s = 0, or a flagged
-    # lattice with r0 >= R) or the r0-ball and the cross, with the ball's
-    # values and witnesses
+    # lattices outside the chain's proof take the ball (s = 0, or R <= r0,
+    # where the chain is not walked) or, flagged, the r0-ball and the cross,
+    # with the ball's values and witnesses
     f, L, seen = sl.hyperbolic(2), sl.make_lattice(columns), []
     chain_rows, cross = minima._chain_rows, minima.enumerate_hyperbolic_cross
-    ball = minima.enumerate_ball_arrays
+    ball, r0 = minima.enumerate_ball_arrays, float(np.hypot(*L.W).max())
 
     def traced_chain(L, radii):
+        assert max(radii) > r0
         try:
             return chain_rows(L, radii)
         except minima._Flagged:
@@ -377,9 +378,9 @@ def test_hyperbola_fallback_lattices(monkeypatch, columns, taken):
     monkeypatch.setattr(minima, "_chain_rows", traced_chain)
     monkeypatch.setattr(minima, "enumerate_hyperbolic_cross",
                         lambda *a: seen.append("cross") or cross(*a))
-    monkeypatch.setattr(minima, "enumerate_ball_arrays", lambda L, R, **kw:
+    monkeypatch.setattr(minima, "enumerate_ball_arrays", lambda L, R:
                         seen.append("ball" if R in budgets else "r0")
-                        or ball(L, R, **kw))
+                        or ball(L, R))
     budgets = (0.5, 1.0, 50.0)
     for budget in budgets:
         fast = sl.minima_upper_bound(f, L, budget)
@@ -453,7 +454,7 @@ def test_greedy_kernel_large_planar_sets_and_empty_input():
     haar = sl.sample_unimodular_2d(seed=77)
     for L, f in ((sl.make_lattice(np.eye(2)), sl.hyperbolic(2)),
                  (haar, sl.hyperbolic(2)), (haar, sl.pnorm_ball(2, 1))):
-        coeffs, coords = sl.enumerate_ball_arrays(L, 81.0, sort=False)
+        coeffs, coords = sl.enumerate_ball_arrays(L, 81.0)
         assert len(coeffs) > 20000
         fvals = f.evaluator(coords)
         assert minima._greedy_minima(coeffs, fvals, 2) == \
@@ -488,7 +489,7 @@ def test_greedy_kernel_scans_past_many_dependent_rows():
     # diag(1e-3, 1) at radius 1.5: the 1999 rows (k, 0), |k| < 1000, rank
     # before (0, +-1) at f = 1, across the scan's chunks of 4, 8, 16, ...
     L = sl.make_lattice(np.diag([1e-3, 1.0]))
-    coeffs, coords = sl.enumerate_ball_arrays(L, 1.5, sort=False)
+    coeffs, coords = sl.enumerate_ball_arrays(L, 1.5)
     for f in (EUCLID, sl.pnorm_ball(2, 1)):
         fvals = f.evaluator(coords)
         chosen = minima._greedy_minima(coeffs, fvals, 2)
@@ -574,7 +575,7 @@ def test_exact_minima_equal_the_unreduced_path(monkeypatch):
     radii = []
     enum = minima.enumerate_ball_arrays
     monkeypatch.setattr(minima, "enumerate_ball_arrays",
-                        lambda L, R, **kw: radii.append(R) or enum(L, R, **kw))
+                        lambda L, R: radii.append(R) or enum(L, R))
     balls = {"queries": 0, "searched": 0}
 
     def check(f, B, direct):
@@ -637,11 +638,11 @@ def test_thin_image_keeps_the_doubling_radius(monkeypatch):
     radii = []
     enum = minima.enumerate_ball_arrays
 
-    def capped(L, R, **kw):
+    def capped(L, R):
         radii.append(R)
         if R > 100:
             raise Stop
-        return enum(L, R, **kw)
+        return enum(L, R)
 
     monkeypatch.setattr(minima, "enumerate_ball_arrays", capped)
     image = sl.linear_image(sl.pnorm_ball(3, 2), np.diag([1 / 400, 1, 1]))

@@ -191,7 +191,8 @@ def test_extract_witnesses_z2_plane():
         assert t.quadrants[0] != t.quadrants[1]
         shell = shells[t.shell_index - 1]
         for p in (a, b):
-            assert shell.inner < p.norm <= shell.outer * (1 + 1e-9)
+            assert shell.inner < math.hypot(*p.coords) \
+                <= shell.outer * (1 + 1e-9)
             assert p.coeffs not in seen   # tuples are pairwise disjoint
             seen.add(p.coeffs)
 
@@ -202,7 +203,7 @@ def test_extract_witnesses_collinear_representatives_raise(monkeypatch):
     # (a repeated primitive row, inside the first shell, stands in for it)
     rows = np.array([[1, 0], [-1, 0], [1, 0], [-1, 0]])
     monkeypatch.setattr(partition, "enumerate_ball_arrays",
-                        lambda L, R, sort=True: (rows, rows * 1.0))
+                        lambda L, R: (rows, rows * 1.0))
     monkeypatch.setattr(partition, "_quadrants_of_rows",
                         lambda parts, coords, k: np.array([1, 2, 3, 4]))
     L = sl.make_lattice([[1, 0], [0, 1]])
@@ -432,8 +433,7 @@ def test_body_first_classification_matches_the_norm_first_reference(name):
     assert sum(not np.array_equal(L.U, np.eye(2)) for L in lattices) >= 15
     tuples = failures = 0
     for L in lattices:
-        coeffs, coords = sl.enumerate_ball_arrays(L, shells[-1].outer,
-                                                  sort=False)
+        coeffs, coords = sl.enumerate_ball_arrays(L, shells[-1].outer)
         got, want = (f(shells, parts, coeffs, coords) for f in (
             partition._classify_rows, norm_first_classify_rows))
         assert set(zip(*(a.tolist() for a in got))) \
@@ -513,5 +513,6 @@ def test_a_point_on_a_shared_edge_belongs_to_the_inner_shell():
                           masses=(1.0, 1.0, 1.0, 1.0))
     rep = sl.extract_witnesses(L, shells, [part, part])
     assert [t.shell_index for t in rep.tuples] == [1, 2]
-    assert [p.norm for p in rep.tuples[0].points] == [1.0, 1.0]
+    assert [math.hypot(*p.coords) for p in rep.tuples[0].points] \
+        == [1.0, 1.0]
     assert rep == loop_witnesses(L, shells, [part, part])
