@@ -22,8 +22,8 @@ from .minima import (DemoReport, MinimaResult, ProbeEntry, ProbeReport,
 from .partition import (Partition2D, PipelineConfig, RateReport, Shell,
                         TransversalReport, WitnessReport, WitnessTuple,
                         build_partitions, build_shells, extract_witnesses,
-                        part_miss_rate, plane_body, quadrant_of,
-                        sample_shell_points, sublevel_body, transversal_check,
+                        part_miss_rate, plane_body, sample_shell_points,
+                        sublevel_body, transversal_check,
                         two_line_equipartition)
 from .stats import (MomentReport, Region, RegionMoment, Theorem2Report,
                     annulus_region, box_region, count_primitive, disk_region,

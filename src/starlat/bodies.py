@@ -76,8 +76,8 @@ def pnorm_ball(dim: int = 2, p: float = 2) -> DistanceFunction:
     """Unit ball of the p-norm (a quasi-norm for p < 1), 0 < p <= inf.  Its
     floor is 1 for p <= 2 (attained on the axes) and d^(1/p - 1/2) for p > 2
     (on the diagonals, by Hoelder's inequality).  p not 1, 2, inf (or 2 where
-    numpy's norm overflows) takes m (sum (|x_i| / m)^p)^(1/p), m = max |x_i|:
-    each (|x_i| / m)^p is in [0, 1], so only a value past the floats is inf."""
+    x * x overflows) takes m (sum (|x_i| / m)^p)^(1/p), m = max |x_i|: each
+    (|x_i| / m)^p is in [0, 1], so only a value past the floats is inf."""
     @np.errstate(all="ignore")
     def ev(x):
         a = np.abs(x)
@@ -86,9 +86,10 @@ def pnorm_ball(dim: int = 2, p: float = 2) -> DistanceFunction:
         return m * _fold(np.add, y ** p) ** (1.0 / p)
     if not p > 0:
         raise ValueError(f"ball needs p > 0, got p={p:g}")
-    if p in (1, 2, math.inf):
-        norm = lambda x: np.linalg.norm(x, ord=p, axis=-1)
-        ev = _past_overflow(norm, ev) if p == 2 else norm
+    if p in (1, 2, math.inf):  # np.linalg.norm's own reductions
+        ev = {1: lambda x: np.abs(x).sum(-1),
+              2: _past_overflow(lambda x: np.sqrt((x * x).sum(-1)), ev),
+              math.inf: lambda x: np.abs(x).max(-1, initial=0)}[p]
     return DistanceFunction(dim=dim, evaluator=ev, label=f"ball:p={p:g}",
                             floor=1.0 if p <= 2 else
                             _floor_times(1.0, dim ** (1.0 / p - 0.5)),

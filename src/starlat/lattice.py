@@ -49,12 +49,6 @@ class LatticePoint:
     coords: tuple[float, ...]
     coeffs: tuple[int, ...]
 
-    @classmethod
-    def of(cls, coeffs, coords) -> LatticePoint:
-        """From numpy rows: one .tolist() each gives Python ints and floats."""
-        return cls(coords=tuple(coords.tolist()),
-                   coeffs=tuple(coeffs.tolist()))
-
 
 def _abs_det(B: np.ndarray) -> np.ndarray:
     if B.shape[-1] == 2:
@@ -76,12 +70,12 @@ def make_lattice(columns) -> Lattice:
     d = B.shape[0]
     if d < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {d}")
-    if not np.all(np.isfinite(B)):
+    if not np.isfinite(B).all():
         raise SingularBasis("basis entries must be finite")
-    e = np.frexp(np.abs(B).max())[1]  # exact scale: no Gram entry overflows
+    e = math.frexp(np.abs(B).max())[1]  # exact scale: no Gram entry overflows
     Bs = np.ldexp(B, -e)
-    if not _abs_det(Bs) / np.linalg.norm(Bs, axis=0).max() ** d \
-            > _SCALED_DET_TOL:
+    if not _abs_det(Bs) / math.sqrt(np.add.reduce(Bs * Bs, axis=0).max()) \
+            ** d > _SCALED_DET_TOL:
         raise SingularBasis("basis columns are numerically dependent")
     det = float(_abs_det(B))
     if not 0 < det < math.inf:
@@ -195,18 +189,28 @@ def _check_budget(R: float, d: int, det: float) -> None:
 
 
 def _gauss_reduce_2d(B: np.ndarray):
-    """Lagrange/Gauss reduction of a stack (N, 2, 2): (W, U), W = B @ U.
-    Each step puts the shorter column first and subtracts round(mu) times
-    it, mu = <w0, w1> / <w0, w0> by BLAS dots (as ``w @ w`` on one basis);
-    a basis with mu = 0 is a fixed point, so the loop ends once all are."""
+    """Lagrange/Gauss reduction of a stack (N, 2, 2): (W, U), W = B @ U: put
+    the shorter column first and subtract round(mu) times it, mu = <w0, w1> /
+    <w0, w0> (products rounded, no fused multiply-add), until every mu is 0.
+    A stack of one takes these steps on Python floats, bit for bit."""
+    if len(B) == 1:  # columns (x0, x1, u0, u1) of W and U, floats and ints
+        w, v = ([*x, *u] for x, u in zip(B[0].T.tolist(), ((1, 0), (0, 1))))
+        for _ in range(256):
+            if v[0] * v[0] + v[1] * v[1] < w[0] * w[0] + w[1] * w[1]:
+                w, v = v, w
+            mu = (w[0] * v[0] + w[1] * v[1]) / (w[0] * w[0] + w[1] * w[1])
+            if not (q := round(mu)):
+                break
+            v = [b - q * a for a, b in zip(w, v)]
+        return (np.array([w[0], v[0], w[1], v[1]]).reshape(1, 2, 2),
+                np.array([w[2], v[2], w[3], v[3]], np.int64).reshape(1, 2, 2))
     W = np.array(B, dtype=float)
     U = np.zeros(W.shape, dtype=np.int64)
     U[:, 0, 0] = U[:, 1, 1] = 1
     for _ in range(256):
-        G = np.vecdot(W.mT[:, :, None], W.mT[:, None])  # Gram matrices
+        G = _fold(np.add, W.mT[:, :, None] * W.mT[:, None])  # Gram matrices
         swap = G[:, 1, 1] < G[:, 0, 0]
-        if swap.any():
-            W[swap], U[swap] = W[swap, :, ::-1], U[swap, :, ::-1]
+        W[swap], U[swap] = W[swap, :, ::-1], U[swap, :, ::-1]
         mu = np.rint(G[:, 0, 1] / np.minimum(G[:, 0, 0], G[:, 1, 1]))
         if not mu.any():
             break

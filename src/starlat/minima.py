@@ -37,8 +37,8 @@ def _greedy_minima(coeffs: np.ndarray, fvals: np.ndarray,
     later rows); a row that stays nonzero, independent of them, is picked,
     up to d picks.  Zero rows and repeats reduce to zero, so the rows need
     not be nonzero or distinct, and non-finite f is never picked."""
-    rank = np.flatnonzero(np.isfinite(fvals))
-    rank = rank[np.lexsort((*coeffs[rank].T[::-1], fvals[rank]))]
+    rank = np.lexsort((*coeffs.T[::-1], fvals))
+    rank = rank[np.isfinite(fvals[rank])]
     chosen, pivots, lo = [], [], 0
     while lo < len(rank):  # chunks of 2d, 4d, 8d, ... rows
         part, lo = rank[lo:2 * lo + 2 * d], 2 * lo + 2 * d
@@ -60,7 +60,8 @@ def _result_from(chosen: Sequence[int], coeffs: np.ndarray,
     pad = d - len(chosen)  # a rank deficit leaves inf and no witness
     return MinimaResult(
         values=tuple(float(fvals[i]) for i in chosen) + (math.inf,) * pad,
-        witnesses=tuple(LatticePoint.of(coeffs[i], coords[i])
+        witnesses=tuple(LatticePoint(tuple(coords[i].tolist()),
+                                     tuple(coeffs[i].tolist()))
                         for i in chosen) + (None,) * pad, exact=exact)
 
 
@@ -216,7 +217,7 @@ def successive_minima_exact(f: DistanceFunction, L: Lattice) -> MinimaResult:
     alpha, d = cert.floor, L.dim
     R = max(L.det ** (1.0 / d) / alpha, 2.0**-500)  # R * R is a normal float
     e = float(np.abs(L.W).max())  # f(w) = f(w / e) e does not overflow
-    top = float(np.max(f.evaluator(L.W.T / e))) * e * 1.001 * (1 + _INFLATE)
+    top = float(f.evaluator(L.W.T / e).max()) * e * 1.001 * (1 + _INFLATE)
     top, cap = top / alpha, 2.0 * R
     while True:
         if 2.0**-500 <= top <= cap:  # False for NaN

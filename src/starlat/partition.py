@@ -136,15 +136,9 @@ def two_line_equipartition(points, tol: float) -> Partition2D:
         "equipartition bisection stalled; likely atoms on the lines")
 
 
-def quadrant_of(partition: Partition2D, x) -> int:
-    """Quadrant index in {1,2,3,4} by rotated-sign signature; exact zeros
-    count positive.  1 = (+,+), 2 = (-,+), 3 = (-,-), 4 = (+,-)."""
-    return int(_quadrants_of_rows([partition],
-                                  np.asarray(x, dtype=float)[None], 0)[0])
-
-
 def _quadrants_of_rows(partitions, pts: np.ndarray, k) -> np.ndarray:
-    """Quadrant of each row of pts in partitions[k], k an index or per row."""
+    """Quadrant of each row of pts in partitions[k], k an index or per row,
+    by rotated-sign signature: 1 = (+,+), 2 = (-,+), 3 = (-,-), 4 = (+,-)."""
     cx, cy, c, s = np.array([(*p.center, math.cos(p.angle), math.sin(p.angle))
                              for p in partitions]).take(k, axis=0).T
     u, v = _turned(c, s, pts[:, 0] - cx, pts[:, 1] - cy)

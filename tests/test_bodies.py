@@ -84,6 +84,33 @@ def test_products_and_squares_past_the_floats_are_recomputed(d, rng):
     assert euclid.evaluator(pts).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_norm_balls_are_numpys_norm_bit_for_bit(p, rng):
+    # p = 1, 2, inf evaluate by the reductions np.linalg.norm runs, so every
+    # value keeps its bits; only the 2-norm's overflow at finite points
+    # (x * x past the floats) is taken again
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1050, 1e300, -1e300,
+               math.inf, -math.inf, math.nan, 1.0, -3.5]
+    for d in range(1, 10):
+        f = sl.pnorm_ball(d, p)
+        for shape in ((d,), (30, d), (6, 5, d), (0, d)):
+            # rows of specials and any magnitudes, or rows at unit scale,
+            # where the order of the sum shows
+            u = rng.random(shape) + (rng.random(shape[:-1] + (1,)) < 0.5)
+            x = np.where(u < 0.5, rng.choice(special, shape),
+                         rng.standard_normal(shape)
+                         * 10.0 ** np.where(u < 1, rng.uniform(-300, 300,
+                                                               shape), 0))
+            with np.errstate(all="ignore"):
+                want = np.asarray(np.linalg.norm(x, ord=p, axis=-1))
+            got = np.asarray(f.evaluator(x))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            again = np.isinf(want) & np.isfinite(x).all(-1)
+            assert not again.any() or p == 2
+            assert got[~again].tobytes() == want[~again].tobytes()
+            assert np.isfinite(got[again]).all()
+
+
 def test_evaluate_dimension_check():
     # calling a body checks its points (..., dim), a catalog body's and an
     # opaque one's alike; its evaluator, which library code calls, does not

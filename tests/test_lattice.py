@@ -25,6 +25,11 @@ from conftest import (admitted_det, cross_by_rectangles, grid_enumerate,
                       recompute_lll, unreduced)
 
 
+def point_of(c, x):
+    """A row of coefficients c and coordinates x as a LatticePoint."""
+    return sl.LatticePoint(coords=tuple(x.tolist()), coeffs=tuple(c.tolist()))
+
+
 def test_make_lattice_identity():
     L = sl.make_lattice([[1, 0], [0, 1]])
     assert L.det == 1.0 and L.dim == 2
@@ -430,7 +435,7 @@ def test_enumerate_negation_closure_and_radius(rng):
         except SingularBasis:
             continue
         R = rng.uniform(0.5, 4.0)
-        pts = [sl.LatticePoint.of(c, x)
+        pts = [point_of(c, x)
                for c, x in zip(*sl.enumerate_ball_arrays(L, R))]
         got = {p.coeffs for p in pts}
         for p in pts:
@@ -454,18 +459,18 @@ def test_det_invariant_under_unimodular(seed):
 
 def test_is_primitive_examples():
     L = sl.make_lattice([[1, 0], [0, 1]])
-    point = lambda *c: sl.LatticePoint.of(np.array(c), L.basis @ np.array(c))
+    point = lambda *c: point_of(np.array(c), L.basis @ np.array(c))
     assert not sl.is_primitive(L, point(2, 4))
     assert sl.is_primitive(L, point(3, 5))
     assert not sl.is_primitive(L, point(0, 0))
-    # int64 rows and object rows (Python ints past int64) give Python ints
-    # and floats, the values map(int) and map(float) give
-    for c in (np.array([3, 5]), np.array([3, 5], dtype=object),
-              np.array([2**70, -1], dtype=object)):
+    # witnesses of int64 rows and object rows (Python ints past int64) hold
+    # Python ints and floats, the values map(int) and map(float) give
+    for c in (np.array([[3, 5]]), np.array([[3, 5]], dtype=object),
+              np.array([[2**70, -1]], dtype=object)):
         x = c.astype(float)
-        p = sl.LatticePoint.of(c, x)
-        assert p == sl.LatticePoint(coords=tuple(map(float, x)),
-                                    coeffs=tuple(map(int, c)))
+        p, = minima._result_from([0], c, x, np.ones(1), 1, True).witnesses
+        assert p == sl.LatticePoint(coords=tuple(map(float, x[0])),
+                                    coeffs=tuple(map(int, c[0])))
         assert all(type(v) is int for v in p.coeffs)
         assert all(type(v) is float for v in p.coords)
 
@@ -485,7 +490,7 @@ def test_primitive_divisor_crosscheck(rng):
             L = sl.make_lattice(B)
         except SingularBasis:
             continue
-        pts = [sl.LatticePoint.of(c, x)
+        pts = [point_of(c, x)
                for c, x in zip(*sl.enumerate_ball_arrays(L, 3.0))]
         coeff_set = {p.coeffs for p in pts}
         for p in pts:
@@ -649,6 +654,43 @@ def test_make_lattice_stores_its_reduced_basis(columns):
         g = (L.W / scale).T @ (L.W / scale)
         assert g[0, 0] <= g[1, 1] and 2 * abs(g[0, 1]) <= g[0, 0] * (1 + 1e-12)
     assert "W=" not in repr(L)
+
+
+def _edge_bases(n, rng):
+    """Bases as the Haar sampler builds them, (1, 0) and (x, y) turned and
+    scaled by y^-1/2, at the edge x = +-1/2: half on the arc x^2 + y^2 = 1
+    (|w0| = |w1|), half above it (mu = +-1/2)."""
+    x = rng.choice([-0.5, 0.5], n)
+    y = np.sqrt(1.0 - x * x) / np.where(np.arange(n) % 2, 1.0,
+                                        1.0 - rng.random(n))
+    s, t = 1.0 / np.sqrt(y), rng.uniform(0.0, 2.0 * math.pi, n)
+    c, sn = np.cos(t), np.sin(t)
+    return np.stack([s * c, s * (x * c - y * sn), s * sn,
+                     s * (x * sn + y * c)], axis=1).reshape(n, 2, 2)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "edge", "unimodular"])
+def test_single_basis_reduces_as_its_stack_row(family):
+    # a stack of one is reduced on Python floats by the stack's own steps:
+    # W and U are the stack row's bytes, dtype and C layout, also where a
+    # length or mu tie rounds either way
+    rng = np.random.default_rng(29)
+    if family == "gaussian":
+        bases = np.concatenate([rng.standard_normal((200, 2, 2)) * 2.0**k
+                                for k in range(-40, 41, 5)])
+    elif family == "edge":
+        bases = _edge_bases(2000, rng)
+    else:
+        bases = np.array([sl.random_unimodular(2, s, 60) for s in range(100)],
+                         dtype=float)
+    W, U = lattice._gauss_reduce_2d(bases)
+    for k, B in enumerate(bases):
+        for a, b in zip(lattice._gauss_reduce_2d(B[None]), (W, U)):
+            assert a.dtype == b.dtype and a.shape == (1, 2, 2)
+            assert a.flags.c_contiguous and a.tobytes() == b[k].tobytes()
+    moved = (U != np.eye(2, dtype=np.int64)).any(axis=(1, 2))
+    if family == "edge":  # the ties round both ways
+        assert 0 < np.count_nonzero(moved) < len(bases)
 
 
 def _count_reductions(monkeypatch):

@@ -38,8 +38,8 @@ def test_equipartition_masses_match_quadrant_assignment(rng):
     pts = rng.normal(1.0, 1.5, (3000, 2))
     part = sl.two_line_equipartition(pts, tol=8.0)
     counts = {1: 0, 2: 0, 3: 0, 4: 0}
-    for p in pts:
-        counts[sl.quadrant_of(part, p)] += 1
+    for q in partition._quadrants_of_rows([part], pts, 0).tolist():
+        counts[q] += 1
     assert tuple(counts[q] for q in (1, 2, 3, 4)) == tuple(
         int(round(m)) for m in part.masses)
 
@@ -98,10 +98,8 @@ def test_equipartition_rejects_tiny_input():
 def test_quadrant_tie_rule_counts_zero_positive():
     part = sl.Partition2D(center=(0.0, 0.0), angle=0.0,
                           masses=(1.0, 1.0, 1.0, 1.0))
-    assert sl.quadrant_of(part, (0.0, 0.0)) == 1
-    assert sl.quadrant_of(part, (0.0, -1.0)) == 4
-    assert sl.quadrant_of(part, (-1.0, 0.0)) == 2
-    assert sl.quadrant_of(part, (-1.0, -1.0)) == 3
+    pts = np.array([(0.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (-1.0, -1.0)])
+    assert partition._quadrants_of_rows([part], pts, 0).tolist() == [1, 4, 2, 3]
 
 
 def test_transversal_line_meets_at_most_three_quadrants(rng):
