@@ -674,7 +674,7 @@ def test_single_basis_reduces_as_its_stack_row(family):
     # a stack of one is reduced on Python floats by the stack's own steps:
     # W and U are the stack row's bytes, dtype and C layout, also where a
     # length or mu tie rounds either way
-    rng = np.random.default_rng(29)
+    rng = np.random.default_rng(7)
     if family == "gaussian":
         bases = np.concatenate([rng.standard_normal((200, 2, 2)) * 2.0**k
                                 for k in range(-40, 41, 5)])
@@ -688,8 +688,8 @@ def test_single_basis_reduces_as_its_stack_row(family):
         for a, b in zip(lattice._gauss_reduce_2d(B[None]), (W, U)):
             assert a.dtype == b.dtype and a.shape == (1, 2, 2)
             assert a.flags.c_contiguous and a.tobytes() == b[k].tobytes()
-    moved = (U != np.eye(2, dtype=np.int64)).any(axis=(1, 2))
     if family == "edge":  # the ties round both ways
+        moved = (U != np.eye(2, dtype=np.int64)).any(axis=(1, 2))
         assert 0 < np.count_nonzero(moved) < len(bases)
 
 
