@@ -13,9 +13,8 @@ from .errors import (BudgetExceeded, DimensionMismatch, DimensionTooSmall,
                      SingularBasis, StarlatError, UnboundedBody, VolumeStall)
 from .haar import sample_unimodular_2d, sample_unimodular_2d_arrays
 from .lattice import (Lattice, LatticePoint, enumerate_ball_arrays,
-                      enumerate_hyperbolic_cross, golden_lattice, is_primitive,
-                      make_lattice, parse_basis, perturb_basis, primitive_mask,
-                      random_unimodular)
+                      golden_lattice, is_primitive, make_lattice, parse_basis,
+                      perturb_basis, primitive_mask, random_unimodular)
 from .minima import (DemoReport, MinimaResult, ProbeEntry, ProbeReport,
                      minima_upper_bound, noncontinuity_demo,
                      semicontinuity_probe, successive_minima_exact)

@@ -13,8 +13,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DimensionMismatch, DimensionTooSmall,
-                     NotLatticePoint, SingularBasis)
+from .errors import (BudgetExceeded, DimensionTooSmall, NotLatticePoint,
+                     SingularBasis)
 
 DEFAULT_POINT_CAP = 10**8  # one setting; every check reads it at call time
 
@@ -27,15 +27,16 @@ _SCALED_DET_TOL = 1e-12
 _LLL_DELTA = 0.99
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
-    """Full-rank lattice: basis columns, |det|, reduced W = basis @ U."""
+    """Full-rank lattice: basis columns, |det|, reduced W = basis @ U.
+    Compared and hashed by identity (its arrays have no truth value)."""
 
     dim: int
     basis: np.ndarray  # shape (d, d); columns are the basis vectors
     det: float
-    W: np.ndarray = field(repr=False, compare=False)
-    U: np.ndarray = field(repr=False, compare=False)  # int64
+    W: np.ndarray = field(repr=False)
+    U: np.ndarray = field(repr=False)  # int64
 
     def __post_init__(self):
         for a in (self.basis, self.W, self.U):
@@ -395,24 +396,16 @@ def _check_cross(s: float, R: float):
     return t, R_in
 
 
-def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
-    """Planar lattice points near the axes, as arrays (coeffs, coords).
-
-    Returns a superset of the nonzero points with |x1*x2| <= s and
-    ||x|| <= R, rows deduplicated and sorted lexicographically by
-    coefficients; coords are ``coeffs @ L.basis.T``.  A point with |x_i| <=
-    |x_k| and 2^(j-1) t < |x_k| <= 2^j t, t = sqrt(s), has |x_i| < 2^(1-j) t,
-    so the rectangles {|x_i| <= 2^(1-j) t, |x_k| <= 2^j t}, j = 1..ceil(log2
-    (R/t)), cover it; half-widths (a, h) lie in the ball of radius sqrt(2) of
-    diag(1/a, 1/h) B.  One enumeration of this Gauss-reduced stack replaces
-    the pi R^2/det points of the ball; DEFAULT_POINT_CAP caps it."""
-    if L.dim != 2:
-        raise DimensionMismatch("hyperbolic-cross enumeration is planar")
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
-    t, R_in = _check_cross(s, R)
+def _cross_coeffs(L: Lattice, t: float, R_in: float) -> np.ndarray:
+    """Coefficients of points of a planar L near the axes, (t, R_in) =
+    _check_cross(s, R), s, R in (0, inf): a superset of the points with
+    |x1*x2| <= t^2, ||x|| <= R_in, the origin among them, lex-sorted and
+    deduplicated (for memory).  A point with |x_i| <= |x_k| and 2^(j-1) t <
+    |x_k| <= 2^j t has |x_i| < 2^(1-j) t, so the rectangles {|x_i| <=
+    2^(1-j) t, |x_k| <= 2^j t}, j = 1..ceil(log2(R_in/t)), cover it;
+    half-widths (a, h) lie in the ball of radius sqrt(2) of diag(1/a, 1/h)
+    B.  One enumeration of this Gauss-reduced stack replaces the pi R^2/det
+    points of the ball; DEFAULT_POINT_CAP caps it."""
     sides = []
     for j in range(1, max(1, math.ceil(math.log2(R_in / t))) + 1):
         short, long_ = min(2.0 ** (1 - j) * t, R_in), min(2.0 ** j * t, R_in)
@@ -424,10 +417,9 @@ def enumerate_hyperbolic_cross(L: Lattice, s: float, R: float):
                              f"{DEFAULT_POINT_CAP}")
     coeffs = np.vecdot(U[idx], X[:, None, :])
     coeffs = coeffs[np.lexsort(coeffs.T[::-1])]
-    keep = _fold(np.logical_or, coeffs != 0)
-    keep[1:] &= _fold(np.logical_or, coeffs[1:] != coeffs[:-1])
-    coeffs = coeffs[keep]
-    return coeffs, coeffs @ L.basis.T
+    keep = np.ones(len(coeffs), dtype=bool)
+    keep[1:] = _fold(np.logical_or, coeffs[1:] != coeffs[:-1])
+    return coeffs[keep]
 
 
 def primitive_mask(coeffs: np.ndarray) -> np.ndarray:

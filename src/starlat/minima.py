@@ -13,8 +13,8 @@ import numpy as np
 from .bodies import DistanceFunction, boundedness_floor, hyperbolic
 from .errors import (DimensionMismatch, InvariantViolation, SingularBasis,
                      UnboundedBody)
-from .lattice import (_INFLATE, Lattice, LatticePoint, _check_cross, _fold,
-                      enumerate_ball_arrays, enumerate_hyperbolic_cross,
+from .lattice import (_INFLATE, Lattice, LatticePoint, _check_cross,
+                      _cross_coeffs, _fold, enumerate_ball_arrays,
                       golden_lattice, perturb_basis)
 
 _RESOLUTION = 512  # sphere sample behind a floorless body's floor estimate
@@ -169,10 +169,10 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
     holding the greedy minima of f at each budget: the ball of radius R (1 +
     1e-9), R = max(budgets), but for the planar hyperbola body with s = max
     f^2 over the reduced basis L.W in (0, inf) and R above r0 = max |L.W|.
-    There R must be below 2^24 sqrt(s) (_check_cross), and the points are
-    both signs of _chain_rows, or for a flagged lattice the r0-ball and
-    enumerate_hyperbolic_cross(L, s, R), as a witness at a budget b >= r0
-    has f <= lambda-hat_2(b) <= sqrt(s)."""
+    There R must be below 2^24 sqrt(s) ((t, R_in) = _check_cross(s, R)), and
+    the points are both signs of _chain_rows, or for a flagged lattice the
+    r0-ball and the cross's rows _cross_coeffs(L, t, R_in), as a witness at
+    a budget b >= r0 has f <= lambda-hat_2(b) <= sqrt(s)."""
     if f.dim != L.dim:
         raise DimensionMismatch(f"{f.dim}D body, {L.dim}D lattice")
     R = max(budgets)
@@ -181,13 +181,12 @@ def _budget_candidates(f: DistanceFunction, L: Lattice, budgets):
         r0 = math.sqrt(float(_fold(np.add, w * w).max())) * (1.0 + _INFLATE)
         s = float(np.max(f.evaluator(w))) ** 2
         if 0.0 < s < math.inf and r0 < R:
-            _check_cross(s, R)
+            t, R_in = _check_cross(s, R)
             try:
                 rows = _chain_rows(L, budgets)
             except _Flagged:
-                coeffs = np.concatenate([
-                    enumerate_ball_arrays(L, r0)[0],
-                    enumerate_hyperbolic_cross(L, s, R)[0]])
+                coeffs = np.concatenate([enumerate_ball_arrays(L, r0)[0],
+                                         _cross_coeffs(L, t, R_in)])
             else:
                 coeffs = np.fromiter(chain.from_iterable(rows), np.int64)
                 coeffs = np.concatenate([coeffs, -coeffs]).reshape(-1, 2)

@@ -311,9 +311,9 @@ def weighted_masses_at(pts, w, theta):
 
 
 def cross_by_rectangles(L, s, R):
-    """enumerate_hyperbolic_cross by its per-rectangle loop: the ball of
-    radius sqrt(2) of each rectangle lattice diag(1/a, 1/h) B, one lattice
-    at a time, united, without the origin."""
+    """The nonzero rows of lattice._cross_coeffs by its per-rectangle loop:
+    the ball of radius sqrt(2) of each rectangle lattice diag(1/a, 1/h) B,
+    one lattice at a time, united, without the origin."""
     from starlat import enumerate_ball_arrays, make_lattice
     t = math.sqrt(s * (1 + 1e-9))
     R_in = R * (1 + 1e-9)
@@ -324,20 +324,18 @@ def cross_by_rectangles(L, s, R):
             rect = make_lattice(L.basis / np.array([[a], [h]]))
             parts.append(enumerate_ball_arrays(rect, math.sqrt(2.0))[0])
     coeffs = np.unique(np.concatenate(parts), axis=0)
-    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
-    return coeffs, coeffs @ L.basis.T
+    return coeffs[np.any(coeffs != 0, axis=1)]
 
 
 def loop_theorem2(body, budgets, N, seed):
     """theorem2_experiment by the per-lattice path it replaced: make_lattice
     per Haar basis; for the hyperbola two enumerations, the ball of radius
-    r0 of the reduced basis and enumerate_hyperbolic_cross (else the ball of
-    the largest budget); _greedy_minima once per budget; the report reduced
-    per threshold and budget."""
-    from starlat import (Theorem2Report, enumerate_ball_arrays,
-                         enumerate_hyperbolic_cross, make_lattice,
+    r0 of the reduced basis and the hyperbolic cross (else the ball of the
+    largest budget); _greedy_minima once per budget; the report reduced per
+    threshold and budget."""
+    from starlat import (Theorem2Report, enumerate_ball_arrays, make_lattice,
                          sample_unimodular_2d_arrays)
-    from starlat.lattice import _fold
+    from starlat.lattice import _check_cross, _cross_coeffs, _fold
     from starlat.minima import _greedy_minima
     from starlat.stats import _THRESHOLDS
     budgets = sorted(float(b) for b in budgets)
@@ -349,7 +347,7 @@ def loop_theorem2(body, budgets, N, seed):
         root_s = float(np.max(body.evaluator(w)))
         if body.label == "hyperbola" and r0 < R and 0 < root_s < math.inf:
             ball = enumerate_ball_arrays(L, r0)[0]
-            cross = enumerate_hyperbolic_cross(L, root_s * root_s, R)[0]
+            cross = _cross_coeffs(L, *_check_cross(root_s * root_s, R))
             coeffs = np.concatenate([ball, cross])
             coords = coeffs @ L.basis.T
             keep = _fold(np.add, coords * coords) <= (R * (1 + 1e-9)) ** 2

@@ -171,6 +171,8 @@ def test_boundedness_floor_3d():
 def test_resolution_precondition():
     with pytest.raises(ValueError):
         sl.boundedness_floor(sl.pnorm_ball(2, 2), resolution=8)
+    with pytest.raises(ValueError, match="^resolution must be at least 64$"):
+        sl.sphere_samples(2, 8)
 
 
 def test_body_distance_identity_and_scaling():

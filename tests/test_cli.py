@@ -289,6 +289,11 @@ def test_theorem2_bad_sizes_are_precondition_errors(capsys, flags):
      "need at least one sample point, got -5"),
     (("witness", "--basis", "1,0,0;0,1,0;0,0,1", "--shells", "1",
       "--samples", "100"), "witnesses are planar, got dimension 3"),
+    (("minima", "--basis", "1,2,3;4,5,6", "--body", "ball:p=2"),
+     "basis must be square, got shape (3, 2)"),
+    (("probe", "--config", {"body": "ball:p=2", "basis": "1,0;0,1",
+                            "body_seq": "wobble"}),
+     "unknown body_seq 'wobble'"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, message):

@@ -13,13 +13,12 @@ import starlat as sl
 from starlat import lattice, minima, partition, stats
 from starlat.errors import (
     BudgetExceeded,
-    DimensionMismatch,
     DimensionTooSmall,
     NotLatticePoint,
     SingularBasis,
 )
 
-from starlat.lattice import _fold, _zeta
+from starlat.lattice import _check_cross, _cross_coeffs, _fold, _zeta
 
 from conftest import (admitted_det, cross_by_rectangles, grid_enumerate,
                       recompute_lll, unreduced)
@@ -119,6 +118,12 @@ def test_make_lattice_admits_as_the_earlier_stack_admission():
     assert len(seen) == 4 and seen[None] > 900  # three refusals, admissions
 
 
+def test_lattice_compares_and_hashes_by_identity():
+    L, M = sl.make_lattice(np.eye(2)), sl.make_lattice(np.eye(2))
+    assert L == L and not L == M and L != M
+    assert {L, L, M} == {L, M} and len({L, M}) == 2
+
+
 def test_make_lattice_rejects_dim_1():
     with pytest.raises(DimensionTooSmall):
         sl.make_lattice([[3]])
@@ -131,6 +136,10 @@ def test_parse_basis():
     for bad in ("1,0;1", "1,0;", "1,,0;0,1", ""):
         with pytest.raises(ValueError, match="malformed basis spec"):
             sl.parse_basis(bad)
+    # well formed but not square: two columns of three entries
+    with pytest.raises(SingularBasis,
+                       match=r"^basis must be square, got shape \(3, 2\)$"):
+        sl.make_lattice(sl.parse_basis("1,2,3;4,5,6"))
 
 
 def test_zeta_matches_scipy():
@@ -167,6 +176,9 @@ def test_enumerate_ball_axis_aligned():
 
 def test_enumerate_ball_budget(monkeypatch):
     L = sl.make_lattice([[1, 0], [0, 1]])
+    for R in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^R must be positive$"):
+            sl.enumerate_ball_arrays(L, R)
     with pytest.raises(BudgetExceeded):
         sl.enumerate_ball_arrays(L, 1e6)
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 1000)
@@ -540,9 +552,14 @@ def test_perturb_negative_magnitude_rejected():
                               sl.make_lattice(L.basis + offsets).basis)
 
 
+def cross(L, s, R):
+    """The hyperbolic cross's rows as minima._budget_candidates takes them."""
+    return _cross_coeffs(L, *_check_cross(s, R))
+
+
 def test_hyperbolic_cross_covers_the_region(rng):
     # every nonzero ball point with |x1*x2| <= s is returned, rows are
-    # unique, lex-sorted and carry the ball path's coordinates
+    # unique and lex-sorted, the origin among them
     for _ in range(20):
         B = rng.uniform(-2, 2, (2, 2))
         try:
@@ -550,16 +567,14 @@ def test_hyperbolic_cross_covers_the_region(rng):
         except SingularBasis:
             continue
         for s, R in ((0.05, 30.0), (1.0, 60.0), (40.0, 20.0)):
-            coeffs, coords = sl.enumerate_hyperbolic_cross(L, s, R)
+            coeffs = cross(L, s, R)
             bc, bx = sl.enumerate_ball_arrays(L, R)
             want = {tuple(c) for c, x in zip(bc.tolist(), bx)
                     if any(c) and abs(x[0] * x[1]) <= s}
-            assert want <= set(map(tuple, coeffs.tolist()))
-            assert np.all(np.any(coeffs != 0, axis=1))
+            assert want | {(0, 0)} <= set(map(tuple, coeffs.tolist()))
             order = np.lexsort((coeffs[:, 1], coeffs[:, 0]))
             assert np.array_equal(order, np.arange(len(coeffs)))
             assert len(np.unique(coeffs, axis=0)) == len(coeffs)
-            assert np.array_equal(coords, coeffs @ L.basis.T)
 
 
 def test_hyperbolic_cross_matches_per_rectangle_loop(rng):
@@ -571,24 +586,18 @@ def test_hyperbolic_cross_matches_per_rectangle_loop(rng):
             B = B @ sl.random_unimodular(2, k, 10).astype(float)
         L = sl.make_lattice(B)
         for s, R in ((0.05, 30.0), (1.0, 300.0), (0.3, 2000.0)):
-            coeffs, coords = sl.enumerate_hyperbolic_cross(L, s, R)
-            want_c, want_x = cross_by_rectangles(L, s, R)
-            assert coeffs.tobytes() == want_c.tobytes()
-            assert coords.tobytes() == want_x.tobytes()
+            coeffs = cross(L, s, R)
+            nonzero = coeffs[np.any(coeffs != 0, axis=1)]
+            assert nonzero.tobytes() == cross_by_rectangles(L, s, R).tobytes()
 
 
 def test_hyperbolic_cross_rejects_bad_input(monkeypatch):
     L = sl.golden_lattice()
-    for s, R in ((1.0, 0.0), (1.0, -3.0), (0.0, 10.0), (math.inf, 10.0)):
-        with pytest.raises(ValueError):
-            sl.enumerate_hyperbolic_cross(L, s, R)
     with pytest.raises(BudgetExceeded):
-        sl.enumerate_hyperbolic_cross(L, 1.0, math.inf)
-    with pytest.raises(DimensionMismatch):
-        sl.enumerate_hyperbolic_cross(sl.make_lattice(np.eye(3)), 1.0, 5.0)
+        cross(L, 1.0, math.inf)
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", 5)
     with pytest.raises(BudgetExceeded):
-        sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
+        cross(L, 1.0, 1e3)
 
 
 def test_hyperbolic_cross_caps_the_union_of_its_rectangles(monkeypatch):
@@ -597,16 +606,16 @@ def test_hyperbolic_cross_caps_the_union_of_its_rectangles(monkeypatch):
     L, enum, out = sl.golden_lattice(), lattice._enum, []
     monkeypatch.setattr(lattice, "_enum", lambda W, R: out.append(enum(W, R))
                         or out[-1])
-    sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
+    cross(L, 1.0, 1e3)
     union = len(out[0][1])
     assert np.bincount(out[0][0]).max() < union // 4  # 20 rectangles
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", union - 1)
     with pytest.raises(BudgetExceeded, match=f"^{union} candidates exceed "
                        f"cap {union - 1}$"):
-        sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
+        cross(L, 1.0, 1e3)
     assert len(out) == 2  # the search itself passed the cap
     monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", union)
-    sl.enumerate_hyperbolic_cross(L, 1.0, 1e3)
+    cross(L, 1.0, 1e3)
 
 
 def _bits(a):
@@ -781,12 +790,12 @@ def test_hyperbolic_cross_refuses_radii_that_lose_the_lattice():
     # 1e20): R >= 2^24 sqrt(s) is a budget error, below it the rows hold
     L = sl.sample_unimodular_2d(0)
     t = math.sqrt(0.5)
-    rows = [len(sl.enumerate_hyperbolic_cross(L, 0.5, R)[0])
+    rows = [len(cross(L, 0.5, R))
             for R in (1e4, 2.0**23 * t)]  # R grows 2^9.2-fold: 20 rectangles
     assert rows[0] <= rows[1] <= rows[0] + 5 * 20
     for R in (2.0**24 * t, 1e10, 1e15, 1e20):
         with pytest.raises(BudgetExceeded, match="leaves the float range"):
-            sl.enumerate_hyperbolic_cross(L, 0.5, R)
+            cross(L, 0.5, R)
     with pytest.raises(BudgetExceeded, match="leaves the float range"):
         sl.minima_upper_bound(sl.hyperbolic(2), sl.golden_lattice(), 1e9)
 

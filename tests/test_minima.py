@@ -364,7 +364,7 @@ def test_hyperbola_fallback_lattices(monkeypatch, columns, taken):
     # where the chain is not walked) or, flagged, the r0-ball and the cross,
     # with the ball's values and witnesses
     f, L, seen = sl.hyperbolic(2), sl.make_lattice(columns), []
-    chain_rows, cross = minima._chain_rows, minima.enumerate_hyperbolic_cross
+    chain_rows, cross = minima._chain_rows, minima._cross_coeffs
     ball, r0 = minima.enumerate_ball_arrays, float(np.hypot(*L.W).max())
 
     def traced_chain(L, radii):
@@ -376,7 +376,7 @@ def test_hyperbola_fallback_lattices(monkeypatch, columns, taken):
             raise
 
     monkeypatch.setattr(minima, "_chain_rows", traced_chain)
-    monkeypatch.setattr(minima, "enumerate_hyperbolic_cross",
+    monkeypatch.setattr(minima, "_cross_coeffs",
                         lambda *a: seen.append("cross") or cross(*a))
     monkeypatch.setattr(minima, "enumerate_ball_arrays", lambda L, R:
                         seen.append("ball" if R in budgets else "r0")
@@ -388,6 +388,28 @@ def test_hyperbola_fallback_lattices(monkeypatch, columns, taken):
             m.setattr(minima, "_budget_candidates", ball_candidates)
             assert fast == sl.minima_upper_bound(f, L, budget)
     assert [t for t in seen if t != "r0"] == taken
+
+
+@pytest.mark.parametrize("columns,budget,check", [
+    # det 7.9e-261: outside the range where the walk's floats stay normal
+    ((np.array([[1.0, 0.7], [0.3, 1.0]]) * 1e-130).tolist(), 5e-129,
+     lambda loc: set(loc) == {"L", "radii", "r_max"}),
+    # w = (a1, -a2) but one ulp shorter: float Gauss keeps a first, so no
+    # start b has b1 > a1
+    ([[0.6, 0.6], [1.0, -0.9999999999999999]], 50.0,
+     lambda loc: loc["segs"] == [] and not loc["b"][2] > loc["a"][2]),
+])
+def test_chain_flags_the_range_and_a_missing_start(monkeypatch, columns,
+                                                    budget, check):
+    # each check flags the lattice before the walk, and the r0-ball and
+    # the cross give the ball's values and witnesses
+    f, L = sl.hyperbolic(2), sl.make_lattice(columns)
+    with pytest.raises(minima._Flagged) as info:
+        minima._chain_rows(L, (budget,))
+    assert check(info.traceback[-1].locals)
+    fast = sl.minima_upper_bound(f, L, budget)
+    monkeypatch.setattr(minima, "_budget_candidates", ball_candidates)
+    assert fast == sl.minima_upper_bound(f, L, budget)
 
 
 def test_upper_bound_hyperbola_beyond_the_ball_cap():

@@ -524,6 +524,12 @@ def test_theorem2_rejects_bad_sizes(budgets, N):
         sl.theorem2_experiment(sl.hyperbolic(2), budgets, N, seed=0)
 
 
+def test_theorem2_needs_a_budget():
+    # refused by name, not by a max() of no budgets further on
+    with pytest.raises(ValueError, match="^need at least one budget$"):
+        sl.theorem2_experiment(sl.hyperbolic(2), [], 5, 0)
+
+
 def test_theorem2_monotonicity_violation_raises(monkeypatch):
     monkeypatch.setattr(stats, "_lambda2_at_budgets",
                         lambda coeffs, f, n2, budgets: [0.1, 0.5])
