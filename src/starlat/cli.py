@@ -39,11 +39,8 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, (np.generic, np.ndarray)):
         return _plain(obj.tolist())
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "inf", "-inf" or "nan"
     return obj
 
 
@@ -65,10 +62,6 @@ def _csv_rows(rows: list[dict]) -> str:
     return "".join(",".join(v) + "\n" for v in lines)
 
 
-def _fmt(v: float) -> str:
-    return "inf" if math.isinf(v) else f"{v:g}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -78,7 +71,7 @@ def _cmd_minima(args):
     body = parse_body(args.body, L.dim)
     res = (successive_minima_exact(body, L) if args.budget is None
            else minima_upper_bound(body, L, args.budget))
-    plain = " ".join(_fmt(v) for v in res.values) + "\n"
+    plain = " ".join(f"{v:g}" for v in res.values) + "\n"
     rows = [{"i": i + 1, "value": v} for i, v in enumerate(res.values)]
     return res, plain, rows
 
@@ -193,7 +186,7 @@ def _cmd_probe(args):
     f_seq, L_seq = (seqs[k][cfg.get(k, "fixed")] for k in seqs)
     rep = semicontinuity_probe(f_seq, L_seq, f, L, n_max, slack=slack,
                                budget=budget)
-    rows = [{"n": e.n, "values": ";".join(_fmt(v) for v in e.values),
+    rows = [{"n": e.n, "values": ";".join(f"{v:g}" for v in e.values),
              "exact": int(e.exact), "slack": e.slack,
              "upper_ok": int(e.upper_ok), "converged": int(e.converged),
              "error": e.error or ""} for e in rep.entries]

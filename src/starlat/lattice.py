@@ -3,7 +3,8 @@
 A lattice keeps the user-supplied basis B, in which coefficients are given,
 and W = B U, reduced once by make_lattice (Gauss in the plane, LLL above);
 one Fincke-Pohst search, vectorized level by level on stacks of bases,
-enumerates W (a lattice is a stack of one)."""
+enumerates W, but lists a small ball of one basis as its dual-norm box
+under the same exact test: W^-1 sizes it only, adding no BLAS dependence."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .errors import (BudgetExceeded, DimensionTooSmall, NotLatticePoint,
 DEFAULT_POINT_CAP = 10**8  # one setting; every check reads it at call time
 
 _CHUNK_NODES = 2**14  # level nodes per chunk of a planar stack
+_BOX_NODES = 4096  # box rows of one basis listed without levels
 
 # relative inflation applied to every enumeration interval so that floating
 # point rounding can never drop a boundary point
@@ -158,14 +160,11 @@ _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 
 
 def _zeta(d: int) -> float:
-    """Riemann zeta at an integer d >= 1: inf at the pole d = 1, pi^2/6 for
-    d = 2, else the terms k < 16 plus the Euler-Maclaurin tail from 16 with
-    five Bernoulli terms (the first term left out is 2e-17 of zeta(3), less
-    for larger d)."""
+    """Riemann zeta at an integer d >= 1: inf at the pole d = 1, else the
+    terms k < 16 plus the Euler-Maclaurin tail from 16 with five Bernoulli
+    terms (the first term left out is 3.4e-17 of zeta(2), less above)."""
     if d == 1:
         return math.inf
-    if d == 2:
-        return math.pi ** 2 / 6
     terms = [k ** -d for k in range(1, 16)]
     terms += [16 ** (1 - d) / (d - 1), 16 ** -d / 2]
     terms += [b * math.prod(range(d, d + 2 * j + 1)) * 16 ** (-d - 2 * j - 1)
@@ -268,10 +267,29 @@ def _gram_schmidt(W: np.ndarray):
     return B, mu
 
 
+def _box(w: np.ndarray, R: float):
+    """_enum's dual-norm box of one basis w (d, d) as its X, or None."""
+    d, limit = len(w), min(_BOX_NODES, DEFAULT_POINT_CAP)
+    c = [math.hypot(*v) for v in w.T.tolist()]  # t_i >= R / ||w_i||
+    if min(c) > 0 and math.prod(2 * (R // x) + 1 for x in c) <= limit:
+        try:
+            r = [math.hypot(*v) for v in np.linalg.inv(w).tolist()]
+        except np.linalg.LinAlgError:  # singular: the levels refuse it
+            return None
+        t = [R * (1.0 + 2.0**-20) * x // 1 for x in r]  # NaN fails below
+        if (math.hypot(*c) * math.hypot(*r) <= 2.0 ** (28 - 4 * d)
+                and math.prod(2 * x + 1 for x in t) <= limit):
+            X = np.empty((d, *(2 * int(x) + 1 for x in t[::-1])), np.int64)
+            for i, x in enumerate(map(int, t)):  # x_i on axis d - 1 - i
+                X[i] = np.arange(-x, x + 1).reshape(-1, *[1] * i)
+            return X.reshape(d, -1).T
+    return None
+
+
 @np.errstate(all="ignore")  # non-finite bounds are refused before a cast
 def _enum(W: np.ndarray, R: float):
     """(idx, X): every integer x with ||W x|| <= R for each basis of a stack
-    (N, d, d), row k of X belonging to basis idx[k], grouped by basis.
+    (N, d, d), grouped by basis idx[k] of row k, lex in (x_{d-1}, ..., x_0).
 
     Modified Gram-Schmidt (accurate on skewed bases) gives ||W x||^2 =
     sum_i B_i (x_i + sum_{j>i} mu_ij x_j)^2.  Level by level from x_{d-1}
@@ -283,56 +301,46 @@ def _enum(W: np.ndarray, R: float):
     is a level whose nodes' centers c and half-widths w of x_i have a sum of
     squares of 2^90 or more or not finite (an overflowing R^2 among them).
     Below it every |c|, w < 2^45 and, for under 2^31 nodes, the level's
-    count is below 2^62 (Cauchy-Schwarz): no cast or count overflows."""
+    count is below 2^62 (Cauchy-Schwarz): no cast or count overflows.
+
+    A single basis with kappa = ||W||_F ||W^-1||_F <= 2^(28 - 4d) lists its
+    box |x_i| <= floor(R (1 + 2^-20) ||r_i||), r_i row i of W^-1, in that
+    order for the test if it holds at most min(_BOX_NODES, DEFAULT_POINT_CAP)
+    rows: x_i = <r_i, W x>, and the test's dots and LU's r_i err by 2^(4d -
+    53) kappa relative (Higham 2002, Thm 9.4, Lemma 9.6), so it holds every
+    kept row and each level's nodes.  Other W and R^2 = inf take the levels."""
     N, d = W.shape[:2]
-    B, mu = _gram_schmidt(W)
-
-    def node(a):  # a per-basis array per node; one basis as is
-        return a if N == 1 else a[idx]
-
-    def fits(sq):  # before a level's casts; NaN fails too
-        if not sq < 2.0**90:
-            raise BudgetExceeded("the search leaves the float range: the "
-                                 "radius is too large for the basis")
-
     R2 = (R * (1.0 + _INFLATE)) ** 2 if R < 2.0**511 else math.inf  # NaN too
-    top = np.sqrt(R2 / B[-1]) * (1.0 + _INFLATE)
-    fits(top.dot(top))
-    top = top.astype(np.int64)
-    lo, cnt = -top, 2 * top + 1  # x_{d-1} in [-top, top]
-    idx = np.arange(N)
-    cols = []  # node coordinates x_{d-1}, ..., x_{i+1}
-    for i in range(d - 1, -1, -1):
-        if cols:
-            m = node(mu[i])
-            cen = m[:, 0] * cols[-1]
-            for k in range(1, d - 1 - i):
-                cen += m[:, k] * cols[-1 - k]
-            w = np.sqrt(np.maximum(rem, 0.0) / node(B[i])) * (1.0 + _INFLATE)
-            fits(cen.dot(cen) + w.dot(w))
+    if N > 1 or not R2 < math.inf or (X := _box(W[0], R)) is None:
+        idx, rem, cen, cols = np.arange(N), np.full(N, R2), np.zeros(N), []
+        B, mu = _gram_schmidt(W)
+        for i in range(d - 1, -1, -1):  # cols: x_{d-1}, ..., x_i per node
+            w = np.sqrt(np.maximum(rem, 0.0) / B[i][idx]) * (1 + _INFLATE)
+            if not cen.dot(cen) + w.dot(w) < 2.0**90:  # NaN fails too
+                raise BudgetExceeded("the search leaves the float range: "
+                                     "the radius is too large for the basis")
             lo = np.ceil(-cen - w).astype(np.int64)
             cnt = np.floor(w - cen).astype(np.int64) - lo + 1
-        end = cnt.cumsum()
-        total = int(end[-1])
-        if total > DEFAULT_POINT_CAP:
-            worst = total if N == 1 else int(np.bincount(idx, cnt).max())
-            if worst > DEFAULT_POINT_CAP:
-                raise BudgetExceeded(f"{worst} candidates exceed cap "
-                                     f"{DEFAULT_POINT_CAP}")
-        x = np.arange(total) + (lo + cnt - end).repeat(cnt)
-        cols = [c.repeat(cnt) for c in cols]
-        idx = idx.repeat(cnt) if N > 1 else idx
-        if i == d - 1:
-            rem = R2 - node(B[i]) * (x * x)
-        elif i:
-            y = x + cen.repeat(cnt)
-            rem = rem.repeat(cnt) - node(B[i]) * (y * y)
-        cols.append(x)
-    X = np.array(cols[::-1]).T
+            end = cnt.cumsum()
+            total = int(end[-1])
+            if total > DEFAULT_POINT_CAP:
+                worst = total if N == 1 else int(np.bincount(idx, cnt).max())
+                if worst > DEFAULT_POINT_CAP:
+                    raise BudgetExceeded(f"{worst} candidates exceed cap "
+                                         f"{DEFAULT_POINT_CAP}")
+            x = np.arange(total) + (lo + cnt - end).repeat(cnt)
+            cols = [c.repeat(cnt) for c in cols] + [x]
+            idx = idx.repeat(cnt) if N > 1 else idx  # one basis: as is
+            if i:
+                y = x + cen.repeat(cnt)
+                rem = rem.repeat(cnt) - B[i][idx] * (y * y)
+                cen = reduce(np.add, (m * c for m, c in
+                                      zip(mu[i - 1][idx].T, cols[::-1])))
+        X = np.array(cols[::-1]).T
     # BLAS dots either way, so both are bit-equal to X @ W.T of one basis
     xy = X @ W[0].T if N == 1 else np.vecdot(W[idx], X[:, None, :])
     keep = _fold(np.add, xy * xy) <= R2
-    X = X[keep]
+    X = np.compress(keep, X, axis=0)  # X[keep], faster on its column order
     return (idx[keep] if N > 1 else np.zeros(len(X), np.int64)), X
 
 
@@ -417,9 +425,8 @@ def _cross_coeffs(L: Lattice, t: float, R_in: float) -> np.ndarray:
                              f"{DEFAULT_POINT_CAP}")
     coeffs = np.vecdot(U[idx], X[:, None, :])
     coeffs = coeffs[np.lexsort(coeffs.T[::-1])]
-    keep = np.ones(len(coeffs), dtype=bool)
-    keep[1:] = _fold(np.logical_or, coeffs[1:] != coeffs[:-1])
-    return coeffs[keep]
+    return coeffs[np.append(True, _fold(np.logical_or,
+                                        coeffs[1:] != coeffs[:-1]))]
 
 
 def primitive_mask(coeffs: np.ndarray) -> np.ndarray:

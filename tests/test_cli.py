@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starlat as sl
-from starlat import lattice
+from starlat import cli, lattice
 from starlat.cli import run_cli
 
 
@@ -37,6 +37,21 @@ def test_minima_json_envelope(capsys):
     assert len(env["config_hash"]) == 16
     assert env["result"]["values"] == [2.0, 3.0]
     assert env["result"]["exact"] is True
+
+
+def test_non_finite_floats_are_strings_in_the_result_json():
+    # the result JSON holds no bare NaN or Infinity: floats, numpy values
+    # and arrays in dataclasses, dicts and tuples print "nan", "inf", "-inf"
+    result = {"v": math.nan, "w": (math.inf, -math.inf, 1.5),
+              "a": np.array([math.nan, 2.0]), "s": np.float64(-math.inf),
+              "m": sl.MinimaResult(values=(1.0, math.nan), exact=False,
+                                   witnesses=(None, None))}
+    text = json.dumps(cli._envelope("minima", {"seed": 0}, result),
+                      allow_nan=False)
+    assert json.loads(text)["result"] == {
+        "v": "nan", "w": ["inf", "-inf", 1.5], "a": ["nan", 2.0], "s": "-inf",
+        "m": {"values": [1.0, "nan"], "witnesses": [None, None],
+              "exact": False}}
 
 
 def test_minima_budgeted_unbounded_body(capsys):

@@ -812,3 +812,117 @@ def test_hyperbolic_cross_refuses_radii_that_lose_the_lattice():
 def test_enum_refuses_bounds_beyond_floats(W, R):
     with pytest.raises(BudgetExceeded, match="leaves the float range"):
         lattice._enum(W, R)
+
+
+def _outcome(W, R):
+    """What _enum gives: idx and X as (bytes, dtype, shape, strides), or the
+    type and message of what it raises."""
+    try:
+        return [(a.tobytes(), a.dtype, a.shape, a.strides)
+                for a in lattice._enum(W, R)]
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _counting_box(monkeypatch):
+    """Patch lattice._box to count the calls that list a box."""
+    taken, box = [], lattice._box
+
+    def counted(w, R):
+        if (X := box(w, R)) is not None:
+            taken.append(len(X))
+        return X
+    monkeypatch.setattr(lattice, "_box", counted)
+    return taken
+
+
+_HEX = np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]])
+_ROOTS = (1.0, math.sqrt(2), math.sqrt(3), math.sqrt(5), 5.0, math.sqrt(50))
+
+
+def _single_ball_cases():
+    """One basis, one radius: Gaussian bases d = 2-4 at scales 2^-20 to
+    2^20 as made and as given, random_unimodular bases, Z^d and the
+    hexagonal lattice at radii through lattice points, bases and radii out
+    of range."""
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 4):
+        for e in range(-20, 21, 5):
+            for _ in range(6):
+                B = rng.standard_normal((d, d)) * 2.0**e
+                try:
+                    L = sl.make_lattice(B)
+                except SingularBasis:
+                    continue
+                for R in (0.7, 1.5, 3.0):
+                    yield L.W[None], R * L.det ** (1 / d)
+                    yield B[None], R * L.det ** (1 / d)
+    for d, s, steps in itertools.product((2, 3), range(6), (10, 30, 60)):
+        U = sl.random_unimodular(d, s, steps).astype(float)
+        for R in (1.0, 1.5, 2.0, 3.0):
+            yield U[None], R
+    for R in _ROOTS:
+        yield _HEX[None], R
+        for d in (2, 3, 4):
+            yield np.eye(d)[None], R
+    for W, R in [(np.ones((1, 2, 2)), 1.0), (np.eye(2)[None], 1e200),
+                 (np.eye(2)[None], math.nan), (np.eye(2)[None] * 1e300, 1e300),
+                 (np.array([[[math.inf, 0.0], [0.0, 1.0]]]), 1.0),
+                 (np.array([[[math.nan, 0.0], [0.0, 1.0]]]), 1.0),
+                 (np.array([[[1.0, 1.0], [0.0, 1e-300]]]), 1.0),
+                 (np.diag([1.0, 1e20])[None], 1.5)]:
+        yield W, R
+
+
+def test_box_lists_the_levels_rows(monkeypatch):
+    # a single small ball listed as its dual-norm box gives the level
+    # loop's rows in the loop's order, bit for bit, and refuses what the
+    # loop refuses with the same error; _BOX_NODES = 0 forces the loop
+    taken = _counting_box(monkeypatch)
+    cases = list(_single_ball_cases())
+    got = [_outcome(W, R) for W, R in cases]
+    boxes = len(taken)
+    monkeypatch.setattr(lattice, "_BOX_NODES", 0)
+    assert [_outcome(W, R) for W, R in cases] == got
+    assert len(taken) == boxes and boxes > 0.8 * len(cases)
+    assert sum(isinstance(g, tuple) for g in got) == 7  # seven of the last eight
+
+
+@pytest.mark.parametrize("d,under,over", [(2, 31.5, 32.0), (3, 7.5, 8.0)])
+def test_box_limit_is_min_of_box_nodes_and_the_cap(monkeypatch, d, under,
+                                                    over):
+    # Z^d: the box of radius under has at most 4096 rows (63^2, 15^3), the
+    # one of radius over more (65^2, 17^3) and takes the levels; with a
+    # DEFAULT_POINT_CAP of 100 the limit is 100 rows (9^2 and 3^3 boxes
+    # pass, 11^2 and 5^3 do not)
+    taken = _counting_box(monkeypatch)
+    small = (4.5, 5.0) if d == 2 else (1.9, 2.5)
+    cap = lattice.DEFAULT_POINT_CAP
+    for cap, R, box in [(cap, under, 1), (cap, over, 0),
+                        (100, small[0], 1), (100, small[1], 0)]:
+        monkeypatch.setattr(lattice, "DEFAULT_POINT_CAP", cap)
+        got = _outcome(np.eye(d)[None], R)
+        assert len(taken) == box
+        taken.clear()
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "_BOX_NODES", 0)
+            assert _outcome(np.eye(d)[None], R) == got
+
+
+@pytest.mark.parametrize("R", [1.5, 3.0, 10.73])
+def test_folded_levels_on_stacks_list_each_basis_as_its_box(R):
+    # Haar and 3D stacks take the level loop, whose top level is now its
+    # generic step; each basis's rows are those of its own ball, which a
+    # basis alone lists as its box
+    rng = np.random.default_rng(5)
+    haar = lattice._reduce_planar(sl.sample_unimodular_2d_arrays(40, 3)[3])[2]
+    qr = np.stack([sl.make_lattice(np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                                   @ np.diag(rng.uniform(0.7, 1.4, 3))).W
+                   for _ in range(15)])
+    for W in (haar, qr):
+        r = R if W.shape[1] == 2 else R / 3
+        idx, X = lattice._enum(W, r)
+        assert np.array_equal(idx, np.sort(idx, kind="stable"))
+        for k in range(len(W)):
+            own = lattice._enum(W[k:k + 1], r)[1]
+            assert X[idx == k].tobytes() == own.tobytes()

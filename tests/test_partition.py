@@ -144,6 +144,22 @@ def test_build_shells_finite_body_stalls():
         sl.build_shells(disk, 2, 1, mc_points=2 * 10**4, seed=1)
 
 
+def test_build_shells_doubling_ends_after_sixty_doublings(monkeypatch):
+    # an estimate that grows by more than 1e-9 every four doublings (so it
+    # never stalls) without clearing the threshold, with no Monte Carlo
+    # noise, ends the doubling phase after 60 doublings of the radius step
+    outer = []
+
+    def estimate(body, d, r_in, r_out, mc_points, ss):
+        outer.append(r_out)
+        return -1.0 / len(outer), 0.0
+    monkeypatch.setattr(partition, "_estimate_annulus_volume", estimate)
+    with pytest.raises(VolumeStall, match="^doubling exhausted without "
+                       "reaching the shell volume threshold$"):
+        sl.build_shells(sl.plane_body(), 2, 1, mc_points=100, seed=0)
+    assert outer == [2.0**k for k in range(61)]
+
+
 def test_volume_stall_names_estimate_noise_and_threshold():
     # {|x1 x2| <= 1} has infinite area, but its estimate at seed 5 stalls
     # within Monte Carlo noise just above the threshold
